@@ -77,6 +77,11 @@ def _load_model(args, vocab, stopword_ids=frozenset()):
                            theta_provider=provider)
 
 
+def _history_theta(model, history):
+    """Topic feature of a history for a tarnn model; None for other kinds."""
+    return model.theta_provider(history) if model.kind == "tarnn" else None
+
+
 # ---------------------------------------------------------------------------
 # prepare
 
@@ -168,10 +173,9 @@ def cmd_generate(args):
     top_lines = []
     outputs = []
     for i, history in enumerate(histories):
-        theta = model.theta_provider(history) if model.kind == "tarnn" else None
         cands = generator.generate(
             model, history, vocab, beam_width=args.beam_width, max_len=args.max_len,
-            n_best=args.n_best, len_norm=args.len_norm, theta=theta,
+            n_best=args.n_best, len_norm=args.len_norm, theta=_history_theta(model, history),
             record_trace=args.trace,
         )
         path = os.path.join(out, f"candidates_{i:04d}.txt")
@@ -190,17 +194,21 @@ def cmd_generate(args):
 def _parse_candidate_file(path, vocab):
     cands = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             head, _, text = line.partition("\t")
-            rank, norm_score, loglik = head.split(" ")
+            try:
+                _, norm_score, loglik = head.split(" ")
+                norm_score, loglik = float(norm_score), float(loglik)
+            except ValueError as e:
+                raise DataError(f"{path}: line {lineno}: malformed candidate line: {e}") from e
             cands.append(
                 generator.Candidate(
                     tokens=vocab.encode(text.split()),
-                    loglik=float(loglik),
-                    norm_score=float(norm_score),
+                    loglik=loglik,
+                    norm_score=norm_score,
                 )
             )
     if not cands:
@@ -296,7 +304,7 @@ def cmd_rerank(args):
     stop_ids = _load_stopwords(args.stopwords, vocab)
     tm = topics.TopicModel.load(args.topic_model, expect_vocab_sha256=vocab.sha256())
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
-    config = topics.RerankConfig(lam=args.lam, metric=args.metric, n_topics=tm.n_topics)
+    config = topics.RerankConfig(lam=args.lam, metric=args.metric)
     top_lines = []
     for i, path in _iter_candidate_files(args.candidates_dir, len(histories)):
         cands = _parse_candidate_file(path, vocab)
@@ -342,23 +350,22 @@ def cmd_tune(args):
             raise DataError("the recall objective needs --checkpoint to score references")
         model = _load_model(args, vocab, stop_ids)
     items = []
-    for i, dlg in enumerate(dev):
-        path = os.path.join(args.candidates_dir, f"candidates_{i:04d}.txt")
-        if not os.path.exists(path):
-            raise DataError(f"missing candidate dump {path}")
+    for i, path in _iter_candidate_files(args.candidates_dir, len(dev)):
+        history = dev[i].history()
         cands = _parse_candidate_file(path, vocab)
-        reference = list(dlg.last_utterance())
+        reference = list(dev[i].last_utterance())
         truth_index = None
         if args.objective == "recall":
             seq = reference + [corpus.EOU_ID]
-            lp = generator.continuation_log_likelihood(model, dlg.history(), seq)
+            lp = generator.continuation_log_likelihood(
+                model, history, seq, theta=_history_theta(model, history))
             cands = cands + [
                 generator.Candidate(tokens=reference, loglik=lp,
                                     norm_score=lp / (len(seq) ** args.len_norm))
             ]
             truth_index = len(cands) - 1
         items.append(
-            topics.RerankItem(history=dlg.history(), candidates=cands,
+            topics.RerankItem(history=history, candidates=cands,
                               reference=reference, truth_index=truth_index)
         )
     lambdas = _parse_lambdas(args.lambdas)
@@ -412,7 +419,7 @@ def cmd_attviz(args):
     if not (0 <= args.history_index < len(histories)):
         raise DataError(f"--history-index {args.history_index} out of range")
     history = histories[args.history_index]
-    theta = model.theta_provider(history) if model.kind == "tarnn" else None
+    theta = _history_theta(model, history)
     if args.continuation:
         tokens = vocab.encode(args.continuation.split())
         trace = generator.trace_attention(model, history, tokens, vocab, theta=theta)
@@ -610,6 +617,9 @@ def main(argv=None):
     except ToolkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except (OSError, UnicodeDecodeError) as e:  # a missing, unreadable or non-UTF-8 file
+        print(f"error: {e}", file=sys.stderr)
+        return DataError.exit_code
     except SystemExit as e:  # argparse --help
         return 0 if e.code in (0, None) else 1
 

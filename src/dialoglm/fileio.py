@@ -1,4 +1,4 @@
-"""Atomic file writes and run manifests.
+"""Atomic file writes, run manifests, and the header line of binary files.
 
 Every artifact is written to a temporary file in the target directory and
 renamed into place, so interrupted runs never leave truncated outputs.
@@ -7,6 +7,8 @@ renamed into place, so interrupted runs never leave truncated outputs.
 import json
 import os
 import tempfile
+
+from .errors import DataError
 
 
 def _atomic(path, data, mode):
@@ -33,6 +35,22 @@ def write_bytes_atomic(path, blob):
 
 def write_json_atomic(path, obj):
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json_header(f, path):
+    """The JSON object on the first line of the open binary file ``f``.
+
+    Checkpoints and topic models both start this way; anything else on that
+    line is a DataError naming ``path``.
+    """
+    line = f.readline()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: unreadable header: not a JSON object")
+    return header
 
 
 def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, ended):

@@ -69,7 +69,7 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
     if record_trace and not getattr(model, "attends", False):
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
     prefix = corpus.continuation_prefix(history)
-    root = model.begin(prefix, theta=theta) if theta is not None else model.begin(prefix)
+    root = model.begin(prefix, theta=theta)
     beams = [_Hyp(state=root, tokens=[], logp=0.0, rows=[])]
     finished = []
     for _ in range(max_len):
@@ -125,7 +125,7 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
 def continuation_log_likelihood(model, history, tokens, theta=None):
     """Teacher-forced conditional log-likelihood of ``tokens`` given the history."""
     prefix = corpus.continuation_prefix(history)
-    state = model.begin(prefix, theta=theta) if theta is not None else model.begin(prefix)
+    state = model.begin(prefix, theta=theta)
     return continuation_logp_from(model, state, tokens)
 
 
@@ -151,7 +151,7 @@ def trace_attention(model, history, continuation, vocab, theta=None):
     if not continuation:
         raise DataError("cannot trace an empty continuation")
     prefix = corpus.continuation_prefix(history)
-    state = model.begin(prefix, theta=theta) if theta is not None else model.begin(prefix)
+    state = model.begin(prefix, theta=theta)
     rows = []
     for tok in continuation:
         _, alpha = model.step_dist(state, want_alpha=True)

@@ -36,65 +36,60 @@ class EvalReport:
                           indent=2, sort_keys=True) + "\n"
 
 
-def _accumulate(model, dialogues, last_utterance_only):
-    total_lp = 0.0
-    tokens = 0
-    errors = 0
+@dataclass
+class Tally:
+    """Running totals behind perplexity and word error rate."""
+
+    logp: float = 0.0
+    tokens: int = 0
+    errors: int = 0
+
+    def add(self, per_token, argmax=None, refs=None):
+        """Count scored positions; ``argmax``/``refs`` also count errors."""
+        self.logp += float(per_token.sum())
+        self.tokens += len(per_token)
+        if argmax is not None:
+            self.errors += int(np.sum(argmax != refs))
+
+    def rates(self):
+        """(perplexity, word error rate): exp(-sum log P / tokens), errors / tokens."""
+        if self.tokens == 0:
+            raise DataError("evaluation span contains zero tokens")
+        return float(np.exp(-self.logp / self.tokens)), self.errors / self.tokens
+
+
+def _tallies(model, dialogues):
+    """(full-dialogue, last-utterance) tallies from one scoring pass."""
+    if not dialogues:
+        raise DataError("empty evaluation set")
+    full, last = Tally(), Tally()
     for d in dialogues:
         s = model.score_dialogue(d)
-        sl = s.last_slice if last_utterance_only else slice(None)
-        lp = s.per_token[sl]
-        total_lp += float(lp.sum())
-        tokens += len(lp)
-        errors += int(np.sum(s.argmax[sl] != s.refs[sl]))
-    return total_lp, tokens, errors
+        full.add(s.per_token, s.argmax, s.refs)
+        sl = s.last_slice
+        last.add(s.per_token[sl], s.argmax[sl], s.refs[sl])
+    return full, last
 
 
 def perplexity(model, dialogues, last_utterance_only=False):
     """exp(-sum log P / token count) over the flagged span."""
-    if not dialogues:
-        raise DataError("empty evaluation set")
-    total_lp, tokens, _ = _accumulate(model, dialogues, last_utterance_only)
-    if tokens == 0:
-        raise DataError("evaluation span contains zero tokens")
-    return float(np.exp(-total_lp / tokens))
+    full, last = _tallies(model, dialogues)
+    return (last if last_utterance_only else full).rates()[0]
 
 
 def word_error_rate(model, dialogues, last_utterance_only=False):
     """Fraction of positions whose argmax prediction misses the reference."""
-    if not dialogues:
-        raise DataError("empty evaluation set")
-    _, tokens, errors = _accumulate(model, dialogues, last_utterance_only)
-    if tokens == 0:
-        raise DataError("evaluation span contains zero tokens")
-    return errors / tokens
+    full, last = _tallies(model, dialogues)
+    return (last if last_utterance_only else full).rates()[1]
 
 
 def evaluate(model, dialogues):
     """PPL, PPL@L, WER and WER@L in one pass over the dialogues."""
-    if not dialogues:
-        raise DataError("empty evaluation set")
-    full = [0.0, 0, 0]
-    last = [0.0, 0, 0]
-    for d in dialogues:
-        s = model.score_dialogue(d)
-        full[0] += float(s.per_token.sum())
-        full[1] += len(s.per_token)
-        full[2] += int(np.sum(s.argmax != s.refs))
-        lp = s.per_token[s.last_slice]
-        last[0] += float(lp.sum())
-        last[1] += len(lp)
-        last[2] += int(np.sum(s.argmax[s.last_slice] != s.refs[s.last_slice]))
-    if full[1] == 0 or last[1] == 0:
-        raise DataError("evaluation span contains zero tokens")
+    full, last = _tallies(model, dialogues)
+    (ppl, wer), (ppl_at_l, wer_at_l) = full.rates(), last.rates()
     return EvalReport(
-        values={
-            "ppl": float(np.exp(-full[0] / full[1])),
-            "ppl_at_l": float(np.exp(-last[0] / last[1])),
-            "wer": full[2] / full[1],
-            "wer_at_l": last[2] / last[1],
-        },
-        counts={"dialogues": len(dialogues), "tokens": full[1], "tokens_at_l": last[1]},
+        values={"ppl": ppl, "ppl_at_l": ppl_at_l, "wer": wer, "wer_at_l": wer_at_l},
+        counts={"dialogues": len(dialogues), "tokens": full.tokens, "tokens_at_l": last.tokens},
     )
 
 
@@ -112,7 +107,7 @@ def recall_at_n(model, candidate_sets, n, len_norm=1.0, theta_provider=None):
     for cs in candidate_sets:
         prefix = corpus.continuation_prefix(cs.history)
         theta = theta_provider(cs.history) if theta_provider is not None else None
-        root = model.begin(prefix, theta=theta) if theta is not None else model.begin(prefix)
+        root = model.begin(prefix, theta=theta)
         scores = []
         for cand in cs.candidates:
             seq = list(cand) + [corpus.EOU_ID]

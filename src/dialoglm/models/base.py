@@ -1,4 +1,5 @@
-"""Shared containers and conventions for the model zoo.
+"""Shared containers, conventions, input checks and parameter handling for
+the model zoo.
 
 Scoring convention used by every model here: a sequence w_0..w_{n-1} is
 scored position by position, where position t is scored from the recurrent
@@ -13,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import DataError
+from ..numeric import uniform_init
+
 
 @dataclass
 class SequenceScore:
@@ -26,6 +30,17 @@ class SequenceScore:
     per_token: np.ndarray
     argmax: np.ndarray
     alphas: list | None = None
+
+    @classmethod
+    def from_logps(cls, logps, targets, alphas=None):
+        """Score of ``targets`` given one log-distribution per position (row)."""
+        per_token = logps[np.arange(len(targets)), targets]
+        return cls(
+            logp=float(per_token.sum()),
+            per_token=per_token,
+            argmax=logps.argmax(axis=1),
+            alphas=alphas,
+        )
 
 
 @dataclass
@@ -72,3 +87,40 @@ class Seq2SeqDecodeState:
     tokens: list = field(default_factory=list)
     h: np.ndarray = None
     prev_h: np.ndarray = None
+
+
+def check_tokens(tokens, vocab_size, what="token"):
+    """DataError unless every token id lies in [0, vocab_size)."""
+    for tok in tokens:
+        if not (0 <= tok < vocab_size):
+            raise DataError(f"{what} id {tok} out of range for V={vocab_size}")
+
+
+class Model:
+    """Parameters and dimensions shared by every model kind.
+
+    Subclasses list their parameter arrays in ``param_shapes``; that order
+    is the checkpoint order and the order fresh parameters are drawn in.
+    """
+
+    def __init__(self, d, d_e, vocab_size, seed=0, params=None):
+        self.d = d
+        self.d_e = d_e
+        self.V = vocab_size
+        expected = self.param_shapes()
+        if params is None:
+            rng = np.random.default_rng(seed)
+            params = {name: uniform_init(shape, rng) for name, shape in expected.items()}
+        if set(params) != set(expected):
+            raise DataError(
+                f"parameter names {sorted(params)} != expected {sorted(expected)}"
+            )
+        for name, shape in expected.items():
+            if params[name].shape != shape:
+                raise DataError(
+                    f"parameter {name} has shape {params[name].shape}, expected {shape}"
+                )
+        self.params = params
+
+    def dims(self):
+        return {"d": self.d, "d_e": self.d_e, "V": self.V}

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import write_bytes_atomic
+from ..fileio import read_json_header, write_bytes_atomic
 
 FORMAT_VERSION = 1
 
@@ -34,11 +34,7 @@ def save_checkpoint(path, model, vocab_sha256):
 
 def read_checkpoint_header(path):
     with open(path, "rb") as f:
-        line = f.readline()
-    try:
-        return json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: unreadable checkpoint header: {e}") from e
+        return read_json_header(f, path)
 
 
 def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
@@ -46,7 +42,7 @@ def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
     from . import make_model
 
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        header = read_json_header(f, path)
         if header.get("format") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint format {header.get('format')}")
         if expect_vocab_sha256 is not None and header["vocab_sha256"] != expect_vocab_sha256:

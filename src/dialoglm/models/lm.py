@@ -25,8 +25,9 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import log_softmax, softmax, uniform_init, zero_grads
-from .base import DialogueScore, LmDecodeState, SequenceScore
+from ..numeric import (add_outers, attention, attention_backward, bptt, log_softmax,
+                       matvecs, nll_backward, recur, softmax, unroll, zero_grads)
+from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
 
 
 @dataclass
@@ -37,59 +38,24 @@ class LmExample:
     theta: np.ndarray = None
 
 
-class RnnLm:
+class RnnLm(Model):
     """Plain recurrent language model."""
 
     kind = "rnn"
     attends = False
 
-    def __init__(self, d, d_e, vocab_size, seed=0, params=None):
-        self.d = d
-        self.d_e = d_e
-        self.V = vocab_size
-        if params is None:
-            rng = np.random.default_rng(seed)
-            params = self._init_params(rng)
-        self.params = params
-        self._check_shapes()
-
-    def _init_params(self, rng):
-        d, d_e, V = self.d, self.d_e, self.V
-        return {
-            "H": uniform_init((d, d), rng),
-            "P": uniform_init((d, d_e), rng),
-            "E": uniform_init((d_e, V), rng),
-            "O": uniform_init((d, V), rng),
-        }
-
-    def _expected_shapes(self):
+    def param_shapes(self):
         d, d_e, V = self.d, self.d_e, self.V
         return {"H": (d, d), "P": (d, d_e), "E": (d_e, V), "O": (d, V)}
-
-    def _check_shapes(self):
-        expected = self._expected_shapes()
-        if set(self.params) != set(expected):
-            raise DataError(
-                f"parameter names {sorted(self.params)} != expected {sorted(expected)}"
-            )
-        for name, shape in expected.items():
-            if self.params[name].shape != shape:
-                raise DataError(
-                    f"parameter {name} has shape {self.params[name].shape}, expected {shape}"
-                )
-
-    def dims(self):
-        return {"d": self.d, "d_e": self.d_e, "V": self.V}
 
     # ------------------------------------------------------------------
     # single-step operations
 
     def step(self, h_prev, token):
         """h_t = tanh(H h_prev + P E[token]); the initial h is the zero vector."""
-        if not (0 <= token < self.V):
-            raise DataError(f"token id {token} out of range for V={self.V}")
+        check_tokens([token], self.V)
         p = self.params
-        return np.tanh(p["H"] @ h_prev + p["P"] @ p["E"][:, token])
+        return recur(p["H"], h_prev, p["P"], p["E"][:, token])
 
     def next_dist(self, h):
         """Distribution over the vocabulary given the current state."""
@@ -99,11 +65,11 @@ class RnnLm:
     # teacher-forced scoring
 
     def _states(self, tokens):
-        n = len(tokens)
-        states = np.zeros((n, self.d))
-        for t in range(1, n):
-            states[t] = self.step(states[t - 1], tokens[t - 1])
-        return states
+        if not tokens:
+            raise DataError("cannot score an empty sequence")
+        check_tokens(tokens, self.V)
+        p = self.params
+        return unroll(p["H"], p["P"], p["E"], tokens[:-1], np.zeros(self.d))
 
     def score_sequence(self, tokens, theta=None):
         """Total and per-position log-likelihood of ``tokens``.
@@ -112,25 +78,12 @@ class RnnLm:
         later position t from the state that consumed tokens 0..t-1.
         """
         tokens = list(tokens)
-        if not tokens:
-            raise DataError("cannot score an empty sequence")
         fw = self._forward(tokens, theta)
-        per_token = np.array(
-            [fw["logps"][t][tokens[t]] for t in range(len(tokens))]
-        )
-        argmax = np.array([int(np.argmax(lp)) for lp in fw["logps"]])
-        return SequenceScore(
-            logp=float(per_token.sum()),
-            per_token=per_token,
-            argmax=argmax,
-            alphas=fw.get("alphas"),
-        )
+        return SequenceScore.from_logps(fw["logps"], tokens, fw.get("alphas"))
 
     def _forward(self, tokens, theta=None):
         states = self._states(tokens)
-        logits = states @ self.params["O"]  # (n, V)
-        logps = [log_softmax(row) for row in logits]
-        return {"states": states, "outs": states, "logps": logps}
+        return {"states": states, "logps": log_softmax(states @ self.params["O"])}
 
     # ------------------------------------------------------------------
     # backward
@@ -139,36 +92,22 @@ class RnnLm:
         """Negative log-likelihood and hand-derived gradients for one sequence."""
         tokens = list(tokens)
         fw = self._forward(tokens, theta)
-        n = len(tokens)
-        grads = zero_grads(self.params)
-        dstates = np.zeros((n, self.d))
-        loss = 0.0
-        for t in range(n):
-            loss -= fw["logps"][t][tokens[t]]
-            dlogits = np.exp(fw["logps"][t])
-            dlogits[tokens[t]] -= 1.0
-            self._backward_output(t, dlogits, fw, grads, dstates, theta)
-        self._backward_attention(tokens, fw, grads, dstates)
-        self._bptt(tokens, fw["states"], grads, dstates)
+        p = self.params
+        grads = zero_grads(p)
+        dstates = np.zeros((len(tokens), self.d))
+        loss, dlogits = nll_backward(fw["logps"], tokens)
+        self._backward_outputs(tokens, fw, dlogits, grads, dstates, theta)
+        bptt(p["H"], p["P"], p["E"], tokens[:-1], fw["states"], dstates,
+             grads["H"], grads["P"], grads["E"])
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss in backward pass")
         return float(loss), grads
 
-    def _backward_output(self, t, dlogits, fw, grads, dstates, theta):
-        grads["O"] += np.outer(fw["states"][t], dlogits)
-        dstates[t] += self.params["O"] @ dlogits
-
-    def _backward_attention(self, tokens, fw, grads, dstates):
-        pass
-
-    def _bptt(self, tokens, states, grads, dstates):
-        p = self.params
-        for t in range(len(tokens) - 1, 0, -1):
-            da = dstates[t] * (1.0 - states[t] * states[t])
-            grads["H"] += np.outer(da, states[t - 1])
-            grads["P"] += np.outer(da, p["E"][:, tokens[t - 1]])
-            grads["E"][:, tokens[t - 1]] += p["P"].T @ da
-            dstates[t - 1] += p["H"].T @ da
+    def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
+        """Backward from the logits to the states, through everything but the
+        recurrence; adds dL/dstates into ``dstates``."""
+        dstates += matvecs(self.params["O"], dlogits)
+        add_outers(grads["O"], fw["states"], dlogits)
 
     # ------------------------------------------------------------------
     # stepwise decoding
@@ -231,22 +170,8 @@ class AttentionRnnLm(RnnLm):
     def d_z(self):
         return self.d_e + self.d
 
-    def _init_params(self, rng):
-        params = super()._init_params(rng)
-        d, d_z = self.d, self.d_z
-        params.update(
-            {
-                "W": uniform_init((d, d), rng),
-                "U": uniform_init((d, d_z), rng),
-                "b": uniform_init((d,), rng),
-                "Oh": uniform_init((d, d), rng),
-                "Oz": uniform_init((d, d_z), rng),
-            }
-        )
-        return params
-
-    def _expected_shapes(self):
-        shapes = super()._expected_shapes()
+    def param_shapes(self):
+        shapes = super().param_shapes()
         d, d_z = self.d, self.d_z
         shapes.update(
             {"W": (d, d), "U": (d, d_z), "b": (d,), "Oh": (d, d), "Oz": (d, d_z)}
@@ -268,20 +193,24 @@ class AttentionRnnLm(RnnLm):
         if R.size == 0:
             raise DataError("attention over an empty history")
         p = self.params
-        pre = np.tanh(p["W"] @ h_prev + R @ p["U"].T)
-        alpha = softmax(pre @ p["b"])
-        z = alpha @ R
+        _, alpha, z = attention(p["W"] @ h_prev, p["b"], R, R @ p["U"].T)
         return z, alpha
 
     def next_dist(self, h, z=None, theta=None):
         """Distribution from the state and the attention context."""
-        return softmax(self.params["O"].T @ self._output(h, z, theta))
+        Z = None if z is None else np.asarray(z)[None]
+        return softmax(self.params["O"].T @ self._outputs(np.asarray(h)[None], Z, theta)[0])
 
-    def _output(self, h, z, theta):
+    def _outputs(self, H, Z, theta):
+        """Output-layer inputs Oh h (+ Oz z) for the rows h of ``H``.
+
+        ``Z`` holds the attention contexts of the last len(Z) rows (the
+        first position of a sequence attends to nothing), or is None.
+        """
         p = self.params
-        out = p["Oh"] @ h
-        if z is not None:
-            out = out + p["Oz"] @ z
+        out = matvecs(p["Oh"], H)
+        if Z is not None:
+            out[len(H) - len(Z):] += matvecs(p["Oz"], Z)
         return out
 
     # ------------------------------------------------------------------
@@ -292,87 +221,53 @@ class AttentionRnnLm(RnnLm):
         n = len(tokens)
         states = self._states(tokens)
         # rep[i] pairs token i's embedding with the state that consumed it
-        R = np.empty((max(n - 1, 0), self.d_z))
-        for i in range(n - 1):
-            R[i, : self.d_e] = p["E"][:, tokens[i]]
-            R[i, self.d_e :] = states[i + 1]
+        R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
         UR = R @ p["U"].T  # (n-1, d)
-        outs = np.empty((n, self.d))
-        pre_list = [None] * n
-        alphas = [None] * n
-        zs = [None] * n
-        for t in range(n):
-            z = None
-            if t >= 1:
-                pre = np.tanh(p["W"] @ states[t - 1] + UR[:t])
-                alpha = softmax(pre @ p["b"])
-                z = alpha @ R[:t]
-                pre_list[t], alphas[t], zs[t] = pre, alpha, z
-            outs[t] = self._output(states[t], z, theta)
-        logits = outs @ p["O"]
-        logps = [log_softmax(row) for row in logits]
-        return {
-            "states": states,
-            "R": R,
-            "pre": pre_list,
-            "alphas": alphas,
-            "zs": zs,
-            "outs": outs,
-            "logps": logps,
-        }
+        WQ = matvecs(p["W"], states[:-1])  # position t queries with states[t-1]
+        Z = np.empty((n - 1, self.d_z))
+        pre, alphas = [None] * n, [None] * n
+        for t in range(1, n):
+            pre[t], alphas[t], Z[t - 1] = attention(WQ[t - 1], p["b"], R[:t], UR[:t])
+        outs = self._outputs(states, Z, theta)
+        return {"states": states, "R": R, "pre": pre, "alphas": alphas, "Z": Z,
+                "outs": outs, "logps": log_softmax(outs @ p["O"])}
 
     # ------------------------------------------------------------------
     # backward
 
-    def _backward_output(self, t, dlogits, fw, grads, dstates, theta):
-        p = self.params
-        grads["O"] += np.outer(fw["outs"][t], dlogits)
-        dout = p["O"] @ dlogits
-        grads["Oh"] += np.outer(dout, fw["states"][t])
-        dstates[t] += p["Oh"].T @ dout
-        if fw["zs"][t] is not None:
-            grads["Oz"] += np.outer(dout, fw["zs"][t])
-        if theta is not None:
-            grads["Otheta"] += np.outer(dout, theta)
-        fw.setdefault("douts", {})[t] = dout
-
-    def _backward_attention(self, tokens, fw, grads, dstates):
+    def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
         p = self.params
         n = len(tokens)
-        if n < 2:
-            return
+        douts = matvecs(p["O"], dlogits)
+        dstates += matvecs(p["Oh"].T, douts)
+        dzs = matvecs(p["Oz"].T, douts[1:])
+        dwqs = np.empty((n - 1, self.d))
         drep = np.zeros_like(fw["R"])
-        for t in range(1, n):
-            dout = fw["douts"][t]
-            dz = p["Oz"].T @ dout
-            Rt = fw["R"][:t]
-            pre = fw["pre"][t]
-            alpha = fw["alphas"][t]
-            dalpha = Rt @ dz
-            dbeta = alpha * (dalpha - alpha @ dalpha)
-            grads["b"] += pre.T @ dbeta
-            dpre = np.outer(dbeta, p["b"]) * (1.0 - pre * pre)
-            dsum = dpre.sum(axis=0)
-            grads["W"] += np.outer(dsum, fw["states"][t - 1])
-            dstates[t - 1] += p["W"].T @ dsum
-            grads["U"] += dpre.T @ Rt
-            drep[:t] += np.outer(alpha, dz) + dpre @ p["U"]
+        for t in range(1, n):  # position 0 is scored without attention
+            dwqs[t - 1], dR = attention_backward(p["U"], p["b"], fw["R"][:t], fw["pre"][t],
+                                                 fw["alphas"][t], dzs[t - 1],
+                                                 grads["U"], grads["b"])
+            drep[:t] += dR
+        dstates[:-1] += matvecs(p["W"].T, dwqs)
+        add_outers(grads["W"], dwqs, fw["states"][:-1])
+        add_outers(grads["O"], fw["outs"], dlogits)
+        add_outers(grads["Oh"], douts, fw["states"])
+        if theta is not None:
+            add_outers(grads["Otheta"], douts, np.broadcast_to(theta, (n, theta.size)))
+        add_outers(grads["Oz"], douts[1:], fw["Z"])
         # scatter representation gradients back to embeddings and states
-        dstates[1:n] += drep[:, self.d_e :]
-        np.add.at(grads["E"].T, np.asarray(tokens[:-1]), drep[:, : self.d_e])
+        dstates[1:] += drep[:, self.d_e :]
+        np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])
 
     # ------------------------------------------------------------------
     # stepwise decoding
 
     def step_dist(self, state, want_alpha=False):
-        t = len(state.tokens)
-        if t == 0:
-            probs = self.next_dist(state.h, None, state.theta)
-            return probs, None
-        p = self.params
-        pre = np.tanh(p["W"] @ state.prev_h + np.asarray(state.ureps))
-        alpha = softmax(pre @ p["b"])
-        z = alpha @ np.asarray(state.reps)
+        alpha = z = None
+        if state.tokens:
+            p = self.params
+            _, alpha, z = attention(p["W"] @ state.prev_h, p["b"],
+                                    np.asarray(state.reps), np.asarray(state.ureps))
         probs = self.next_dist(state.h, z, state.theta)
         return probs, (alpha if want_alpha else None)
 
@@ -393,13 +288,8 @@ class TopicAttentionRnnLm(AttentionRnnLm):
         super().__init__(d, d_e, vocab_size, seed=seed, params=params)
         self.theta_provider = theta_provider or (lambda dialogue: np.full(self.K, 1.0 / self.K))
 
-    def _init_params(self, rng):
-        params = super()._init_params(rng)
-        params["Otheta"] = uniform_init((self.d, self.K), rng)
-        return params
-
-    def _expected_shapes(self):
-        shapes = super()._expected_shapes()
+    def param_shapes(self):
+        shapes = super().param_shapes()
         shapes["Otheta"] = (self.d, self.K)
         return shapes
 
@@ -417,29 +307,26 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     def next_dist(self, h, z=None, theta=None):
         if theta is not None:
             theta = self._validate_theta(theta)
-        return softmax(self.params["O"].T @ self._output(h, z, theta))
+        return super().next_dist(h, z, theta)
 
-    def _output(self, h, z, theta):
-        out = super()._output(h, z, theta)
+    def _outputs(self, H, Z, theta):
+        out = super()._outputs(H, Z, theta)
         if theta is not None:
-            out = out + self.params["Otheta"] @ theta
+            out += self.params["Otheta"] @ theta
         return out
 
+    def _theta_or_uniform(self, theta):
+        return self._validate_theta(np.full(self.K, 1.0 / self.K) if theta is None else theta)
+
     def score_sequence(self, tokens, theta=None):
-        if theta is None:
-            theta = np.full(self.K, 1.0 / self.K)
-        return super().score_sequence(tokens, self._validate_theta(theta))
+        return super().score_sequence(tokens, self._theta_or_uniform(theta))
 
     def loss_and_grads(self, tokens, theta=None):
-        if theta is None:
-            theta = np.full(self.K, 1.0 / self.K)
-        return super().loss_and_grads(tokens, self._validate_theta(theta))
+        return super().loss_and_grads(tokens, self._theta_or_uniform(theta))
 
     def begin(self, prefix, theta=None):
         # theta rides along in the decode state; step_dist passes it through
-        if theta is None:
-            theta = np.full(self.K, 1.0 / self.K)
-        return super().begin(prefix, self._validate_theta(theta))
+        return super().begin(prefix, self._theta_or_uniform(theta))
 
     def make_example(self, dialogue):
         theta = self._validate_theta(self.theta_provider(dialogue))

@@ -18,8 +18,9 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import log_softmax, softmax, uniform_init, zero_grads
-from .base import DialogueScore, Seq2SeqDecodeState, SequenceScore
+from ..numeric import (add_outers, attention, attention_backward, bptt, log_softmax,
+                       matvecs, nll_backward, recur, softmax, unroll, zero_grads)
+from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
 
 
 @dataclass
@@ -39,19 +40,12 @@ def seq2seq_pair(dialogue):
     return source, target
 
 
-class Seq2Seq:
+class Seq2Seq(Model):
     """RNN encoder-decoder, optionally with fixed-scope attention."""
 
     def __init__(self, d, d_e, vocab_size, use_attention=False, seed=0, params=None):
-        self.d = d
-        self.d_e = d_e
-        self.V = vocab_size
         self.use_attention = use_attention
-        if params is None:
-            rng = np.random.default_rng(seed)
-            params = self._init_params(rng)
-        self.params = params
-        self._check_shapes()
+        super().__init__(d, d_e, vocab_size, seed=seed, params=params)
 
     @property
     def kind(self):
@@ -61,114 +55,62 @@ class Seq2Seq:
     def attends(self):
         return self.use_attention
 
-    def _init_params(self, rng):
+    def param_shapes(self):
         d, d_e, V = self.d, self.d_e, self.V
-        params = {
-            "He": uniform_init((d, d), rng),
-            "Pe": uniform_init((d, d_e), rng),
-            "Ee": uniform_init((d_e, V), rng),
-            "Hd": uniform_init((d, d), rng),
-            "Pd": uniform_init((d, d_e), rng),
-            "Ed": uniform_init((d_e, V), rng),
-            "Od": uniform_init((d, V), rng),
-        }
-        if self.use_attention:
-            params.update(
-                {
-                    "W": uniform_init((d, d), rng),
-                    "U": uniform_init((d, d), rng),
-                    "b": uniform_init((d,), rng),
-                    "Oh": uniform_init((d, d), rng),
-                    "Oz": uniform_init((d, d), rng),
-                }
-            )
-        return params
-
-    def _check_shapes(self):
-        d, d_e, V = self.d, self.d_e, self.V
-        expected = {
+        shapes = {
             "He": (d, d), "Pe": (d, d_e), "Ee": (d_e, V),
             "Hd": (d, d), "Pd": (d, d_e), "Ed": (d_e, V), "Od": (d, V),
         }
         if self.use_attention:
-            expected.update(
+            shapes.update(
                 {"W": (d, d), "U": (d, d), "b": (d,), "Oh": (d, d), "Oz": (d, d)}
             )
-        if set(self.params) != set(expected):
-            raise DataError(
-                f"parameter names {sorted(self.params)} != expected {sorted(expected)}"
-            )
-        for name, shape in expected.items():
-            if self.params[name].shape != shape:
-                raise DataError(
-                    f"parameter {name} has shape {self.params[name].shape}, expected {shape}"
-                )
-
-    def dims(self):
-        return {"d": self.d, "d_e": self.d_e, "V": self.V}
+        return shapes
 
     # ------------------------------------------------------------------
     # forward
 
-    def _check_tokens(self, tokens, what):
-        for tok in tokens:
-            if not (0 <= tok < self.V):
-                raise DataError(f"{what} token id {tok} out of range for V={self.V}")
-
     def _encode(self, source):
+        """Encoder states with a zero row prepended: row m+1 consumed source[m]."""
+        check_tokens(source, self.V, "source token")
         p = self.params
-        M1 = len(source)
-        enc = np.zeros((M1, self.d))
-        prev = np.zeros(self.d)
-        for m, tok in enumerate(source):
-            enc[m] = np.tanh(p["He"] @ prev + p["Pe"] @ p["Ee"][:, tok])
-            prev = enc[m]
-        return enc
+        return unroll(p["He"], p["Pe"], p["Ee"], source, np.zeros(self.d))
+
+    def _outputs(self, dec, Z):
+        """Output-layer inputs Oh h + Oz z for decoder states and their contexts."""
+        p = self.params
+        return matvecs(p["Oh"], dec) + matvecs(p["Oz"], Z)
 
     def _forward(self, source, target):
         if not source or not target:
             raise DataError("seq2seq needs a non-empty source and target")
-        self._check_tokens(source, "source")
-        self._check_tokens(target, "target")
+        enc0 = self._encode(source)
+        check_tokens(target, self.V, "target token")
         p = self.params
-        enc = self._encode(source)
-        L = len(target)
-        dec = np.zeros((L, self.d))
-        dec[0] = enc[-1]
-        for l in range(1, L):
-            dec[l] = np.tanh(p["Hd"] @ dec[l - 1] + p["Pd"] @ p["Ed"][:, target[l - 1]])
-        fw = {"enc": enc, "dec": dec}
+        enc = enc0[1:]
+        dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
+        fw = {"enc0": enc0, "enc": enc, "dec": dec, "alphas": None}
         if self.use_attention:
             UE = enc @ p["U"].T  # (M+1, d)
-            pres, alphas, zs, outs = [], [], [], np.empty((L, self.d))
+            L = len(target)
+            queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
+            WQ = matvecs(p["W"], dec[queries])
+            Z = np.empty((L, self.d))
+            pres, alphas = [None] * L, [None] * L
             for l in range(L):
-                q = dec[l - 1] if l >= 1 else dec[0]
-                pre = np.tanh(p["W"] @ q + UE)
-                alpha = softmax(pre @ p["b"])
-                z = alpha @ enc
-                pres.append(pre)
-                alphas.append(alpha)
-                zs.append(z)
-                outs[l] = p["Oh"] @ dec[l] + p["Oz"] @ z
-            fw.update({"pre": pres, "alphas": alphas, "zs": zs, "outs": outs})
+                pres[l], alphas[l], Z[l] = attention(WQ[l], p["b"], enc, UE)
+            outs = self._outputs(dec, Z)
+            fw.update({"pre": pres, "alphas": alphas, "Z": Z, "queries": queries, "outs": outs})
             logits = outs @ p["Od"]
         else:
-            fw["alphas"] = None
             logits = dec @ p["Od"]
-        fw["logps"] = [log_softmax(row) for row in logits]
+        fw["logps"] = log_softmax(logits)
         return fw
 
     def score_pair(self, source, target):
         """Per-position log-likelihood of the target given the source."""
         fw = self._forward(source, target)
-        per_token = np.array([fw["logps"][l][target[l]] for l in range(len(target))])
-        argmax = np.array([int(np.argmax(lp)) for lp in fw["logps"]])
-        return SequenceScore(
-            logp=float(per_token.sum()),
-            per_token=per_token,
-            argmax=argmax,
-            alphas=fw["alphas"],
-        )
+        return SequenceScore.from_logps(fw["logps"], target, fw["alphas"])
 
     # ------------------------------------------------------------------
     # backward
@@ -177,57 +119,34 @@ class Seq2Seq:
         fw = self._forward(source, target)
         p = self.params
         grads = zero_grads(p)
-        L, M1 = len(target), len(source)
-        ddec = np.zeros((L, self.d))
-        denc = np.zeros((M1, self.d))
-        loss = 0.0
-        douts = np.zeros((L, self.d)) if self.use_attention else None
-        for l in range(L):
-            loss -= fw["logps"][l][target[l]]
-            dlogits = np.exp(fw["logps"][l])
-            dlogits[target[l]] -= 1.0
-            if self.use_attention:
-                grads["Od"] += np.outer(fw["outs"][l], dlogits)
-                douts[l] = p["Od"] @ dlogits
-            else:
-                grads["Od"] += np.outer(fw["dec"][l], dlogits)
-                ddec[l] += p["Od"] @ dlogits
+        ddec = np.zeros_like(fw["dec"])
+        denc0 = np.zeros_like(fw["enc0"])
+        denc = denc0[1:]
+        loss, dlogits = nll_backward(fw["logps"], target)
         if self.use_attention:
-            for l in range(L):
-                dout = douts[l]
-                grads["Oh"] += np.outer(dout, fw["dec"][l])
-                ddec[l] += p["Oh"].T @ dout
-                grads["Oz"] += np.outer(dout, fw["zs"][l])
-                dz = p["Oz"].T @ dout
-                pre = fw["pre"][l]
-                alpha = fw["alphas"][l]
-                dalpha = fw["enc"] @ dz
-                dbeta = alpha * (dalpha - alpha @ dalpha)
-                grads["b"] += pre.T @ dbeta
-                dpre = np.outer(dbeta, p["b"]) * (1.0 - pre * pre)
-                dsum = dpre.sum(axis=0)
-                q_index = l - 1 if l >= 1 else 0
-                grads["W"] += np.outer(dsum, fw["dec"][q_index])
-                ddec[q_index] += p["W"].T @ dsum
-                grads["U"] += dpre.T @ fw["enc"]
-                denc += np.outer(alpha, dz) + dpre @ p["U"]
-        # decoder BPTT
-        for l in range(L - 1, 0, -1):
-            da = ddec[l] * (1.0 - fw["dec"][l] * fw["dec"][l])
-            grads["Hd"] += np.outer(da, fw["dec"][l - 1])
-            grads["Pd"] += np.outer(da, p["Ed"][:, target[l - 1]])
-            grads["Ed"][:, target[l - 1]] += p["Pd"].T @ da
-            ddec[l - 1] += p["Hd"].T @ da
+            douts = matvecs(p["Od"], dlogits)
+            ddec += matvecs(p["Oh"].T, douts)
+            dzs = matvecs(p["Oz"].T, douts)
+            dwqs = np.empty_like(douts)
+            for l in range(len(target)):
+                dwqs[l], dR = attention_backward(p["U"], p["b"], fw["enc"], fw["pre"][l],
+                                                 fw["alphas"][l], dzs[l], grads["U"], grads["b"])
+                denc += dR
+            q = fw["queries"]
+            np.add.at(ddec, q, matvecs(p["W"].T, dwqs))
+            add_outers(grads["W"], dwqs, fw["dec"][q])
+            add_outers(grads["Od"], fw["outs"], dlogits)
+            add_outers(grads["Oh"], douts, fw["dec"])
+            add_outers(grads["Oz"], douts, fw["Z"])
+        else:
+            ddec += matvecs(p["Od"], dlogits)
+            add_outers(grads["Od"], fw["dec"], dlogits)
+        bptt(p["Hd"], p["Pd"], p["Ed"], target[:-1], fw["dec"], ddec,
+             grads["Hd"], grads["Pd"], grads["Ed"])
         # the decoder is initialized from the last encoder state
         denc[-1] += ddec[0]
-        # encoder BPTT (the pre-encoder state is the zero vector)
-        for m in range(M1 - 1, -1, -1):
-            da = denc[m] * (1.0 - fw["enc"][m] * fw["enc"][m])
-            if m >= 1:
-                grads["He"] += np.outer(da, fw["enc"][m - 1])
-                denc[m - 1] += p["He"].T @ da
-            grads["Pe"] += np.outer(da, p["Ee"][:, source[m]])
-            grads["Ee"][:, source[m]] += p["Pe"].T @ da
+        bptt(p["He"], p["Pe"], p["Ee"], source, fw["enc0"], denc0,
+             grads["He"], grads["Pe"], grads["Ee"])
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss in backward pass")
         return float(loss), grads
@@ -238,21 +157,18 @@ class Seq2Seq:
     def begin(self, prefix, theta=None):
         if not prefix:
             raise DataError("seq2seq decoding needs a non-empty source prefix")
-        self._check_tokens(prefix, "source")
-        enc = self._encode(prefix)
+        enc = self._encode(prefix)[1:]
         uenc = enc @ self.params["U"].T if self.use_attention else None
         return Seq2SeqDecodeState(enc_states=enc, uenc=uenc, h=enc[-1].copy())
 
     def advance(self, state, token):
+        check_tokens([token], self.V)
         p = self.params
-        if not (0 <= token < self.V):
-            raise DataError(f"token id {token} out of range for V={self.V}")
-        h_new = np.tanh(p["Hd"] @ state.h + p["Pd"] @ p["Ed"][:, token])
         return Seq2SeqDecodeState(
             enc_states=state.enc_states,
             uenc=state.uenc,
             tokens=state.tokens + [token],
-            h=h_new,
+            h=recur(p["Hd"], state.h, p["Pd"], p["Ed"][:, token]),
             prev_h=state.h,
         )
 
@@ -261,11 +177,8 @@ class Seq2Seq:
         if not self.use_attention:
             return softmax(p["Od"].T @ state.h), None
         q = state.prev_h if state.tokens else state.h
-        pre = np.tanh(p["W"] @ q + state.uenc)
-        alpha = softmax(pre @ p["b"])
-        z = alpha @ state.enc_states
-        out = p["Oh"] @ state.h + p["Oz"] @ z
-        probs = softmax(p["Od"].T @ out)
+        _, alpha, z = attention(p["W"] @ q, p["b"], state.enc_states, state.uenc)
+        probs = softmax(p["Od"].T @ self._outputs(state.h[None], z[None])[0])
         return probs, (alpha if want_alpha else None)
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus
 from .errors import DataError
-from .fileio import write_bytes_atomic
+from .fileio import read_json_header, write_bytes_atomic
 from .metrics import corpus_bleu
 
 log = logging.getLogger(__name__)
@@ -74,7 +74,7 @@ class TopicModel:
     @classmethod
     def load(cls, path, expect_vocab_sha256=None):
         with open(path, "rb") as f:
-            header = json.loads(f.readline().decode("utf-8"))
+            header = read_json_header(f, path)
             if header.get("format") != TOPIC_FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported topic model format")
             if (expect_vocab_sha256 is not None
@@ -254,7 +254,6 @@ def topic_similarity(a, b, metric="cosine"):
 class RerankConfig:
     lam: float = 0.45
     metric: str = "cosine"
-    n_topics: int = 10
 
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
@@ -278,13 +277,28 @@ def _zscore(values):
     return (v - v.mean()) / std
 
 
+def _combine(sims, llz, lam):
+    """Combined scores and the candidate order they give; ties keep index order."""
+    combined = [lam * s + (1.0 - lam) * z for s, z in zip(sims, llz)]
+    return combined, sorted(range(len(combined)), key=lambda i: (-combined[i], i))
+
+
 def rerank_scored(history_theta, cand_thetas, llviews, lam, metric="cosine"):
     """Core mixing rule on precomputed topic vectors and log-likelihoods."""
     sims = [topic_similarity(history_theta, th, metric) for th in cand_thetas]
     llz = _zscore(llviews)
-    combined = [lam * s + (1.0 - lam) * z for s, z in zip(sims, llz)]
-    order = sorted(range(len(combined)), key=lambda i: (-combined[i], i))
+    combined, order = _combine(sims, llz, lam)
     return order, sims, llz, combined
+
+
+def _thetas(model, history, candidates, stopword_ids):
+    """Topic proportions of the history and of each candidate's content tokens."""
+    h_theta = infer_theta(model, dialogue_bow(history, stopword_ids))
+    return h_theta, [
+        infer_theta(model, [t for t in corpus.strip_reserved(c.tokens)
+                            if t not in stopword_ids])
+        for c in candidates
+    ]
 
 
 def rerank(history, candidates, model, config, stopword_ids=frozenset()):
@@ -295,12 +309,7 @@ def rerank(history, candidates, model, config, stopword_ids=frozenset()):
     """
     if not candidates:
         raise DataError("empty candidate list")
-    h_theta = infer_theta(model, dialogue_bow(history, stopword_ids))
-    cand_thetas = [
-        infer_theta(model, [t for t in corpus.strip_reserved(c.tokens)
-                            if t not in stopword_ids])
-        for c in candidates
-    ]
+    h_theta, cand_thetas = _thetas(model, history, candidates, stopword_ids)
     lls = [c.norm_score for c in candidates]
     order, sims, llz, combined = rerank_scored(
         h_theta, cand_thetas, lls, config.lam, config.metric
@@ -359,31 +368,17 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
         tm = topic_models[k]
         per_item = []
         for item in items:
-            h_theta = infer_theta(tm, dialogue_bow(item.history, stopword_ids))
-            thetas = [
-                infer_theta(tm, [t for t in corpus.strip_reserved(c.tokens)
-                                 if t not in stopword_ids])
-                for c in item.candidates
-            ]
-            sims = np.array([topic_similarity(h_theta, th, metric) for th in thetas])
-            llz = _zscore([c.norm_score for c in item.candidates])
-            per_item.append((sims, llz))
+            h_theta, thetas = _thetas(tm, item.history, item.candidates, stopword_ids)
+            sims = [topic_similarity(h_theta, th, metric) for th in thetas]
+            per_item.append((sims, _zscore([c.norm_score for c in item.candidates])))
         for lam in lambdas:
-            tops = []
-            for sims, llz in per_item:
-                combined = lam * sims + (1.0 - lam) * llz
-                tops.append(int(min(range(len(combined)),
-                                    key=lambda i: (-combined[i], i))))
+            orders = [_combine(sims, llz, lam)[1] for sims, llz in per_item]
             if objective == "bleu":
-                value = _bleu_of_tops(tops, items)
+                value = _bleu_of_tops([order[0] for order in orders], items)
             else:
-                ranks = []
-                for (sims, llz), item in zip(per_item, items):
-                    combined = lam * sims + (1.0 - lam) * llz
-                    order = sorted(range(len(combined)),
-                                   key=lambda i: (-combined[i], i))
-                    ranks.append(order.index(item.truth_index) < recall_n)
-                value = sum(ranks) / len(ranks)
+                hits = [order.index(item.truth_index) < recall_n
+                        for order, item in zip(orders, items)]
+                value = sum(hits) / len(hits)
             table.append((k, lam, value))
             # grids are visited in ascending (K, lambda) order, so keeping
             # only strict improvements leaves ties at the smallest pair

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .metrics import Tally
 from .models import make_model
 from .numeric import clip_global_norm, global_norm
 
@@ -62,7 +63,7 @@ class AdamState:
 def adam_update(state, params, grads):
     """One bias-corrected Adam step, applied in place."""
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -99,15 +100,10 @@ class TrainResult:
 
 
 def _dev_ppl(model, examples):
-    total_lp = 0.0
-    total_tokens = 0
+    tally = Tally()
     for ex in examples:
-        s = model.example_score(ex)
-        total_lp += s.logp
-        total_tokens += len(s.per_token)
-    if total_tokens == 0:
-        raise DataError("dev split scores zero tokens")
-    return float(np.exp(-total_lp / total_tokens))
+        tally.add(model.example_score(ex).per_token)
+    return tally.rates()[0]
 
 
 def train(kind, train_dialogues, dev_dialogues, config, vocab_size,

@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from dialoglm import corpus, synthetic
-from dialoglm.cli import main, render_heatmap_pgm
-from dialoglm.generator import AttentionTrace
+from dialoglm import corpus, synthetic, topics
+from dialoglm.cli import _parse_candidate_file, main, render_heatmap_pgm
+from dialoglm.errors import DataError
+from dialoglm.generator import AttentionTrace, continuation_log_likelihood
 from dialoglm.models import RnnLm, load_checkpoint, save_checkpoint
 
 
@@ -325,3 +326,76 @@ class TestHygiene:
                                 expect_vocab_sha256=vocab.sha256())
         assert model.kind == "arnn"
         assert model.V == vocab.size
+
+
+class TestBadInput:
+    def test_missing_input_file_exit_code(self, tmp_path, capsys):
+        code = main(["prepare", "--corpus", str(tmp_path / "missing.txt"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_undecodable_input_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"caf\xe9 au lait | oui\n")
+        code = main(["prepare", "--corpus", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_malformed_candidate_line(self, workspace, tmp_path):
+        vocab = corpus.Vocabulary.load(workspace["vocab"])
+        dump = tmp_path / "candidates_0000.txt"
+        dump.write_text("1 -0.5 -1.0\ts0\n1 0.5\thello\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"candidates_0000\.txt: line 2"):
+            _parse_candidate_file(str(dump), vocab)
+
+    def test_corrupt_binary_headers(self, workspace, lda_model, tmp_path):
+        for good, load in ((workspace["ckpt"], load_checkpoint),
+                           (lda_model, topics.TopicModel.load)):
+            body = good.read_bytes().split(b"\n", 1)[1]
+            for header in (b"\xff\xfe garbage", b"[1, 2]"):
+                bad = tmp_path / good.name
+                bad.write_bytes(header + b"\n" + body)
+                with pytest.raises(DataError, match="header"):
+                    load(bad)
+
+
+def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_model,
+                                                      tmp_path, monkeypatch):
+    # a tarnn model scores the reference under the history's inferred topics,
+    # the same theta that generate and eval --recall-n use
+    vocab_path = str(workspace["vocab"])
+    assert main(["train", "--train", str(workspace["prep"] / "train.txt"),
+                 "--dev", str(workspace["prep"] / "dev.txt"), "--vocab", vocab_path,
+                 "--out", str(tmp_path / "tarnn"), "--kind", "tarnn",
+                 "--topic-model", str(lda_model), "--d", "6", "--d-e", "4",
+                 "--epochs", "1", "--seed", "3"]) == 0
+    seen = {}
+    real_tune = topics.tune_rerank
+
+    def capture(items, *args, **kwargs):
+        seen["items"] = items
+        return real_tune(items, *args, **kwargs)
+
+    monkeypatch.setattr(topics, "tune_rerank", capture)
+    histories = workspace["prep"] / "test.txt"
+    assert main(["tune", "--histories", str(histories), "--candidates-dir", str(generated),
+                 "--topic-models", str(lda_model), "--vocab", vocab_path,
+                 "--out", str(tmp_path / "tune"), "--objective", "recall",
+                 "--checkpoint", str(tmp_path / "tarnn" / "model.ckpt"),
+                 "--topic-model", str(lda_model), "--lambdas", "0.0,1.0"]) == 0
+    vocab = corpus.Vocabulary.load(vocab_path)
+    tm = topics.TopicModel.load(lda_model)
+    model = load_checkpoint(tmp_path / "tarnn" / "model.ckpt")
+    dialogues = corpus.load_corpus(histories, vocab, min_turns=2)
+    assert len(seen["items"]) == len(dialogues)
+    for item, dlg in zip(seen["items"], dialogues):
+        history = dlg.history()
+        theta = topics.infer_theta(tm, topics.dialogue_bow(history))
+        seq = list(dlg.last_utterance()) + [corpus.EOU_ID]
+        lp = continuation_log_likelihood(model, history, seq, theta=theta)
+        truth = item.candidates[item.truth_index]
+        assert truth.norm_score == lp / len(seq)
+        assert lp != continuation_log_likelihood(model, history, seq)  # not uniform

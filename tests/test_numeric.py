@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dialoglm.errors import NumericalError
-from dialoglm.numeric import (affine_tanh, clip_global_norm, global_norm,
-                              grad_check, log_softmax, softmax, zero_grads)
+from dialoglm.numeric import (add_outers, affine_tanh, clip_global_norm, global_norm,
+                              grad_check, log_softmax, matvecs, softmax, zero_grads)
 
 
 class TestSoftmax:
@@ -88,6 +88,40 @@ class TestAffineTanh:
     def test_shape_mismatch(self):
         with pytest.raises(NumericalError):
             affine_tanh(np.zeros((3, 3)), np.zeros(4), np.zeros((3, 2)), np.zeros(2))
+
+
+class TestBatchedProducts:
+    """The batched kernels must round exactly like the per-row products."""
+
+    def test_matvecs_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(0)
+        for trial in range(60):
+            n, d, m = (int(x) for x in rng.integers(1, 90, size=3))
+            if trial % 3 == 0:
+                d = int(rng.integers(1, 3))
+            A = rng.normal(size=(d, m))
+            X = rng.normal(size=(n, m))
+            Y = rng.normal(size=(n, d))
+            assert matvecs(A, X).tobytes() == np.array([A @ x for x in X]).tobytes()
+            assert matvecs(A.T, Y).tobytes() == np.array([A.T @ y for y in Y]).tobytes()
+            rows = rng.integers(0, n, size=n)
+            assert (matvecs(A.T, Y[rows][::-1]).tobytes()
+                    == np.array([A.T @ Y[r] for r in rows[::-1]]).tobytes())
+        assert matvecs(np.ones((3, 4)), np.empty((0, 4))).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (64, 64), (7, 1), (1, 1), (40, 900)])
+    def test_add_outers_bitwise_equal_to_loop(self, shape):
+        rng = np.random.default_rng(1)
+        for start in (np.zeros(shape), rng.normal(size=shape)):
+            A = rng.normal(size=(30, shape[0]))
+            B = rng.normal(size=(30, shape[1]))
+            A[3] = -0.0
+            want = start.copy()
+            for a, b in zip(A, B):
+                want += np.outer(a, b)
+            got = start.copy()
+            add_outers(got, A, B)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGradCheck:

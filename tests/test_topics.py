@@ -194,8 +194,8 @@ class TestRerank:
         with pytest.raises(DataError):
             RerankConfig(lam=1.5)
         # the operating point used in the experiments is a valid config
-        cfg = RerankConfig(lam=0.45, n_topics=10)
-        assert cfg.lam == 0.45 and cfg.n_topics == 10
+        cfg = RerankConfig(lam=0.45)
+        assert cfg.lam == 0.45
 
 
 class TestTuneRerank:
