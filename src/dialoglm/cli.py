@@ -283,7 +283,10 @@ def cmd_lda(args):
         os.path.join(out, "topwords.txt"),
         "".join(f"topic {k}: " + " ".join(ws) + "\n" for k, ws in enumerate(top)),
     )
-    return {"topic_model": path, "top_words": os.path.join(out, "topwords.txt")}
+    log_path = os.path.join(out, "lda_log.txt")
+    fileio.write_text_atomic(log_path, topics.format_lda_log(tm))
+    return {"topic_model": path, "top_words": os.path.join(out, "topwords.txt"),
+            "log": log_path}
 
 
 # ---------------------------------------------------------------------------

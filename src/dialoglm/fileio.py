@@ -5,6 +5,7 @@ renamed into place, so interrupted runs never leave truncated outputs.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -51,6 +52,39 @@ def read_json_header(f, path):
     if not isinstance(header, dict):
         raise DataError(f"{path}: unreadable header: not a JSON object")
     return header
+
+
+def read_exact(f, n, path, what):
+    """Exactly ``n`` bytes from the open binary file ``f``.
+
+    A header can declare any size, so the file's length is checked before
+    anything is read; a short file is a DataError naming ``path``.
+    """
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise DataError(f"{path}: truncated {what}")
+    return f.read(n)
+
+
+def check_fields(fields, path, tests):
+    """DataError naming ``path`` unless each key of ``tests`` is in the
+    header dict ``fields`` with a value its test accepts."""
+    for key, test in tests.items():
+        if key not in fields or not test(fields[key]):
+            raise DataError(f"{path}: header field {key!r} missing or malformed")
+
+
+def is_str(value):
+    return type(value) is str
+
+
+def is_int(lo):
+    """Test for an integer (a bool is not one) of at least ``lo``."""
+    return lambda value: type(value) is int and value >= lo
+
+
+def is_positive(value):
+    """Test for a finite number above zero."""
+    return type(value) in (int, float) and 0 < value < math.inf
 
 
 def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, ended):

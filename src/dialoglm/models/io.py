@@ -8,11 +8,13 @@ little-endian float64 in row-major order.
 """
 
 import json
+import math
 
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import read_json_header, write_bytes_atomic
+from ..fileio import (check_fields, is_int, is_str, read_exact, read_json_header,
+                      write_bytes_atomic)
 
 FORMAT_VERSION = 1
 
@@ -32,9 +34,33 @@ def save_checkpoint(path, model, vocab_sha256):
     write_bytes_atomic(path, bytes(blob))
 
 
+def _is_array_entry(entry):
+    """An ``arrays`` entry: [name, shape] with a non-negative int per axis."""
+    return (type(entry) is list and len(entry) == 2 and is_str(entry[0])
+            and type(entry[1]) is list and all(map(is_int(0), entry[1])))
+
+
+def _read_header(f, path):
+    header = read_json_header(f, path)
+    if header.get("format") != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint format {header.get('format')}")
+    check_fields(header, path, {
+        "kind": is_str,
+        "dims": lambda dims: type(dims) is dict,
+        "vocab_sha256": is_str,
+        "arrays": lambda arrays: type(arrays) is list and all(map(_is_array_entry, arrays)),
+    })
+    dims = header["dims"]
+    check_fields(dims, path, {"d": is_int(1), "d_e": is_int(1), "V": is_int(1)})
+    if dims.get("K") is not None:
+        check_fields(dims, path, {"K": is_int(1)})
+    return header
+
+
 def read_checkpoint_header(path):
+    """The checkpoint's header, every field it documents checked."""
     with open(path, "rb") as f:
-        return read_json_header(f, path)
+        return _read_header(f, path)
 
 
 def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
@@ -42,9 +68,7 @@ def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
     from . import make_model
 
     with open(path, "rb") as f:
-        header = read_json_header(f, path)
-        if header.get("format") != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint format {header.get('format')}")
+        header = _read_header(f, path)
         if expect_vocab_sha256 is not None and header["vocab_sha256"] != expect_vocab_sha256:
             raise DataError(
                 f"{path}: checkpoint was trained against a different vocabulary "
@@ -52,10 +76,8 @@ def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
             )
         params = {}
         for name, shape in header["arrays"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = f.read(n * 8)
-            if len(raw) != n * 8:
-                raise DataError(f"{path}: truncated checkpoint while reading {name}")
+            raw = read_exact(f, math.prod(shape) * 8, path,
+                             f"checkpoint while reading {name}")
             params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after the declared arrays")

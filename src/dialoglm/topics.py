@@ -13,18 +13,22 @@ the generation order exactly.
 
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import corpus
 from .errors import DataError
-from .fileio import read_json_header, write_bytes_atomic
+from .fileio import (check_fields, is_int, is_positive, read_exact, read_json_header,
+                     write_bytes_atomic)
 from .metrics import corpus_bleu
 
 log = logging.getLogger(__name__)
 
 TOPIC_FORMAT_VERSION = 1
+LDA_LOG_VERSION = 1
 
 
 @dataclass
@@ -73,17 +77,24 @@ class TopicModel:
 
     @classmethod
     def load(cls, path, expect_vocab_sha256=None):
+        """Read ``topics.bin``; a caller that passes a vocabulary hash gets a
+        DataError unless the file is bound to that vocabulary."""
         with open(path, "rb") as f:
             header = read_json_header(f, path)
             if header.get("format") != TOPIC_FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported topic model format")
             if (expect_vocab_sha256 is not None
-                    and header.get("vocab_sha256") not in (None, expect_vocab_sha256)):
-                raise DataError(f"{path}: topic model bound to a different vocabulary")
+                    and header.get("vocab_sha256") != expect_vocab_sha256):
+                raise DataError(f"{path}: topic model not bound to this vocabulary")
+            check_fields(header, path, {
+                "K": is_int(1), "V": is_int(1), "eta": is_positive, "seed": is_int(0),
+                "train_sweeps": is_int(0), "infer_sweeps": is_int(0),
+                "xi": lambda xi: type(xi) is list and all(map(is_positive, xi)),
+            })
             K, V = header["K"], header["V"]
-            raw = f.read(K * V * 8)
-            if len(raw) != K * V * 8:
-                raise DataError(f"{path}: truncated topic model")
+            if len(header["xi"]) != K:
+                raise DataError(f"{path}: header field 'xi' must hold K={K} values")
+            raw = read_exact(f, K * V * 8, path, "topic model")
             phi = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(K, V)
         return cls(
             n_topics=K,
@@ -97,9 +108,22 @@ class TopicModel:
         )
 
 
-def _sample_index(weights, rng):
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+def _draw(weights, u):
+    """Index drawn in proportion to ``weights`` by the uniform ``u``.
+
+    The running sum and the search are those of ``np.cumsum`` and
+    ``np.searchsorted(side="right")``, on Python floats: bit for bit the
+    same index.
+    """
+    cum = list(accumulate(weights))
+    return bisect_right(cum, u * cum[-1])
+
+
+def _topic_word(nkw, nk, V, eta):
+    """phi from the topic counts; ``nkw`` maps each corpus word to its K counts."""
+    counts = np.zeros((len(nk), V))
+    counts[:, list(nkw)] = np.array(list(nkw.values())).T
+    return (counts + eta) / (np.array(nk) + V * eta)[:, None]
 
 
 def lda_train(docs, n_topics, vocab_size, eta=0.01, xi=None, sweeps=100, seed=0,
@@ -141,46 +165,54 @@ def lda_train(docs, n_topics, vocab_size, eta=0.01, xi=None, sweeps=100, seed=0,
     if not kept:
         raise DataError("all documents are empty")
 
+    # counts as lists of floats (float + float is Python's fast path); nkw
+    # holds only the words that occur, each with its K per-topic counts
     rng = np.random.default_rng(seed)
-    nkw = np.zeros((K, V))
-    nk = np.zeros(K)
-    ndk = np.zeros((len(kept), K))
+    nkw = {}
+    nk = [0.0] * K
+    ndk = [[0.0] * K for _ in kept]
+    words = [doc.tolist() for doc in kept]
     assign = []
-    for d, doc in enumerate(kept):
-        z = rng.integers(0, K, size=doc.size)
+    for doc, nd in zip(words, ndk):
+        z = rng.integers(0, K, size=len(doc)).tolist()
         assign.append(z)
-        for tok, k in zip(doc, z):
-            nkw[k, tok] += 1
+        for w, k in zip(doc, z):
+            nkw.setdefault(w, [0.0] * K)[k] += 1
             nk[k] += 1
-            ndk[d, k] += 1
+            nd[k] += 1
 
+    xs = xi.tolist()
+    v_eta = V * eta
+    n_tokens = sum(map(len, words))
     ll_history = []
     for _ in range(sweeps):
-        for d, doc in enumerate(kept):
-            z = assign[d]
-            for j, w in enumerate(doc):
+        # one call gives the same stream as one rng.random() per token
+        us = iter(rng.random(n_tokens).tolist())
+        for doc, z, nd in zip(words, assign, ndk):
+            for j, (w, u) in enumerate(zip(doc, us)):
                 k = z[j]
-                nkw[k, w] -= 1
+                cw = nkw[w]
+                cw[k] -= 1
                 nk[k] -= 1
-                ndk[d, k] -= 1
-                weights = (ndk[d] + xi) * (nkw[:, w] + eta) / (nk + V * eta)
-                k = _sample_index(weights, rng)
+                nd[k] -= 1
+                k = _draw([(a + x) * (b + eta) / (n + v_eta)
+                           for a, x, b, n in zip(nd, xs, cw, nk)], u)
                 z[j] = k
-                nkw[k, w] += 1
+                cw[k] += 1
                 nk[k] += 1
-                ndk[d, k] += 1
-        phi = (nkw + eta) / (nk + V * eta)[:, None]
+                nd[k] += 1
+        phi = _topic_word(nkw, nk, V, eta)
+        ndk_arr = np.array(ndk)
         ll = 0.0
         for d, doc in enumerate(kept):
-            theta_d = (ndk[d] + xi) / (doc.size + xi.sum())
+            theta_d = (ndk_arr[d] + xi) / (doc.size + xi.sum())
             ll += float(np.log(theta_d @ phi[:, doc]).sum())
         ll_history.append(ll)
 
-    phi = (nkw + eta) / (nk + V * eta)[:, None]
     return TopicModel(
         n_topics=K,
         vocab_size=V,
-        phi=phi,
+        phi=_topic_word(nkw, nk, V, eta),
         eta=eta,
         xi=xi,
         seed=seed,
@@ -195,29 +227,32 @@ def infer_theta(model, doc):
     """Topic proportions of a (possibly unseen) document, phi frozen.
 
     A document with no in-vocabulary tokens falls back to the prior mean
-    xi / sum(xi), with a logged warning. Deterministic: the Gibbs chain is
-    seeded from the model seed.
+    xi / sum(xi), logged at DEBUG (callers that score many documents report
+    the count once). Deterministic: the Gibbs chain is seeded from the model
+    seed.
     """
     doc = np.asarray(doc, dtype=np.int64)
     xi = model.xi
     if doc.size == 0:
-        log.warning("infer_theta on an empty document: returning the prior mean")
+        log.debug("infer_theta on an empty document: returning the prior mean")
         return xi / xi.sum()
     if doc.min() < 0 or doc.max() >= model.vocab_size:
         raise DataError("document token id out of vocabulary range")
     K = model.n_topics
     rng = np.random.default_rng([model.seed, 0x7EA])
     z = rng.integers(0, K, size=doc.size)
-    mk = np.bincount(z, minlength=K).astype(np.float64)
-    phi_doc = model.phi[:, doc]  # (K, n)
+    mk = np.bincount(z, minlength=K).astype(np.float64).tolist()
+    z = z.tolist()
+    cols = model.phi[:, doc].T.tolist()  # per token, its word's K topic weights
+    xs = xi.tolist()
+    us = iter(rng.random(model.infer_sweeps * doc.size).tolist())
     for _ in range(model.infer_sweeps):
-        for j in range(doc.size):
+        for j, (col, u) in enumerate(zip(cols, us)):
             mk[z[j]] -= 1
-            weights = (mk + xi) * phi_doc[:, j]
-            k = _sample_index(weights, rng)
+            k = _draw([(m + x) * p for m, x, p in zip(mk, xs, col)], u)
             z[j] = k
             mk[k] += 1
-    return (mk + xi) / (doc.size + xi.sum())
+    return (np.array(mk) + xi) / (doc.size + xi.sum())
 
 
 def dialogue_bow(dialogue, stopword_ids=frozenset()):
@@ -291,14 +326,20 @@ def rerank_scored(history_theta, cand_thetas, llviews, lam, metric="cosine"):
     return order, sims, llz, combined
 
 
-def _thetas(model, history, candidates, stopword_ids):
-    """Topic proportions of the history and of each candidate's content tokens."""
-    h_theta = infer_theta(model, dialogue_bow(history, stopword_ids))
-    return h_theta, [
-        infer_theta(model, [t for t in corpus.strip_reserved(c.tokens)
-                            if t not in stopword_ids])
+def _content_bows(history, candidates, stopword_ids):
+    """Content-token bags of a history and of each candidate, history first."""
+    return [dialogue_bow(history, stopword_ids)] + [
+        [t for t in corpus.strip_reserved(c.tokens) if t not in stopword_ids]
         for c in candidates
     ]
+
+
+def _warn_empty(bows):
+    """One warning for all the bags that fall back to the prior mean."""
+    n = sum(1 for bow in bows if not bow)
+    if n:
+        log.warning("%d document(s) with no content tokens get the prior mean "
+                    "as topic proportions", n)
 
 
 def rerank(history, candidates, model, config, stopword_ids=frozenset()):
@@ -309,7 +350,9 @@ def rerank(history, candidates, model, config, stopword_ids=frozenset()):
     """
     if not candidates:
         raise DataError("empty candidate list")
-    h_theta, cand_thetas = _thetas(model, history, candidates, stopword_ids)
+    bows = _content_bows(history, candidates, stopword_ids)
+    _warn_empty(bows)
+    h_theta, *cand_thetas = [infer_theta(model, bow) for bow in bows]
     lls = [c.norm_score for c in candidates]
     order, sims, llz, combined = rerank_scored(
         h_theta, cand_thetas, lls, config.lam, config.metric
@@ -362,13 +405,16 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
         raise DataError("BLEU tuning needs a reference per item")
     if objective == "recall" and any(item.truth_index is None for item in items):
         raise DataError("recall tuning needs a truth index per item")
+    item_bows = [_content_bows(item.history, item.candidates, stopword_ids)
+                 for item in items]
+    _warn_empty([bow for bows in item_bows for bow in bows])
     table = []
     best = None
     for k in sorted(topic_models):
         tm = topic_models[k]
         per_item = []
-        for item in items:
-            h_theta, thetas = _thetas(tm, item.history, item.candidates, stopword_ids)
+        for item, bows in zip(items, item_bows):
+            h_theta, *thetas = [infer_theta(tm, bow) for bow in bows]
             sims = [topic_similarity(h_theta, th, metric) for th in thetas]
             per_item.append((sims, _zscore([c.norm_score for c in item.candidates])))
         for lam in lambdas:
@@ -390,3 +436,11 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
 def format_grid(table):
     """Grid-search table export: 'K<TAB>lambda<TAB>objective' per row."""
     return "".join(f"{k}\t{lam}\t{value!r}\n" for k, lam, value in table)
+
+
+def format_lda_log(model):
+    """Convergence log export: a version line, the skipped-document count,
+    then 'sweep<TAB>log-likelihood' per sweep, sweeps counted from 1."""
+    lines = [f"lda-log {LDA_LOG_VERSION}", f"skipped_empty {model.skipped_empty}"]
+    lines += [f"{i}\t{ll!r}" for i, ll in enumerate(model.ll_history, start=1)]
+    return "".join(line + "\n" for line in lines)

@@ -117,3 +117,5 @@ def test_every_traced_layer_is_called(traced_pipeline):
     assert missing == []
     assert traced_pipeline["models.arnn.loss_and_grads"]["tokens"] > 0
     assert traced_pipeline["topics.infer_theta"]["token_updates"] > 0
+    # the counter reads ``sweeps=`` from cmd_lda's keyword arguments
+    assert traced_pipeline["topics.lda_train"]["token_updates"] > 0

@@ -212,6 +212,19 @@ class TestGenerateRerankTune:
         top = lda_model.parent / "topwords.txt"
         assert top.read_text().startswith("topic 0: ")
 
+    def test_lda_log(self, workspace, lda_model, tmp_path):
+        lines = (lda_model.parent / "lda_log.txt").read_text().splitlines()
+        assert lines[:2] == ["lda-log 1", "skipped_empty 0"]
+        assert [line.split("\t")[0] for line in lines[2:]] == [str(i) for i in range(1, 16)]
+        # the values are the sampler's own, written in repr form
+        vocab = corpus.Vocabulary.load(workspace["vocab"])
+        docs = [topics.dialogue_bow(d) for d in
+                corpus.load_corpus(workspace["prep"] / "train.txt", vocab, min_turns=1)]
+        tm = topics.lda_train(docs + [[]], 2, vocab.size, xi=np.full(2, 0.5),
+                              sweeps=15, seed=4)
+        assert [float(line.split("\t")[1]) for line in lines[2:]] == tm.ll_history
+        assert topics.format_lda_log(tm).splitlines()[1] == "skipped_empty 1"
+
     def test_rerank_lambda_zero_matches_generation_order(
             self, workspace, generated, lda_model, tmp_path):
         out = tmp_path / "rr"
@@ -360,6 +373,48 @@ class TestBadInput:
                 bad.write_bytes(header + b"\n" + body)
                 with pytest.raises(DataError, match="header"):
                     load(bad)
+
+
+    @pytest.mark.parametrize("spoil", [
+        lambda h: {"format": 1},
+        lambda h: {**h, "dims": {k: v for k, v in h["dims"].items() if k != "V"}},
+        lambda h: {**h, "kind": 7},
+        lambda h: {**h, "arrays": [[h["arrays"][0][0], [-1]]] + h["arrays"][1:]},
+        lambda h: {**h, "arrays": [[h["arrays"][0][0], [10 ** 15]]] + h["arrays"][1:]},
+    ], ids=["format_only", "no_V", "kind_not_str", "negative_shape", "huge_shape"])
+    def test_eval_on_bad_checkpoint_header(self, workspace, tmp_path, capsys, spoil):
+        head, body = workspace["ckpt"].read_bytes().split(b"\n", 1)
+        header = spoil(json.loads(head))
+        bad = tmp_path / "model.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        code = main(["eval", "--checkpoint", str(bad), "--vocab", str(workspace["vocab"]),
+                     "--corpus", str(workspace["prep"] / "test.txt"),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("spoil", [
+        lambda h: {"format": 1},
+        lambda h: {k: v for k, v in h.items() if k != "K"},
+        lambda h: {k: v for k, v in h.items() if k != "vocab_sha256"},
+        lambda h: {**h, "infer_sweeps": -1},
+        lambda h: {**h, "xi": h["xi"][1:]},
+        lambda h: {**h, "V": 10 ** 15},
+    ], ids=["format_only", "no_K", "no_vocab_sha256", "negative_sweeps", "short_xi",
+            "huge_V"])
+    def test_rerank_on_bad_topic_model_header(self, workspace, generated, lda_model,
+                                              tmp_path, capsys, spoil):
+        head, body = lda_model.read_bytes().split(b"\n", 1)
+        header = spoil(json.loads(head))
+        bad = tmp_path / "topics.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        code = main(["rerank", "--histories", str(workspace["prep"] / "test.txt"),
+                     "--candidates-dir", str(generated), "--topic-model", str(bad),
+                     "--vocab", str(workspace["vocab"]), "--out", str(tmp_path / "rr")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_model,

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -11,6 +12,84 @@ from dialoglm.topics import (RerankConfig, RerankItem, TopicModel,
                              dialogue_bow, format_grid, infer_theta,
                              lda_train, rerank, rerank_scored,
                              topic_similarity, tune_rerank)
+
+
+def _reference_lda_train(docs, K, V, eta, xi, sweeps, seed):
+    """The numpy sampler the list-based one replaced: per token, array
+    weights, ``np.cumsum`` and ``np.searchsorted``, one ``rng.random()``."""
+    kept = [np.asarray(d, dtype=np.int64) for d in docs if len(d)]
+    rng = np.random.default_rng(seed)
+    nkw, nk, ndk = np.zeros((K, V)), np.zeros(K), np.zeros((len(kept), K))
+    assign = []
+    for d, doc in enumerate(kept):
+        z = rng.integers(0, K, size=doc.size)
+        assign.append(z)
+        for tok, k in zip(doc, z):
+            nkw[k, tok] += 1
+            nk[k] += 1
+            ndk[d, k] += 1
+    ll_history = []
+    for _ in range(sweeps):
+        for d, doc in enumerate(kept):
+            z = assign[d]
+            for j, w in enumerate(doc):
+                k = z[j]
+                nkw[k, w] -= 1
+                nk[k] -= 1
+                ndk[d, k] -= 1
+                cum = np.cumsum((ndk[d] + xi) * (nkw[:, w] + eta) / (nk + V * eta))
+                k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+                z[j] = k
+                nkw[k, w] += 1
+                nk[k] += 1
+                ndk[d, k] += 1
+        phi = (nkw + eta) / (nk + V * eta)[:, None]
+        ll = 0.0
+        for d, doc in enumerate(kept):
+            theta_d = (ndk[d] + xi) / (doc.size + xi.sum())
+            ll += float(np.log(theta_d @ phi[:, doc]).sum())
+        ll_history.append(ll)
+    return (nkw + eta) / (nk + V * eta)[:, None], ll_history
+
+
+def _reference_infer_theta(model, doc):
+    doc = np.asarray(doc, dtype=np.int64)
+    xi = model.xi
+    if doc.size == 0:
+        return xi / xi.sum()
+    K = model.n_topics
+    rng = np.random.default_rng([model.seed, 0x7EA])
+    z = rng.integers(0, K, size=doc.size)
+    mk = np.bincount(z, minlength=K).astype(np.float64)
+    phi_doc = model.phi[:, doc]
+    for _ in range(model.infer_sweeps):
+        for j in range(doc.size):
+            mk[z[j]] -= 1
+            cum = np.cumsum((mk + xi) * phi_doc[:, j])
+            k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            z[j] = k
+            mk[k] += 1
+    return (mk + xi) / (doc.size + xi.sum())
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("K", [1, 3, 20])
+def test_sampler_matches_numpy_reference_bitwise(K, seed):
+    # the chain, not just its statistics: phi, ll_history and theta are the
+    # reference's to the last bit, on single-token documents, repeated
+    # words and an empty document
+    V = 40
+    rng = np.random.default_rng(100 + seed)
+    special = [[7], [], [3, 3, 3, 3], [5, 9, 5, 9, 5]]
+    docs = [list(rng.integers(0, V, size=int(n))) for n in rng.integers(2, 30, size=25)]
+    docs += special
+    xi = np.full(K, 50.0 / K)
+    model = lda_train(docs, K, V, eta=0.05, sweeps=3, seed=seed, infer_sweeps=4)
+    phi, ll_history = _reference_lda_train(docs, K, V, 0.05, xi, 3, seed)
+    assert model.phi.tobytes() == phi.tobytes()
+    assert model.ll_history == ll_history
+    for doc in special + docs[:5]:
+        assert infer_theta(model, doc).tobytes() == _reference_infer_theta(model, doc).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +138,11 @@ class TestLdaTrain:
     def test_empty_documents_skipped_with_count(self, caplog):
         rng = np.random.default_rng(4)
         docs = [list(rng.integers(0, 10, size=5)), [], [1, 2, 3]]
-        model = lda_train(docs, 2, 10, sweeps=3, seed=0)
+        with caplog.at_level(logging.WARNING, logger="dialoglm.topics"):
+            model = lda_train(docs, 2, 10, sweeps=3, seed=0)
         assert model.skipped_empty == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "lda_train skipped 1 empty document(s)"]
 
     def test_log_likelihood_trend(self, separable):
         _, _, _, model, _ = separable
@@ -84,10 +166,13 @@ class TestLdaTrain:
 
 
 class TestInferTheta:
-    def test_empty_document_returns_prior_mean(self, separable):
+    def test_empty_document_returns_prior_mean(self, separable, caplog):
         _, _, _, model, _ = separable
-        theta = infer_theta(model, [])
+        with caplog.at_level(logging.DEBUG, logger="dialoglm.topics"):
+            theta = infer_theta(model, [])
         np.testing.assert_allclose(theta, model.xi / model.xi.sum(), atol=1e-12)
+        # callers that score many documents warn once for all of them
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
 
     def test_separable_documents_concentrate(self, separable):
         td, vocab, docs, model, word_sets = separable
@@ -184,6 +269,18 @@ class TestRerank:
         order, _, _, _ = rerank_scored(h, thetas, [-1.0, -1.0, -1.0], 0.5)
         assert order == [0, 1, 2]
 
+    def test_empty_documents_warned_once_with_count(self, separable, caplog):
+        _, _, docs, model, _ = separable
+        history = Dialogue(((0, tuple(docs[0][:4])),))
+        cands = [Candidate(tokens=[corpus.EOU_ID], loglik=-1.0, norm_score=-1.0),
+                 Candidate(tokens=list(docs[1][:3]), loglik=-2.0, norm_score=-2.0),
+                 Candidate(tokens=[], loglik=-3.0, norm_score=-3.0)]
+        with caplog.at_level(logging.DEBUG, logger="dialoglm.topics"):
+            rerank(history, cands, model, RerankConfig(lam=0.5))
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("2 document(s) ")
+
     def test_empty_candidates_rejected(self, separable):
         _, _, docs, model, _ = separable
         history = Dialogue(((0, tuple(docs[0][:4])),))
@@ -263,6 +360,18 @@ class TestTuneRerank:
                                     lambdas=[0.0, 0.5])
         assert (k, lam) == (2, 0.0)
 
+    def test_empty_documents_warned_once_with_count(self, separable, caplog):
+        td, vocab, docs, model, _ = separable
+        items = self._items(model, docs, td, n=3)
+        for item in items:
+            item.candidates.append(Candidate(tokens=[corpus.EOU_ID], loglik=-9.0,
+                                             norm_score=-9.0))
+        with caplog.at_level(logging.DEBUG, logger="dialoglm.topics"):
+            tune_rerank(items, {2: model, 3: model}, lambdas=[0.0, 1.0])
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("3 document(s) ")
+
     def test_grid_table_format(self, separable):
         td, vocab, docs, model, _ = separable
         items = self._items(model, docs, td, n=3)
@@ -293,6 +402,10 @@ class TestSerialization:
         model.save(path, vocab_sha256="c" * 64)
         with pytest.raises(DataError):
             TopicModel.load(path, expect_vocab_sha256="d" * 64)
+        model.save(path)  # bound to no vocabulary
+        TopicModel.load(path)
+        with pytest.raises(DataError, match="vocabulary"):
+            TopicModel.load(path, expect_vocab_sha256="c" * 64)
 
 
 def test_dialogue_bow_strips_reserved_and_stopwords():
