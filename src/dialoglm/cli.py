@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus, fileio, generator, metrics, topics, trainer
 from .errors import DataError, ToolkitError
-from .models import load_checkpoint, read_checkpoint_header, save_checkpoint
+from .models import load_checkpoint, make_model, read_checkpoint_header, save_checkpoint
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,11 +77,6 @@ def _load_model(args, vocab, stopword_ids=frozenset()):
                            theta_provider=provider)
 
 
-def _history_theta(model, history):
-    """Topic feature of a history for a tarnn model; None for other kinds."""
-    return model.theta_provider(history) if model.kind == "tarnn" else None
-
-
 # ---------------------------------------------------------------------------
 # prepare
 
@@ -131,27 +126,23 @@ def cmd_train(args):
     if kind == "tarnn" and tm is None:
         raise DataError("training a tarnn model needs --topic-model")
     config = trainer.TrainConfig(
-        d=args.d, d_e=args.d_e, lr=args.lr, max_epochs=args.epochs,
-        patience=args.patience, clip=args.clip, seed=args.seed,
-        eval_interval=args.eval_interval,
+        lr=args.lr, max_epochs=args.epochs, patience=args.patience, clip=args.clip,
+        seed=args.seed, eval_interval=args.eval_interval,
     )
+    model = make_model(kind, args.d, args.d if args.d_e is None else args.d_e, vocab.size,
+                       n_topics=tm.n_topics if tm else None, seed=args.seed,
+                       theta_provider=provider)
     train_dlg = corpus.load_corpus(args.train, vocab, min_turns=2)
     dev_dlg = corpus.load_corpus(args.dev, vocab, min_turns=2)
     log_lines = []
-    n_topics = tm.n_topics if tm else None
+    pretrain = ([], [])
     if args.pretrain:
         pre_train = corpus.load_corpus(args.pretrain, vocab, min_turns=2)
         pre_dev = corpus.load_corpus(args.pretrain_dev, vocab, min_turns=2) \
             if args.pretrain_dev else dev_dlg
-        result = trainer.pretrain_finetune(
-            kind, (pre_train, pre_dev), (train_dlg, dev_dlg), config, vocab.size,
-            theta_provider=provider, n_topics=n_topics, log_lines=log_lines,
-        )
-    else:
-        result = trainer.train(
-            kind, train_dlg, dev_dlg, config, vocab.size,
-            theta_provider=provider, n_topics=n_topics, log_lines=log_lines,
-        )
+        pretrain = (pre_train, pre_dev)
+    result = trainer.pretrain_finetune(model, pretrain, (train_dlg, dev_dlg), config,
+                                       log_lines=log_lines)
     ckpt = os.path.join(out, "model.ckpt")
     save_checkpoint(ckpt, result.model, vocab.sha256())
     fileio.write_text_atomic(os.path.join(out, "train_log.txt"),
@@ -175,8 +166,7 @@ def cmd_generate(args):
     for i, history in enumerate(histories):
         cands = generator.generate(
             model, history, vocab, beam_width=args.beam_width, max_len=args.max_len,
-            n_best=args.n_best, len_norm=args.len_norm, theta=_history_theta(model, history),
-            record_trace=args.trace,
+            n_best=args.n_best, len_norm=args.len_norm, record_trace=args.trace,
         )
         path = os.path.join(out, f"candidates_{i:04d}.txt")
         fileio.write_text_atomic(path, generator.format_candidates(cands, vocab))
@@ -249,11 +239,8 @@ def cmd_eval(args):
                 corpus.sample_candidates(dialogues, d, [args.recall_seed, i])
                 for i, d in enumerate(dialogues)
             ]
-            provider = model.theta_provider if model.kind == "tarnn" else None
             report.values[f"recall_at_{args.recall_n}"] = metrics.recall_at_n(
-                model, sets, args.recall_n, len_norm=args.len_norm,
-                theta_provider=provider,
-            )
+                model, sets, args.recall_n, len_norm=args.len_norm)
             report.counts["candidate_sets"] = len(sets)
     fileio.write_text_atomic(os.path.join(out, "report.tsv"), report.to_tsv())
     fileio.write_text_atomic(os.path.join(out, "report.json"), report.to_json())
@@ -331,15 +318,25 @@ def cmd_rerank(args):
 
 
 def _parse_lambdas(grid):
-    if ":" in grid:
-        lo, hi, step = (float(x) for x in grid.split(":"))
-        n = int(round((hi - lo) / step))
-        return [round(lo + i * step, 10) for i in range(n + 1)]
-    return [float(x) for x in grid.split(",")]
+    """The lambda grid of 'lo:hi:step' or 'a,b,...'; DataError unless valid."""
+    try:
+        if ":" in grid:
+            lo, hi, step = (float(x) for x in grid.split(":"))
+            if not step > 0:
+                raise DataError(f"--lambdas {grid!r}: the step must be positive")
+            n = int(round((hi - lo) / step))
+            lambdas = [round(lo + i * step, 10) for i in range(n + 1)]
+        else:
+            lambdas = [float(x) for x in grid.split(",")]
+    except (ValueError, OverflowError) as e:
+        raise DataError(f"--lambdas {grid!r}: {e}") from e
+    topics.check_lambdas(lambdas)
+    return lambdas
 
 
 def cmd_tune(args):
     out = _outdir(args.out)
+    lambdas = _parse_lambdas(args.lambdas)
     vocab = _load_vocab(args.vocab)
     stop_ids = _load_stopwords(args.stopwords, vocab)
     dev = corpus.load_corpus(args.histories, vocab, min_turns=2)
@@ -360,18 +357,16 @@ def cmd_tune(args):
         truth_index = None
         if args.objective == "recall":
             seq = reference + [corpus.EOU_ID]
-            lp = generator.continuation_log_likelihood(
-                model, history, seq, theta=_history_theta(model, history))
+            lp = generator.continuation_log_likelihood(model, history, seq)
             cands = cands + [
                 generator.Candidate(tokens=reference, loglik=lp,
-                                    norm_score=lp / (len(seq) ** args.len_norm))
+                                    norm_score=generator.norm_score(lp, len(seq), args.len_norm))
             ]
             truth_index = len(cands) - 1
         items.append(
             topics.RerankItem(history=history, candidates=cands,
                               reference=reference, truth_index=truth_index)
         )
-    lambdas = _parse_lambdas(args.lambdas)
     best_k, best_lam, table = topics.tune_rerank(
         items, topic_models, lambdas=lambdas, objective=args.objective,
         recall_n=args.recall_n, metric=args.metric, stopword_ids=stop_ids,
@@ -422,14 +417,13 @@ def cmd_attviz(args):
     if not (0 <= args.history_index < len(histories)):
         raise DataError(f"--history-index {args.history_index} out of range")
     history = histories[args.history_index]
-    theta = _history_theta(model, history)
     if args.continuation:
         tokens = vocab.encode(args.continuation.split())
-        trace = generator.trace_attention(model, history, tokens, vocab, theta=theta)
+        trace = generator.trace_attention(model, history, tokens, vocab)
     else:
         cands = generator.generate(
             model, history, vocab, beam_width=args.beam_width, max_len=args.max_len,
-            n_best=1, len_norm=args.len_norm, theta=theta, record_trace=True,
+            n_best=1, len_norm=args.len_norm, record_trace=True,
         )
         trace = cands[0].trace
     trace_path = os.path.join(out, "trace.txt")
@@ -450,6 +444,12 @@ def _ratios(text):
     return parts
 
 
+def _seed(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="dialoglm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,7 +459,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=10000)
     p.add_argument("--ratios", type=_ratios, default=[0.8, 0.1, 0.1])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model variant")
@@ -474,7 +474,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--clip", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eval-interval", type=int, default=1)
     p.add_argument("--topic-model", default=None)
     p.add_argument("--stopwords", default=None)
@@ -504,7 +504,7 @@ def build_parser():
     p.add_argument("--corpus", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--recall-n", type=int, default=None)
-    p.add_argument("--recall-seed", type=int, default=0)
+    p.add_argument("--recall-seed", type=_seed, default=0)
     p.add_argument("--len-norm", type=float, default=1.0)
     p.add_argument("--hyp", default=None)
     p.add_argument("--ref", default=None)
@@ -523,7 +523,7 @@ def build_parser():
                    help="scalar document-topic prior; default 50/K")
     p.add_argument("--sweeps", type=int, default=100)
     p.add_argument("--infer-sweeps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--stopwords", default=None)
     p.set_defaults(func=cmd_lda)
 

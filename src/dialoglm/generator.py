@@ -52,30 +52,27 @@ class _Hyp:
     rows: list
 
 
-def _norm_score(logp, length, len_norm):
+def norm_score(logp, length, len_norm):
+    """Length-normalized log-likelihood, logp / length**len_norm."""
     return logp / (length ** len_norm)
 
 
 def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
-             len_norm=1.0, theta=None, record_trace=False):
+             len_norm=1.0, record_trace=False):
     """n-best continuations of ``history`` under ``model``.
 
     Returns Candidates in non-increasing normalized-score order.
     """
     if beam_width < 1 or max_len < 1 or not (1 <= n_best <= beam_width):
         raise DataError("need beam_width >= 1, max_len >= 1, 1 <= n_best <= beam_width")
-    if not history.turns:
-        raise DataError("cannot generate from an empty history")
     if record_trace and not getattr(model, "attends", False):
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
-    prefix = corpus.continuation_prefix(history)
-    root = model.begin(prefix, theta=theta)
-    beams = [_Hyp(state=root, tokens=[], logp=0.0, rows=[])]
+    beams = [_Hyp(state=model.start(history), tokens=[], logp=0.0, rows=[])]
     finished = []
     for _ in range(max_len):
         pool = []
         for hyp in beams:
-            probs, alpha = model.step_dist(hyp.state, want_alpha=record_trace)
+            probs, alpha = model.step_dist(hyp.state)
             with np.errstate(divide="ignore"):  # underflowed probs rank last
                 logps = np.log(probs)
             k = min(beam_width, len(logps))
@@ -99,9 +96,9 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
     finished.extend(beams)  # hypotheses cut off at max_len
     ranked = sorted(
         finished,
-        key=lambda h: (-_norm_score(h.logp, len(h.tokens), len_norm), h.tokens),
+        key=lambda h: (-norm_score(h.logp, len(h.tokens), len_norm), h.tokens),
     )
-    prefix_labels = vocab.decode(prefix)
+    prefix_labels = vocab.decode(corpus.continuation_prefix(history))
     out = []
     for h in ranked[:n_best]:
         trace = None
@@ -115,18 +112,16 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
             Candidate(
                 tokens=h.tokens,
                 loglik=h.logp,
-                norm_score=_norm_score(h.logp, len(h.tokens), len_norm),
+                norm_score=norm_score(h.logp, len(h.tokens), len_norm),
                 trace=trace,
             )
         )
     return out
 
 
-def continuation_log_likelihood(model, history, tokens, theta=None):
+def continuation_log_likelihood(model, history, tokens):
     """Teacher-forced conditional log-likelihood of ``tokens`` given the history."""
-    prefix = corpus.continuation_prefix(history)
-    state = model.begin(prefix, theta=theta)
-    return continuation_logp_from(model, state, tokens)
+    return continuation_logp_from(model, model.start(history), tokens)
 
 
 def continuation_logp_from(model, state, tokens):
@@ -140,7 +135,7 @@ def continuation_logp_from(model, state, tokens):
     return total
 
 
-def trace_attention(model, history, continuation, vocab, theta=None):
+def trace_attention(model, history, continuation, vocab):
     """Teacher-force ``continuation`` and record each step's attention row.
 
     The scope at each step covers the full history so far, including the
@@ -150,16 +145,15 @@ def trace_attention(model, history, continuation, vocab, theta=None):
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
     if not continuation:
         raise DataError("cannot trace an empty continuation")
-    prefix = corpus.continuation_prefix(history)
-    state = model.begin(prefix, theta=theta)
+    state = model.start(history)
     rows = []
     for tok in continuation:
-        _, alpha = model.step_dist(state, want_alpha=True)
+        _, alpha = model.step_dist(state)
         rows.append(alpha)
         state = model.advance(state, tok)
     return AttentionTrace(
         rows=rows,
-        prefix_labels=vocab.decode(prefix),
+        prefix_labels=vocab.decode(corpus.continuation_prefix(history)),
         generated_labels=vocab.decode(continuation),
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import corpus
 from .errors import DataError
-from .generator import continuation_logp_from
+from .generator import continuation_logp_from, norm_score
 
 
 @dataclass
@@ -93,7 +93,7 @@ def evaluate(model, dialogues):
     )
 
 
-def recall_at_n(model, candidate_sets, n, len_norm=1.0, theta_provider=None):
+def recall_at_n(model, candidate_sets, n, len_norm=1.0):
     """Fraction of sets whose true continuation ranks in the top n of 10.
 
     Candidates are scored as teacher-forced continuations (with a closing
@@ -105,14 +105,11 @@ def recall_at_n(model, candidate_sets, n, len_norm=1.0, theta_provider=None):
         raise DataError("recall@N needs 1 <= N <= 10")
     hits = 0
     for cs in candidate_sets:
-        prefix = corpus.continuation_prefix(cs.history)
-        theta = theta_provider(cs.history) if theta_provider is not None else None
-        root = model.begin(prefix, theta=theta)
+        root = model.start(cs.history)
         scores = []
         for cand in cs.candidates:
             seq = list(cand) + [corpus.EOU_ID]
-            lp = continuation_logp_from(model, root, seq)
-            scores.append(lp / (len(seq) ** len_norm))
+            scores.append(norm_score(continuation_logp_from(model, root, seq), len(seq), len_norm))
         order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         if order.index(cs.truth_index) < n:
             hits += 1

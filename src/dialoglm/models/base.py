@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import corpus
 from ..errors import DataError
 from ..numeric import uniform_init
 
@@ -64,13 +65,12 @@ class LmDecodeState:
     """Stepwise decoding state for the language-model family.
 
     ``h`` scores the next position; ``prev_h`` is the state before the most
-    recent token was consumed (the attention query). ``reps`` holds one
-    token representation per consumed token; ``ureps`` caches U @ rep for
-    the attention models. States are cheap to branch: ``advance`` copies the
-    lists shallowly.
+    recent token was consumed (the attention query), None before the first.
+    ``reps`` holds one token representation per consumed token; ``ureps``
+    caches U @ rep for the attention models. States are cheap to branch:
+    ``advance`` copies the lists shallowly.
     """
 
-    tokens: list = field(default_factory=list)
     h: np.ndarray = None
     prev_h: np.ndarray = None
     reps: list = field(default_factory=list)
@@ -84,9 +84,8 @@ class Seq2SeqDecodeState:
 
     enc_states: np.ndarray  # (M+1, d)
     uenc: np.ndarray  # (M+1, d) cached U @ enc_states[m], attention only
-    tokens: list = field(default_factory=list)
     h: np.ndarray = None
-    prev_h: np.ndarray = None
+    prev_h: np.ndarray = None  # None until the decoder has consumed a token
 
 
 def check_tokens(tokens, vocab_size, what="token"):
@@ -107,6 +106,9 @@ class Model:
         self.d = d
         self.d_e = d_e
         self.V = vocab_size
+        for name, value in self.dims().items():
+            if not value > 0:
+                raise DataError(f"model dimension {name} must be positive, got {value}")
         expected = self.param_shapes()
         if params is None:
             rng = np.random.default_rng(seed)
@@ -124,3 +126,7 @@ class Model:
 
     def dims(self):
         return {"d": self.d, "d_e": self.d_e, "V": self.V}
+
+    def start(self, history):
+        """Decode state that has consumed the continuation prefix of ``history``."""
+        return self.begin(corpus.continuation_prefix(history))

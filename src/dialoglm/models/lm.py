@@ -120,20 +120,15 @@ class RnnLm(Model):
 
     def advance(self, state, token):
         h_new = self.step(state.h, token)
-        new = LmDecodeState(
-            tokens=state.tokens + [token],
-            h=h_new,
-            prev_h=state.h,
-            theta=state.theta,
-        )
+        new = LmDecodeState(h=h_new, prev_h=state.h, theta=state.theta)
         if self.attends:
             rep = np.concatenate([self.params["E"][:, token], h_new])
             new.reps = state.reps + [rep]
             new.ureps = state.ureps + [self.params["U"] @ rep]
         return new
 
-    def step_dist(self, state, want_alpha=False):
-        """Next-token distribution from a decode state (and the weight row)."""
+    def step_dist(self, state):
+        """Next-token distribution and attention weight row (None here)."""
         return self.next_dist(state.h), None
 
     # ------------------------------------------------------------------
@@ -262,22 +257,21 @@ class AttentionRnnLm(RnnLm):
     # ------------------------------------------------------------------
     # stepwise decoding
 
-    def step_dist(self, state, want_alpha=False):
+    def step_dist(self, state):
         alpha = z = None
-        if state.tokens:
+        if state.prev_h is not None:
             p = self.params
             _, alpha, z = attention(p["W"] @ state.prev_h, p["b"],
                                     np.asarray(state.reps), np.asarray(state.ureps))
-        probs = self.next_dist(state.h, z, state.theta)
-        return probs, (alpha if want_alpha else None)
+        return self.next_dist(state.h, z, state.theta), alpha
 
 
 class TopicAttentionRnnLm(AttentionRnnLm):
     """Attention LM with an extra per-dialogue topic-proportion feature.
 
-    ``theta_provider`` maps a Dialogue to its K-dim topic proportions; it
-    defaults to the uniform vector so the model is usable without a trained
-    topic structure.
+    ``theta_provider`` maps a Dialogue to its K-dim topic proportions, for
+    training examples and for decoding from a history (``start``). It
+    defaults to the uniform vector, so the model works without topics.
     """
 
     kind = "tarnn"
@@ -327,6 +321,9 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     def begin(self, prefix, theta=None):
         # theta rides along in the decode state; step_dist passes it through
         return super().begin(prefix, self._theta_or_uniform(theta))
+
+    def start(self, history):
+        return self.begin(corpus.continuation_prefix(history), self.theta_provider(history))
 
     def make_example(self, dialogue):
         theta = self._validate_theta(self.theta_provider(dialogue))

@@ -154,7 +154,7 @@ class Seq2Seq(Model):
     # ------------------------------------------------------------------
     # stepwise decoding
 
-    def begin(self, prefix, theta=None):
+    def begin(self, prefix):
         if not prefix:
             raise DataError("seq2seq decoding needs a non-empty source prefix")
         enc = self._encode(prefix)[1:]
@@ -167,19 +167,17 @@ class Seq2Seq(Model):
         return Seq2SeqDecodeState(
             enc_states=state.enc_states,
             uenc=state.uenc,
-            tokens=state.tokens + [token],
             h=recur(p["Hd"], state.h, p["Pd"], p["Ed"][:, token]),
             prev_h=state.h,
         )
 
-    def step_dist(self, state, want_alpha=False):
+    def step_dist(self, state):
         p = self.params
         if not self.use_attention:
             return softmax(p["Od"].T @ state.h), None
-        q = state.prev_h if state.tokens else state.h
+        q = state.h if state.prev_h is None else state.prev_h
         _, alpha, z = attention(p["W"] @ q, p["b"], state.enc_states, state.uenc)
-        probs = softmax(p["Od"].T @ self._outputs(state.h[None], z[None])[0])
-        return probs, (alpha if want_alpha else None)
+        return softmax(p["Od"].T @ self._outputs(state.h[None], z[None])[0]), alpha
 
     # ------------------------------------------------------------------
     # dialogue plumbing

@@ -291,8 +291,13 @@ class RerankConfig:
     metric: str = "cosine"
 
     def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise DataError("lambda must lie in [0, 1]")
+        check_lambdas([self.lam])
+
+
+def check_lambdas(lambdas):
+    """DataError unless ``lambdas`` is a non-empty list of values in [0, 1]."""
+    if not lambdas or not all(0.0 <= lam <= 1.0 for lam in lambdas):
+        raise DataError(f"lambda values must form a non-empty list in [0, 1], got {lambdas}")
 
 
 @dataclass
@@ -399,6 +404,7 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
         raise DataError("empty dev set for tuning")
     if lambdas is None:
         lambdas = [round(0.05 * i, 2) for i in range(21)]
+    check_lambdas(lambdas)
     if objective not in ("bleu", "recall"):
         raise DataError(f"unknown tuning objective {objective!r}")
     if objective == "bleu" and any(item.reference is None for item in items):

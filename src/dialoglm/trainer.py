@@ -14,18 +14,12 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import Tally
-from .models import make_model
-from .numeric import clip_global_norm, global_norm
+from .numeric import clip_global_norm
 
 
 @dataclass
 class TrainConfig:
-    d: int = 300
-    d_e: int = None
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_epochs: int = 50
     patience: int = 5
     clip: float = 5.0
@@ -33,9 +27,7 @@ class TrainConfig:
     eval_interval: int = 1  # epochs between dev evaluations
 
     def __post_init__(self):
-        if self.d_e is None:
-            self.d_e = self.d
-        for name in ("d", "d_e", "max_epochs", "patience", "eval_interval"):
+        for name in ("max_epochs", "patience", "eval_interval"):
             if getattr(self, name) <= 0:
                 raise DataError(f"config field {name} must be positive")
         if self.lr < 0 or self.clip <= 0:
@@ -53,11 +45,6 @@ class AdamState:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-
-    @classmethod
-    def from_config(cls, params, config):
-        return cls(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                   eps=config.adam_eps)
 
 
 def adam_update(state, params, grads):
@@ -106,32 +93,18 @@ def _dev_ppl(model, examples):
     return tally.rates()[0]
 
 
-def train(kind, train_dialogues, dev_dialogues, config, vocab_size,
-          theta_provider=None, n_topics=None, initial_model=None, log_lines=None):
-    """Train one model variant; returns the best-dev checkpoint and the log.
+def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
+    """Train ``model`` in place; its parameters end at the best-dev checkpoint.
 
-    ``initial_model`` continues from an existing model (used by
-    pretrain/fine-tune); otherwise a fresh model is built from
-    ``config.seed``. ``log_lines``, when given, receives one formatted line
-    per dev evaluation as it happens.
+    Returns the model and the log. ``log_lines``, when given, receives one
+    formatted line per dev evaluation as it happens.
     """
     if not train_dialogues or not dev_dialogues:
         raise DataError("training needs non-empty train and dev splits")
-    if initial_model is not None:
-        model = initial_model
-        if model.d != config.d or model.d_e != config.d_e or model.V != vocab_size:
-            raise DataError(
-                "initial model dimensions do not match the config/vocabulary "
-                f"({model.dims()} vs d={config.d}, d_e={config.d_e}, V={vocab_size})"
-            )
-    else:
-        model = make_model(kind, config.d, config.d_e, vocab_size,
-                           n_topics=n_topics, seed=config.seed,
-                           theta_provider=theta_provider)
     train_examples = [model.make_example(dlg) for dlg in train_dialogues]
     dev_examples = [model.make_example(dlg) for dlg in dev_dialogues]
 
-    adam = AdamState.from_config(model.params, config)
+    adam = AdamState(model.params, lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     log = []
     best_ppl = np.inf
@@ -178,8 +151,7 @@ def train(kind, train_dialogues, dev_dialogues, config, vocab_size,
     return TrainResult(model=model, log=log)
 
 
-def pretrain_finetune(kind, pretrain_splits, target_splits, config, vocab_size,
-                      theta_provider=None, n_topics=None, log_lines=None):
+def pretrain_finetune(model, pretrain_splits, target_splits, config, log_lines=None):
     """Train on the pretraining corpus, then fine-tune on the target corpus.
 
     ``pretrain_splits`` and ``target_splits`` are (train, dev) pairs that
@@ -188,18 +160,9 @@ def pretrain_finetune(kind, pretrain_splits, target_splits, config, vocab_size,
     degenerates to plain training on the target. The fine-tuning phase
     starts from the pretrained checkpoint with a fresh Adam state.
     """
-    pre_train, pre_dev = pretrain_splits
-    tgt_train, tgt_dev = target_splits
-    if not pre_train:
-        return train(kind, tgt_train, tgt_dev, config, vocab_size,
-                     theta_provider=theta_provider, n_topics=n_topics,
-                     log_lines=log_lines)
-    phase1 = train(kind, pre_train, pre_dev, config, vocab_size,
-                   theta_provider=theta_provider, n_topics=n_topics,
-                   log_lines=log_lines)
-    return train(kind, tgt_train, tgt_dev, config, vocab_size,
-                 theta_provider=theta_provider, n_topics=n_topics,
-                 initial_model=phase1.model, log_lines=log_lines)
+    if pretrain_splits[0]:
+        train(model, *pretrain_splits, config, log_lines)
+    return train(model, *target_splits, config, log_lines)
 
 
 __all__ = [
@@ -208,7 +171,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "adam_update",
-    "global_norm",
     "pretrain_finetune",
     "train",
 ]

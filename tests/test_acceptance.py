@@ -169,9 +169,9 @@ def test_criterion_05_lm_beats_seq2seq():
         train_d, dev_d = dlgs[:1800], dlgs[1800:]
         vals = {}
         for kind in ("rnn", "seq2seq"):
-            cfg = trainer.TrainConfig(d=16, d_e=12, lr=3e-3, max_epochs=8,
-                                      patience=3, seed=seed)
-            res = trainer.train(kind, train_d, dev_d, cfg, vocab.size)
+            cfg = trainer.TrainConfig(lr=3e-3, max_epochs=8, patience=3, seed=seed)
+            res = trainer.train(make_model(kind, 16, 12, vocab.size, seed=cfg.seed),
+                                train_d, dev_d, cfg)
             # the final utterance is the only span both models score, so
             # the comparison is made there (PPL@L for the language model)
             vals[kind] = metrics.perplexity(res.model, dev_d,
@@ -201,9 +201,9 @@ def copy_task_runs():
                "test_offset": 1300, "elapsed": 0.0}
         t0 = time.time()
         for kind in ("rnn", "arnn"):
-            cfg = trainer.TrainConfig(d=24, d_e=16, lr=5e-3, max_epochs=16,
-                                      patience=5, seed=seed)
-            res = trainer.train(kind, train_d, dev_d, cfg, vocab.size)
+            cfg = trainer.TrainConfig(lr=5e-3, max_epochs=16, patience=5, seed=seed)
+            res = trainer.train(make_model(kind, 24, 16, vocab.size, seed=cfg.seed),
+                                train_d, dev_d, cfg)
             run[kind] = res.model
             run[f"{kind}_report"] = metrics.evaluate(res.model, dev_d)
             run[f"{kind}_dev_ppl"] = res.best_dev_ppl
@@ -425,10 +425,9 @@ def test_criterion_11_reranker_benefit():
         stop_ids = frozenset(vocab.encode(tc.function_words))
         dev_idx = [i for i in range(800, 1000)
                    if not tc.is_generic_response[i]][:50]
-        cfg = trainer.TrainConfig(d=16, d_e=12, lr=5e-3, max_epochs=8,
-                                  patience=3, seed=seed)
-        res = trainer.train("arnn", train_d, [dlgs[i] for i in dev_idx[:20]],
-                            cfg, vocab.size)
+        cfg = trainer.TrainConfig(lr=5e-3, max_epochs=8, patience=3, seed=seed)
+        res = trainer.train(make_model("arnn", 16, 12, vocab.size, seed=cfg.seed),
+                            train_d, [dlgs[i] for i in dev_idx[:20]], cfg)
         docs = [topics.dialogue_bow(d, stop_ids) for d in train_d]
         tms = {k: topics.lda_train(docs, k, vocab.size, xi=np.full(k, 0.5),
                                    sweeps=50, seed=seed, infer_sweeps=30)
@@ -461,9 +460,9 @@ def test_criterion_12_overfit_sanity():
     d1 = Dialogue(((0, (8, 9, 10, 11)), (1, (12, 13, 14, 9, 15))))
     ppls = {}
     for kind in ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"):
-        cfg = trainer.TrainConfig(d=12, d_e=8, lr=0.01, max_epochs=200,
-                                  patience=200, seed=0)
-        res = trainer.train(kind, [d1], [d1], cfg, vocab_size=20, n_topics=3)
+        cfg = trainer.TrainConfig(lr=0.01, max_epochs=200, patience=200, seed=0)
+        res = trainer.train(make_model(kind, 12, 8, 20, n_topics=3, seed=cfg.seed),
+                            [d1], [d1], cfg)
         ppls[kind] = metrics.perplexity(res.model, [d1])
         assert ppls[kind] < 1.5, (kind, ppls[kind])
     report(12, "single-dialogue memorization PPL " +

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dialoglm import corpus, synthetic, topics
-from dialoglm.cli import _parse_candidate_file, main, render_heatmap_pgm
+from dialoglm.cli import KIND_FLAGS, _parse_candidate_file, main, render_heatmap_pgm
 from dialoglm.errors import DataError
 from dialoglm.generator import AttentionTrace, continuation_log_likelihood
 from dialoglm.models import RnnLm, load_checkpoint, save_checkpoint
@@ -416,6 +416,47 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("grid", ["abc", "0:1:0", "0:1:-0.5", "1:0:0.5", "1.5", "0,nan"],
+                             ids=["not_a_number", "zero_step", "negative_step",
+                                  "empty_grid", "above_one", "nan"])
+    def test_tune_on_bad_lambda_grid(self, workspace, generated, lda_model, tmp_path,
+                                     capsys, grid):
+        code = main(["tune", "--histories", str(workspace["prep"] / "test.txt"),
+                     "--candidates-dir", str(generated), "--topic-models", str(lda_model),
+                     "--vocab", str(workspace["vocab"]), "--out", str(tmp_path / "tune"),
+                     "--lambdas", grid])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_train_nonpositive_dimension(self, workspace, tmp_path, capsys):
+        code = main(["train", "--train", str(workspace["prep"] / "train.txt"),
+                     "--dev", str(workspace["prep"] / "dev.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(tmp_path / "t"),
+                     "--d", "0"])
+        assert code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "lda", "eval"])
+    def test_negative_seed_is_a_usage_error(self, workspace, lda_model, tmp_path, capsys,
+                                            command):
+        prep, vocab = workspace["prep"], str(workspace["vocab"])
+        argv = {
+            "prepare": ["--corpus", str(workspace["raw"]), "--seed", "-1"],
+            "train": ["--train", str(prep / "train.txt"), "--dev", str(prep / "dev.txt"),
+                      "--vocab", vocab, "--kind", "rnn", "--d", "4", "--epochs", "1",
+                      "--seed", "-1"],
+            "lda": ["--corpus", str(prep / "train.txt"), "--vocab", vocab,
+                    "--sweeps", "1", "--seed", "-2"],
+            "eval": ["--checkpoint", str(workspace["ckpt"]), "--vocab", vocab,
+                     "--corpus", str(prep / "test.txt"), "--recall-n", "1",
+                     "--recall-seed", "-1"],
+        }[command]
+        assert main([command, "--out", str(tmp_path / command)] + argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("error: argument --")
+
 
 def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_model,
                                                       tmp_path, monkeypatch):
@@ -443,14 +484,102 @@ def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_
                  "--topic-model", str(lda_model), "--lambdas", "0.0,1.0"]) == 0
     vocab = corpus.Vocabulary.load(vocab_path)
     tm = topics.TopicModel.load(lda_model)
-    model = load_checkpoint(tmp_path / "tarnn" / "model.ckpt")
+    ckpt = tmp_path / "tarnn" / "model.ckpt"
+    model = load_checkpoint(ckpt, theta_provider=lambda history: topics.infer_theta(
+        tm, topics.dialogue_bow(history)))
+    uniform = load_checkpoint(ckpt)
     dialogues = corpus.load_corpus(histories, vocab, min_turns=2)
     assert len(seen["items"]) == len(dialogues)
     for item, dlg in zip(seen["items"], dialogues):
         history = dlg.history()
-        theta = topics.infer_theta(tm, topics.dialogue_bow(history))
         seq = list(dlg.last_utterance()) + [corpus.EOU_ID]
-        lp = continuation_log_likelihood(model, history, seq, theta=theta)
+        lp = continuation_log_likelihood(model, history, seq)
         truth = item.candidates[item.truth_index]
         assert truth.norm_score == lp / len(seq)
-        assert lp != continuation_log_likelihood(model, history, seq)  # not uniform
+        assert lp != continuation_log_likelihood(uniform, history, seq)  # not uniform
+
+
+def run_pipeline(root, n_dialogues=40, d=6, epochs=2, sweeps=5, seed=7):
+    """Every subcommand over a fixed synthetic corpus, written under ``root``.
+
+    Covers the five kinds, a tarnn with a topic model, --pretrain, generate
+    --trace, eval --recall-n, rerank at two K, tune with both objectives and
+    attviz in both modes. Returns the number of CLI calls made.
+    """
+    calls = []
+
+    def run(*argv):
+        calls.append(argv)
+        assert main([str(a) for a in argv]) == 0, argv
+
+    tc = synthetic.topical(n_dialogues, seed=seed, n_topics=2, generic_prob=0.3,
+                           templates_per_topic=3)
+    corpus.write_corpus_words(root / "raw.txt", tc.dialogues)
+    pre = synthetic.topical(n_dialogues // 2, seed=seed + 1, n_topics=2)
+    corpus.write_corpus_words(root / "pre.txt", pre.dialogues)
+    (root / "stop.txt").write_text("\n".join(tc.function_words) + "\n", encoding="utf-8")
+    prep = root / "prep"
+    run("prepare", "--corpus", root / "raw.txt", "--out", prep, "--vocab-size", 60,
+        "--ratios", "0.6,0.2,0.2", "--seed", seed)
+    common = ["--vocab", prep / "vocab.txt", "--stopwords", root / "stop.txt"]
+    test = prep / "test.txt"
+    for k in (2, 3):
+        run("lda", "--corpus", prep / "train.txt", "--out", root / f"lda{k}",
+            "--topics-k", k, "--sweeps", sweeps, "--infer-sweeps", sweeps,
+            "--seed", seed, *common)
+    topic = ["--topic-model", root / "lda2" / "topics.bin"]
+    for flag in sorted(KIND_FLAGS):
+        run("train", "--train", prep / "train.txt", "--dev", prep / "dev.txt",
+            "--out", root / f"train_{flag}", "--kind", flag, "--d", d, "--d-e", d - 2,
+            "--epochs", epochs, "--seed", seed, *common, *topic)
+    run("train", "--train", prep / "train.txt", "--dev", prep / "dev.txt",
+        "--out", root / "train_pre", "--kind", "tarnn", "--d", d, "--epochs", epochs,
+        "--seed", seed, "--pretrain", root / "pre.txt", *common, *topic)
+    for flag in sorted(KIND_FLAGS) + ["pre"]:
+        ckpt = ["--checkpoint", root / f"train_{flag}" / "model.ckpt", *common, *topic]
+        trace = ["--trace"] if flag in ("arnn", "tarnn", "seq2seq-attn", "pre") else []
+        run("generate", "--histories", test, "--out", root / f"gen_{flag}",
+            "--beam-width", 3, "--n-best", 3, "--max-len", 5, *trace, *ckpt)
+        run("eval", "--corpus", test, "--out", root / f"eval_{flag}",
+            "--recall-n", 2, "--recall-seed", seed, *ckpt)
+    replies = [" ".join(dlg[-1]) + "\n" for dlg in corpus.read_corpus_words(test)]
+    (root / "replies.txt").write_text("".join(replies), encoding="utf-8")
+    run("eval", "--hyp", root / "replies.txt", "--ref", root / "gen_tarnn" / "generations.txt",
+        "--out", root / "eval_text")
+    for k in (2, 3):
+        run("rerank", "--histories", test, "--candidates-dir", root / "gen_tarnn",
+            "--topic-model", root / f"lda{k}" / "topics.bin", "--out", root / f"rerank{k}",
+            "--lambda", 0.5, *common)
+    models = f"{root / 'lda2' / 'topics.bin'},{root / 'lda3' / 'topics.bin'}"
+    run("tune", "--histories", test, "--candidates-dir", root / "gen_tarnn",
+        "--topic-models", models, "--out", root / "tune_bleu", "--lambdas", "0:1:0.25",
+        *common)
+    run("tune", "--histories", test, "--candidates-dir", root / "gen_tarnn",
+        "--topic-models", models, "--out", root / "tune_recall", "--objective", "recall",
+        "--checkpoint", root / "train_tarnn" / "model.ckpt", "--lambdas", "0.0,0.5,1.0",
+        *common, *topic)
+    for flag in ("arnn", "tarnn", "seq2seq-attn"):
+        viz = ["--checkpoint", root / f"train_{flag}" / "model.ckpt", "--history", test,
+               "--history-index", 1, *common, *topic]
+        run("attviz", "--out", root / f"viz_{flag}", "--max-len", 4, *viz)
+        run("attviz", "--out", root / f"vizc_{flag}", "--continuation", "s0 s1 s2", *viz)
+    return len(calls)
+
+
+def tree_bytes(root):
+    """{relative path: bytes} of every file under ``root`` but the manifests."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_pipeline_is_bit_reproducible(tmp_path):
+    trees = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        root.mkdir()
+        assert run_pipeline(root) == 32
+        trees.append(tree_bytes(root))
+    assert len(trees[0]) > 150
+    assert trees[0].keys() == trees[1].keys()
+    differ = [path for path in trees[0] if trees[0][path] != trees[1][path]]
+    assert differ == []

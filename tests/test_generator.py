@@ -8,9 +8,10 @@ from dialoglm import corpus
 from dialoglm.corpus import Dialogue, Vocabulary
 from dialoglm.errors import DataError
 from dialoglm.generator import (Candidate, continuation_log_likelihood,
-                                format_candidates, format_trace, generate,
-                                trace_attention)
-from dialoglm.models import AttentionRnnLm, RnnLm
+                                continuation_logp_from, format_candidates, format_trace,
+                                generate, norm_score, trace_attention)
+from dialoglm.metrics import recall_at_n
+from dialoglm.models import AttentionRnnLm, RnnLm, TopicAttentionRnnLm
 
 VOCAB = Vocabulary([f"w{i}" for i in range(6)])  # V = 12
 V = VOCAB.size
@@ -181,3 +182,64 @@ class TestExports:
         assert float(norm) == -2.5 / 3 and float(raw) == -2.5
         assert body == "w0 w1"  # reserved </u> stripped from the text
         assert lines[1].endswith("w2")
+
+
+class TestTopicFeature:
+    """A tarnn decodes from a history under its provider's theta, never uniform."""
+
+    THETA = np.array([0.7, 0.2, 0.1])
+
+    def _model(self, provider_calls):
+        def provider(history):
+            provider_calls.append(history)
+            return self.THETA
+
+        m = TopicAttentionRnnLm(6, 4, V, 3, seed=11, theta_provider=provider)
+        m.params["Otheta"] *= 30.0  # make theta move the scores visibly
+        uniform = TopicAttentionRnnLm(6, 4, V, 3, params=m.params)
+        return m, uniform
+
+    def _under_theta(self, m, tokens):
+        state = m.begin(corpus.continuation_prefix(HISTORY), self.THETA)
+        return continuation_logp_from(m, state, tokens)
+
+    def test_continuation_log_likelihood(self):
+        calls = []
+        m, uniform = self._model(calls)
+        seq = [6, 7, corpus.EOU_ID]
+        lp = continuation_log_likelihood(m, HISTORY, seq)
+        assert calls == [HISTORY]
+        assert lp == self._under_theta(m, seq)
+        assert lp != continuation_log_likelihood(uniform, HISTORY, seq)
+
+    def test_generate(self):
+        calls = []
+        m, uniform = self._model(calls)
+        cands = generate(m, HISTORY, VOCAB, beam_width=3, max_len=4, n_best=3)
+        assert calls == [HISTORY]
+        for c in cands:
+            assert c.loglik == self._under_theta(m, c.tokens)
+        plain = generate(uniform, HISTORY, VOCAB, beam_width=3, max_len=4, n_best=3)
+        assert [c.loglik for c in cands] != [c.loglik for c in plain]
+
+    def test_trace_attention(self):
+        calls = []
+        m, _ = self._model(calls)
+        trace = trace_attention(m, HISTORY, [6, 7], VOCAB)
+        assert calls == [HISTORY]
+        assert len(trace.rows) == 2
+
+    def test_recall_at_n(self):
+        calls = []
+        m, _ = self._model(calls)
+        rng = np.random.default_rng(12)
+        cands = tuple(tuple(int(t) for t in rng.integers(6, V, size=int(rng.integers(1, 4))))
+                      for _ in range(10))
+        scores = [norm_score(self._under_theta(m, list(c) + [corpus.EOU_ID]), len(c) + 1, 1.0)
+                  for c in cands]
+        order = sorted(range(10), key=lambda i: (-scores[i], i))
+        for truth in range(10):
+            cs = corpus.CandidateSet(history=HISTORY, candidates=cands, truth_index=truth)
+            calls.clear()
+            assert recall_at_n(m, [cs], 1) == float(order[0] == truth)
+            assert calls == [HISTORY]

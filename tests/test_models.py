@@ -332,10 +332,45 @@ class TestDecodeScoreConsistency:
         s = m.score_pair(src, tgt)
         state = m.begin(src)
         for l, tok in enumerate(tgt):
-            probs, alpha = m.step_dist(state, want_alpha=True)
+            probs, alpha = m.step_dist(state)
             assert abs(math.log(float(probs[tok])) - s.per_token[l]) < 1e-10
             if attn:
                 np.testing.assert_allclose(alpha, s.alphas[l], atol=1e-12)
+            state = m.advance(state, tok)
+
+
+KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
+
+
+class TestStart:
+    HISTORY = Dialogue(((0, (6, 7, 8)), (1, (9, 10))))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_start_equals_begin_on_prefix(self, kind):
+        rng = np.random.default_rng(35)
+        theta = rng.dirichlet(np.ones(K))
+        m = make_model(kind, D, DE, V, n_topics=K, seed=35,
+                       theta_provider=lambda history: theta)
+        prefix = corpus.continuation_prefix(self.HISTORY)
+        a = m.start(self.HISTORY)
+        b = m.begin(prefix, theta) if kind == "tarnn" else m.begin(prefix)
+        for tok in random_tokens(rng, 4):
+            (pa, wa), (pb, wb) = m.step_dist(a), m.step_dist(b)
+            assert pa.tobytes() == pb.tobytes()
+            assert (wa is None and wb is None) or wa.tobytes() == wb.tobytes()
+            a, b = m.advance(a, tok), m.advance(b, tok)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_dist_weight_row(self, kind):
+        m = make_model(kind, D, DE, V, n_topics=K, seed=36)
+        state = m.start(self.HISTORY)
+        for tok in (6, 7):
+            probs, alpha = m.step_dist(state)
+            assert abs(probs.sum() - 1.0) < 1e-12
+            if kind in ("rnn", "seq2seq"):
+                assert alpha is None
+            else:
+                assert abs(alpha.sum() - 1.0) < 1e-12
             state = m.advance(state, tok)
 
 

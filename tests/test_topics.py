@@ -317,6 +317,13 @@ class TestTuneRerank:
         assert (k, lam) == (2, 0.45)
         assert len(table) == 1
 
+    @pytest.mark.parametrize("lambdas", [[], [0.5, 1.5], [-0.1], [float("nan")]])
+    def test_bad_lambda_grid_rejected(self, separable, lambdas):
+        td, vocab, docs, model, _ = separable
+        items = self._items(model, docs, td, n=2)
+        with pytest.raises(DataError, match="lambda"):
+            tune_rerank(items, {2: model}, lambdas=lambdas)
+
     def test_spot_check_matches_re_evaluation(self, separable):
         from dialoglm.metrics import corpus_bleu
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dialoglm import metrics, synthetic
-from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words
+from dialoglm import cli, metrics, synthetic
+from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import make_model, save_checkpoint
+from dialoglm.models import load_checkpoint, make_model, save_checkpoint
 from dialoglm.trainer import (AdamState, TrainConfig, adam_update,
                               pretrain_finetune, train)
 
@@ -74,8 +74,8 @@ class TestAdam:
 class TestTrain:
     def test_overfits_single_dialogue(self):
         d = Dialogue(((0, tuple(range(6, 12))), (1, tuple(range(12, 17)))))
-        cfg = TrainConfig(d=12, d_e=8, lr=3e-3, max_epochs=200, patience=200, seed=0)
-        res = train("rnn", [d], [d], cfg, vocab_size=20)
+        cfg = TrainConfig(lr=3e-3, max_epochs=200, patience=200, seed=0)
+        res = train(make_model("rnn", 12, 8, 20, seed=0), [d], [d], cfg)
         assert metrics.perplexity(res.model, [d]) < 1.5
         # training loss strictly decreases in >= 95% of recorded intervals
         losses = [e.train_loss for e in res.log]
@@ -84,18 +84,18 @@ class TestTrain:
 
     def test_zero_learning_rate_is_a_null_update(self):
         dlgs, vocab = tiny_corpus(6, seed=1)
-        cfg = TrainConfig(d=8, d_e=6, lr=0.0, max_epochs=1, patience=5, seed=3)
+        cfg = TrainConfig(lr=0.0, max_epochs=1, patience=5, seed=3)
         fresh = make_model("rnn", 8, 6, vocab.size, seed=3)
-        res = train("rnn", dlgs[:4], dlgs[4:], cfg, vocab.size)
+        res = train(make_model("rnn", 8, 6, vocab.size, seed=3), dlgs[:4], dlgs[4:], cfg)
         for k in fresh.params:
             np.testing.assert_array_equal(res.model.params[k], fresh.params[k])
 
     def test_fixed_seed_bitwise_identical(self, tmp_path):
         dlgs, vocab = tiny_corpus(10, seed=2)
-        cfg = TrainConfig(d=8, d_e=6, lr=1e-3, max_epochs=3, patience=5, seed=7)
+        cfg = TrainConfig(lr=1e-3, max_epochs=3, patience=5, seed=7)
         paths = []
         for run in range(2):
-            res = train("arnn", dlgs[:8], dlgs[8:], cfg, vocab.size)
+            res = train(make_model("arnn", 8, 6, vocab.size, seed=7), dlgs[:8], dlgs[8:], cfg)
             path = tmp_path / f"run{run}.ckpt"
             save_checkpoint(path, res.model, vocab.sha256())
             paths.append(path)
@@ -103,8 +103,8 @@ class TestTrain:
 
     def test_best_checkpoint_semantics(self):
         dlgs, vocab = tiny_corpus(12, seed=3)
-        cfg = TrainConfig(d=8, d_e=6, lr=5e-3, max_epochs=12, patience=3, seed=1)
-        res = train("rnn", dlgs[:10], dlgs[10:], cfg, vocab.size)
+        cfg = TrainConfig(lr=5e-3, max_epochs=12, patience=3, seed=1)
+        res = train(make_model("rnn", 8, 6, vocab.size, seed=1), dlgs[:10], dlgs[10:], cfg)
         best_seen = math.inf
         for entry in res.log:
             assert entry.best == (entry.dev_ppl < best_seen)
@@ -115,8 +115,8 @@ class TestTrain:
 
     def test_early_stopping_respects_patience(self):
         dlgs, vocab = tiny_corpus(8, seed=4)
-        cfg = TrainConfig(d=8, d_e=6, lr=0.0, max_epochs=50, patience=3, seed=2)
-        res = train("rnn", dlgs[:6], dlgs[6:], cfg, vocab.size)
+        cfg = TrainConfig(lr=0.0, max_epochs=50, patience=3, seed=2)
+        res = train(make_model("rnn", 8, 6, vocab.size, seed=2), dlgs[:6], dlgs[6:], cfg)
         # lr 0 never improves after the first eval: 1 + patience evals total
         assert len(res.log) == 1 + 3
 
@@ -125,23 +125,24 @@ class TestTrain:
         dlgs, vocab = tiny_corpus(6, seed=5)
         bad = make_model("rnn", 8, 6, vocab.size, seed=0)
         bad.params["O"][:] = np.inf
-        cfg = TrainConfig(d=8, d_e=6, max_epochs=1, seed=0)
+        cfg = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(NumericalError, match="sequence"):
-            train("rnn", dlgs[:4], dlgs[4:], cfg, vocab.size, initial_model=bad)
+            train(bad, dlgs[:4], dlgs[4:], cfg)
 
     def test_empty_splits_rejected(self):
         dlgs, vocab = tiny_corpus(4, seed=6)
-        cfg = TrainConfig(d=8, d_e=6, max_epochs=1)
+        cfg = TrainConfig(max_epochs=1)
+        model = make_model("rnn", 8, 6, vocab.size)
         with pytest.raises(DataError):
-            train("rnn", [], dlgs, cfg, vocab.size)
+            train(model, [], dlgs, cfg)
         with pytest.raises(DataError):
-            train("rnn", dlgs, [], cfg, vocab.size)
+            train(model, dlgs, [], cfg)
 
     def test_log_line_format(self):
         dlgs, vocab = tiny_corpus(6, seed=7)
-        cfg = TrainConfig(d=8, d_e=6, max_epochs=2, seed=0)
+        cfg = TrainConfig(max_epochs=2, seed=0)
         lines = []
-        train("rnn", dlgs[:4], dlgs[4:], cfg, vocab.size, log_lines=lines)
+        train(make_model("rnn", 8, 6, vocab.size), dlgs[:4], dlgs[4:], cfg, log_lines=lines)
         assert len(lines) == 2
         fields = lines[0].split(", ")
         assert len(fields) == 5
@@ -152,9 +153,10 @@ class TestTrain:
 class TestPretrainFinetune:
     def test_empty_pretrain_equals_plain_train(self, tmp_path):
         dlgs, vocab = tiny_corpus(10, seed=8)
-        cfg = TrainConfig(d=8, d_e=6, max_epochs=2, seed=4)
-        a = pretrain_finetune("rnn", ([], []), (dlgs[:8], dlgs[8:]), cfg, vocab.size)
-        b = train("rnn", dlgs[:8], dlgs[8:], cfg, vocab.size)
+        cfg = TrainConfig(max_epochs=2, seed=4)
+        a = pretrain_finetune(make_model("rnn", 8, 6, vocab.size, seed=4), ([], []),
+                              (dlgs[:8], dlgs[8:]), cfg)
+        b = train(make_model("rnn", 8, 6, vocab.size, seed=4), dlgs[:8], dlgs[8:], cfg)
         for k in a.model.params:
             np.testing.assert_array_equal(a.model.params[k], b.model.params[k])
 
@@ -164,41 +166,42 @@ class TestPretrainFinetune:
         big, vocab = tiny_corpus(120, seed=9)
         small = big[:10]
         dev = big[110:]
-        cfg = TrainConfig(d=10, d_e=8, lr=3e-3, max_epochs=4, patience=4, seed=5)
-        scratch = train("rnn", small, dev, cfg, vocab.size)
-        transferred = pretrain_finetune("rnn", (big[10:100], big[100:110]),
-                                        (small, dev), cfg, vocab.size)
+        cfg = TrainConfig(lr=3e-3, max_epochs=4, patience=4, seed=5)
+        scratch = train(make_model("rnn", 10, 8, vocab.size, seed=5), small, dev, cfg)
+        transferred = pretrain_finetune(make_model("rnn", 10, 8, vocab.size, seed=5),
+                                        (big[10:100], big[100:110]), (small, dev), cfg)
         assert transferred.best_dev_ppl <= scratch.best_dev_ppl
 
-    def test_resume_dimension_mismatch(self):
-        dlgs, vocab = tiny_corpus(6, seed=10)
-        cfg = TrainConfig(d=8, d_e=6, max_epochs=1, seed=0)
-        wrong = make_model("rnn", 9, 6, vocab.size, seed=0)
-        with pytest.raises(DataError, match="dimensions"):
-            train("rnn", dlgs[:4], dlgs[4:], cfg, vocab.size, initial_model=wrong)
-
     def test_phase_checkpoint_resumes(self, tmp_path):
-        from dialoglm.models import load_checkpoint
-
         dlgs, vocab = tiny_corpus(10, seed=11)
-        cfg = TrainConfig(d=8, d_e=6, max_epochs=1, seed=0)
-        phase1 = train("rnn", dlgs[:5], dlgs[8:], cfg, vocab.size)
+        cfg = TrainConfig(max_epochs=1, seed=0)
+        phase1 = train(make_model("rnn", 8, 6, vocab.size), dlgs[:5], dlgs[8:], cfg)
         path = tmp_path / "p1.ckpt"
         save_checkpoint(path, phase1.model, vocab.sha256())
         resumed = load_checkpoint(path, expect_vocab_sha256=vocab.sha256())
-        res = train("rnn", dlgs[5:8], dlgs[8:], cfg, vocab.size,
-                    initial_model=resumed)
+        res = train(resumed, dlgs[5:8], dlgs[8:], cfg)
         assert np.isfinite(res.best_dev_ppl)
 
 
 class TestConfig:
-    def test_d_e_defaults_to_d(self):
-        cfg = TrainConfig(d=12)
-        assert cfg.d_e == 12
+    def test_cli_d_e_defaults_to_d(self, tmp_path):
+        tc = synthetic.topical(6, seed=12, n_topics=2, words_per_topic=6, n_function=4)
+        corpus_path = tmp_path / "c.txt"
+        write_corpus_words(corpus_path, tc.dialogues)
+        build_vocab((t for d in tc.dialogues for t in d), 100).save(tmp_path / "vocab.txt")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--train", str(corpus_path), "--dev", str(corpus_path),
+                         "--vocab", str(tmp_path / "vocab.txt"), "--out", str(out),
+                         "--kind", "rnn", "--d", "7", "--epochs", "1"]) == 0
+        model = load_checkpoint(out / "model.ckpt")
+        assert (model.d, model.d_e) == (7, 7)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DataError):
-            TrainConfig(d=0)
+        for dims in ((0, 6, 20), (8, 0, 20), (8, 6, 0)):
+            with pytest.raises(DataError, match="must be positive"):
+                make_model("rnn", *dims)
+        with pytest.raises(DataError, match="K must be positive"):
+            make_model("tarnn", 8, 6, 20, n_topics=0)
         with pytest.raises(DataError):
             TrainConfig(max_epochs=-1)
         with pytest.raises(DataError):
