@@ -317,6 +317,10 @@ def cmd_rerank(args):
 # tune
 
 
+# A lo:hi:step grid with more points is refused before it is built; 0:1:0.0001 fits.
+MAX_LAMBDAS = 10_001
+
+
 def _parse_lambdas(grid):
     """The lambda grid of 'lo:hi:step' or 'a,b,...'; DataError unless valid."""
     try:
@@ -325,6 +329,9 @@ def _parse_lambdas(grid):
             if not step > 0:
                 raise DataError(f"--lambdas {grid!r}: the step must be positive")
             n = int(round((hi - lo) / step))
+            if n + 1 > MAX_LAMBDAS:
+                raise DataError(f"--lambdas {grid!r}: {n + 1} grid points, "
+                                f"more than the limit of {MAX_LAMBDAS}")
             lambdas = [round(lo + i * step, 10) for i in range(n + 1)]
         else:
             lambdas = [float(x) for x in grid.split(",")]

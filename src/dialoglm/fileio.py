@@ -10,6 +10,7 @@ import os
 import tempfile
 
 from .errors import DataError
+from .numeric import NUMERICS
 
 
 def _atomic(path, data, mode):
@@ -98,6 +99,7 @@ def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, 
         "outputs": outputs,
         "seed": seed,
         "toolkit_version": __version__,
+        "numerics": NUMERICS,
         "started": started,
         "ended": ended,
     }

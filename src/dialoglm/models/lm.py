@@ -25,8 +25,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (add_outers, attention, attention_backward, bptt, log_softmax,
-                       matvecs, nll_backward, recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, attention_backward, bptt, log_softmax, nll_backward,
+                       recur, softmax, unroll, zero_grads)
 from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
 
 
@@ -106,8 +106,8 @@ class RnnLm(Model):
     def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
         """Backward from the logits to the states, through everything but the
         recurrence; adds dL/dstates into ``dstates``."""
-        dstates += matvecs(self.params["O"], dlogits)
-        add_outers(grads["O"], fw["states"], dlogits)
+        dstates += dlogits @ self.params["O"].T
+        grads["O"] += fw["states"].T @ dlogits
 
     # ------------------------------------------------------------------
     # stepwise decoding
@@ -193,19 +193,25 @@ class AttentionRnnLm(RnnLm):
 
     def next_dist(self, h, z=None, theta=None):
         """Distribution from the state and the attention context."""
-        Z = None if z is None else np.asarray(z)[None]
-        return softmax(self.params["O"].T @ self._outputs(np.asarray(h)[None], Z, theta)[0])
+        p = self.params
+        out = p["Oh"] @ h
+        if z is not None:
+            out += p["Oz"] @ z
+        return softmax(p["O"].T @ self._add_topic(out, theta))
 
     def _outputs(self, H, Z, theta):
         """Output-layer inputs Oh h (+ Oz z) for the rows h of ``H``.
 
         ``Z`` holds the attention contexts of the last len(Z) rows (the
-        first position of a sequence attends to nothing), or is None.
+        first position of a sequence attends to nothing).
         """
         p = self.params
-        out = matvecs(p["Oh"], H)
-        if Z is not None:
-            out[len(H) - len(Z):] += matvecs(p["Oz"], Z)
+        out = H @ p["Oh"].T
+        out[len(H) - len(Z):] += Z @ p["Oz"].T
+        return self._add_topic(out, theta)
+
+    def _add_topic(self, out, theta):
+        """Output-layer input(s) ``out`` plus the topic term; none here."""
         return out
 
     # ------------------------------------------------------------------
@@ -218,7 +224,7 @@ class AttentionRnnLm(RnnLm):
         # rep[i] pairs token i's embedding with the state that consumed it
         R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
         UR = R @ p["U"].T  # (n-1, d)
-        WQ = matvecs(p["W"], states[:-1])  # position t queries with states[t-1]
+        WQ = states[:-1] @ p["W"].T  # position t queries with states[t-1]
         Z = np.empty((n - 1, self.d_z))
         pre, alphas = [None] * n, [None] * n
         for t in range(1, n):
@@ -233,9 +239,9 @@ class AttentionRnnLm(RnnLm):
     def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
         p = self.params
         n = len(tokens)
-        douts = matvecs(p["O"], dlogits)
-        dstates += matvecs(p["Oh"].T, douts)
-        dzs = matvecs(p["Oz"].T, douts[1:])
+        douts = dlogits @ p["O"].T
+        dstates += douts @ p["Oh"]
+        dzs = douts[1:] @ p["Oz"]
         dwqs = np.empty((n - 1, self.d))
         drep = np.zeros_like(fw["R"])
         for t in range(1, n):  # position 0 is scored without attention
@@ -243,13 +249,13 @@ class AttentionRnnLm(RnnLm):
                                                  fw["alphas"][t], dzs[t - 1],
                                                  grads["U"], grads["b"])
             drep[:t] += dR
-        dstates[:-1] += matvecs(p["W"].T, dwqs)
-        add_outers(grads["W"], dwqs, fw["states"][:-1])
-        add_outers(grads["O"], fw["outs"], dlogits)
-        add_outers(grads["Oh"], douts, fw["states"])
+        dstates[:-1] += dwqs @ p["W"]
+        grads["W"] += dwqs.T @ fw["states"][:-1]
+        grads["O"] += fw["outs"].T @ dlogits
+        grads["Oh"] += douts.T @ fw["states"]
         if theta is not None:
-            add_outers(grads["Otheta"], douts, np.broadcast_to(theta, (n, theta.size)))
-        add_outers(grads["Oz"], douts[1:], fw["Z"])
+            grads["Otheta"] += np.outer(douts.sum(axis=0), theta)
+        grads["Oz"] += douts[1:].T @ fw["Z"]
         # scatter representation gradients back to embeddings and states
         dstates[1:] += drep[:, self.d_e :]
         np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])
@@ -303,8 +309,7 @@ class TopicAttentionRnnLm(AttentionRnnLm):
             theta = self._validate_theta(theta)
         return super().next_dist(h, z, theta)
 
-    def _outputs(self, H, Z, theta):
-        out = super()._outputs(H, Z, theta)
+    def _add_topic(self, out, theta):
         if theta is not None:
             out += self.params["Otheta"] @ theta
         return out

@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (add_outers, attention, attention_backward, bptt, log_softmax,
-                       matvecs, nll_backward, recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, attention_backward, bptt, log_softmax, nll_backward,
+                       recur, softmax, unroll, zero_grads)
 from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
 
 
@@ -76,11 +76,6 @@ class Seq2Seq(Model):
         p = self.params
         return unroll(p["He"], p["Pe"], p["Ee"], source, np.zeros(self.d))
 
-    def _outputs(self, dec, Z):
-        """Output-layer inputs Oh h + Oz z for decoder states and their contexts."""
-        p = self.params
-        return matvecs(p["Oh"], dec) + matvecs(p["Oz"], Z)
-
     def _forward(self, source, target):
         if not source or not target:
             raise DataError("seq2seq needs a non-empty source and target")
@@ -94,12 +89,12 @@ class Seq2Seq(Model):
             UE = enc @ p["U"].T  # (M+1, d)
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
-            WQ = matvecs(p["W"], dec[queries])
+            WQ = dec[queries] @ p["W"].T
             Z = np.empty((L, self.d))
             pres, alphas = [None] * L, [None] * L
             for l in range(L):
                 pres[l], alphas[l], Z[l] = attention(WQ[l], p["b"], enc, UE)
-            outs = self._outputs(dec, Z)
+            outs = dec @ p["Oh"].T + Z @ p["Oz"].T
             fw.update({"pre": pres, "alphas": alphas, "Z": Z, "queries": queries, "outs": outs})
             logits = outs @ p["Od"]
         else:
@@ -124,23 +119,23 @@ class Seq2Seq(Model):
         denc = denc0[1:]
         loss, dlogits = nll_backward(fw["logps"], target)
         if self.use_attention:
-            douts = matvecs(p["Od"], dlogits)
-            ddec += matvecs(p["Oh"].T, douts)
-            dzs = matvecs(p["Oz"].T, douts)
+            douts = dlogits @ p["Od"].T
+            ddec += douts @ p["Oh"]
+            dzs = douts @ p["Oz"]
             dwqs = np.empty_like(douts)
             for l in range(len(target)):
                 dwqs[l], dR = attention_backward(p["U"], p["b"], fw["enc"], fw["pre"][l],
                                                  fw["alphas"][l], dzs[l], grads["U"], grads["b"])
                 denc += dR
             q = fw["queries"]
-            np.add.at(ddec, q, matvecs(p["W"].T, dwqs))
-            add_outers(grads["W"], dwqs, fw["dec"][q])
-            add_outers(grads["Od"], fw["outs"], dlogits)
-            add_outers(grads["Oh"], douts, fw["dec"])
-            add_outers(grads["Oz"], douts, fw["Z"])
+            np.add.at(ddec, q, dwqs @ p["W"])
+            grads["W"] += dwqs.T @ fw["dec"][q]
+            grads["Od"] += fw["outs"].T @ dlogits
+            grads["Oh"] += douts.T @ fw["dec"]
+            grads["Oz"] += douts.T @ fw["Z"]
         else:
-            ddec += matvecs(p["Od"], dlogits)
-            add_outers(grads["Od"], fw["dec"], dlogits)
+            ddec += dlogits @ p["Od"].T
+            grads["Od"] += fw["dec"].T @ dlogits
         bptt(p["Hd"], p["Pd"], p["Ed"], target[:-1], fw["dec"], ddec,
              grads["Hd"], grads["Pd"], grads["Ed"])
         # the decoder is initialized from the last encoder state
@@ -177,7 +172,7 @@ class Seq2Seq(Model):
             return softmax(p["Od"].T @ state.h), None
         q = state.h if state.prev_h is None else state.prev_h
         _, alpha, z = attention(p["W"] @ q, p["b"], state.enc_states, state.uenc)
-        return softmax(p["Od"].T @ self._outputs(state.h[None], z[None])[0]), alpha
+        return softmax(p["Od"].T @ (p["Oh"] @ state.h + p["Oz"] @ z)), alpha
 
     # ------------------------------------------------------------------
     # dialogue plumbing

@@ -11,6 +11,10 @@ import numpy as np
 from .errors import NumericalError
 
 INIT_HALF_WIDTH = 0.08
+# Version of the rounding contract (docs/FORMATS.md, "Numerics"); run
+# manifests record it. Version 2 forms every gradient sum over positions
+# and every per-position product of a teacher-forced pass as one gemm.
+NUMERICS = 2
 
 
 def softmax(scores):
@@ -38,37 +42,15 @@ def log_softmax(scores):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def affine_tanh(Hm, h, Pm, e):
-    """tanh(Hm @ h + Pm @ e), the shared recurrence nonlinearity."""
-    Hm, h, Pm, e = (np.asarray(a) for a in (Hm, h, Pm, e))
-    if Hm.ndim != 2 or Pm.ndim != 2 or h.ndim != 1 or e.ndim != 1:
-        raise NumericalError("affine_tanh expects two matrices and two vectors")
-    if Hm.shape[1] != h.shape[0] or Pm.shape[1] != e.shape[0] or Hm.shape[0] != Pm.shape[0]:
-        raise NumericalError(
-            f"affine_tanh shape mismatch: {Hm.shape}@{h.shape} + {Pm.shape}@{e.shape}"
-        )
-    return recur(Hm, h, Pm, e)
-
-
 def recur(Hm, h, Pm, e):
-    """:func:`affine_tanh` without the shape checks, for the models' own arrays."""
+    """tanh(Hm @ h + Pm @ e), the shared recurrence nonlinearity."""
     return np.tanh(Hm @ h + Pm @ e)
-
-
-def matvecs(A, X):
-    """``A @ x`` for every row ``x`` of ``X``, in one call.
-
-    matmul hands each stacked product to the BLAS matrix-vector routine
-    that ``A @ x`` uses for a contiguous ``x``, so the rows are bit-identical
-    to that loop; ``X @ A.T``, one matrix-matrix product, rounds otherwise.
-    """
-    return np.matmul(A, X[:, :, None])[:, :, 0]
 
 
 def unroll(Hm, Pm, Em, tokens, h0):
     """Recurrent states over ``tokens``, one row more than there are tokens.
 
-    Row 0 is ``h0``; row t is affine_tanh(Hm, row t-1, Pm, Em[:, tokens[t-1]]),
+    Row 0 is ``h0``; row t is recur(Hm, row t-1, Pm, Em[:, tokens[t-1]]),
     the state that has consumed tokens 0..t-1.
     """
     states = np.empty((len(tokens) + 1, h0.shape[0]))
@@ -91,17 +73,9 @@ def bptt(Hm, Pm, Em, tokens, states, dstates, gH, gP, gE):
     for t in range(n, 0, -1):
         da = das[t - 1] = dstates[t] * dtanh[t - 1]
         dstates[t - 1] += Hm.T @ da
-    # the loop ran from the last step to the first; the sums keep that order
-    rev = das[::-1]
-    np.add.at(gE.T, np.asarray(tokens[::-1], dtype=np.intp), matvecs(Pm.T, rev))
-    add_outers(gH, rev, states[:n][::-1])
-    add_outers(gP, rev, Em[:, tokens[::-1]].T)
-
-
-def add_outers(g, A, B):
-    """g += outer(A[0], B[0]); g += outer(A[1], B[1]); ... in row order."""
-    for a, b in zip(A, B):
-        g += a[:, None] * b
+    gH += das.T @ states[:n]
+    gP += das.T @ Em[:, tokens].T
+    np.add.at(gE.T, np.asarray(tokens, dtype=np.intp), das @ Pm)
 
 
 def attention(wq, b, R, UR):
@@ -174,37 +148,3 @@ def clip_global_norm(grads, max_norm):
         for g in grads.values():
             g *= scale
     return norm
-
-
-def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=None):
-    """Max relative error between analytic gradients and central differences.
-
-    ``loss_fn`` re-evaluates the scalar loss at the current (temporarily
-    perturbed) parameter values; ``analytic`` holds gradient buffers computed
-    at the unperturbed point. For each parameter array a random coordinate
-    subset of size ``samples_per_array`` is probed. The relative error per
-    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        g = analytic[name].reshape(-1)
-        if flat.size <= samples_per_array:
-            coords = np.arange(flat.size)
-        else:
-            coords = rng.choice(flat.size, size=samples_per_array, replace=False)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn()
-            flat[i] = orig - eps
-            down = loss_fn()
-            flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericalError(f"non-finite loss while probing '{name}'")
-            numeric = (up - down) / (2.0 * eps)
-            rel = abs(g[i] - numeric) / max(1e-8, abs(g[i]) + abs(numeric))
-            worst = max(worst, rel)
-    return worst

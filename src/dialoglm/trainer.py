@@ -35,7 +35,9 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers, the shared step counter, and two scratch
+    rows as long as the largest parameter, so that a step allocates no
+    arrays."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -45,22 +47,37 @@ class AdamState:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = np.empty((2, max((v.size for v in params.values()), default=0)))
 
 
 def adam_update(state, params, grads):
-    """One bias-corrected Adam step, applied in place."""
+    """One bias-corrected Adam step, applied in place.
+
+    Every operation rounds like the textbook expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr m_hat / (sqrt(v_hat) + eps), in that order.
+    """
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / (1.0 - b1 ** state.t)
-        v_hat = state.v[name] / (1.0 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        step, denom = (row[:p.size].reshape(p.shape) for row in state.scratch)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=step)
+        v *= b2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v += step
+        np.divide(m, 1.0 - b1 ** state.t, out=step)  # m_hat
+        np.divide(v, 1.0 - b2 ** state.t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step *= state.lr
+        step /= denom
+        p -= step
     return params
 
 

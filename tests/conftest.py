@@ -1,7 +1,13 @@
 """Shared test helpers: independent metric oracles kept deliberately
-separate from the package implementations they check."""
+separate from the package implementations they check, a shape-checked
+form of the recurrence and the central-difference gradient check."""
 
 import math
+
+import numpy as np
+
+from dialoglm.errors import NumericalError
+from dialoglm.numeric import recur
 
 
 def bleu_oracle(hyps, refs, max_n=4):
@@ -38,3 +44,49 @@ def bleu_oracle(hyps, refs, max_n=4):
     r = sum(len(x) for x in refs)
     bp = 1.0 if h > r else math.exp(1.0 - r / h)
     return bp * geo
+
+
+def affine_tanh(Hm, h, Pm, e):
+    """tanh(Hm @ h + Pm @ e), the shared recurrence nonlinearity."""
+    Hm, h, Pm, e = (np.asarray(a) for a in (Hm, h, Pm, e))
+    if Hm.ndim != 2 or Pm.ndim != 2 or h.ndim != 1 or e.ndim != 1:
+        raise NumericalError("affine_tanh expects two matrices and two vectors")
+    if Hm.shape[1] != h.shape[0] or Pm.shape[1] != e.shape[0] or Hm.shape[0] != Pm.shape[0]:
+        raise NumericalError(
+            f"affine_tanh shape mismatch: {Hm.shape}@{h.shape} + {Pm.shape}@{e.shape}"
+        )
+    return recur(Hm, h, Pm, e)
+
+
+def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=None):
+    """Max relative error between analytic gradients and central differences.
+
+    ``loss_fn`` re-evaluates the scalar loss at the current (temporarily
+    perturbed) parameter values; ``analytic`` holds gradient buffers computed
+    at the unperturbed point. For each parameter array a random coordinate
+    subset of size ``samples_per_array`` is probed. The relative error per
+    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.reshape(-1)
+        g = analytic[name].reshape(-1)
+        if flat.size <= samples_per_array:
+            coords = np.arange(flat.size)
+        else:
+            coords = rng.choice(flat.size, size=samples_per_array, replace=False)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss_fn()
+            flat[i] = orig - eps
+            down = loss_fn()
+            flat[i] = orig
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise NumericalError(f"non-finite loss while probing '{name}'")
+            numeric = (up - down) / (2.0 * eps)
+            rel = abs(g[i] - numeric) / max(1e-8, abs(g[i]) + abs(numeric))
+            worst = max(worst, rel)
+    return worst

@@ -10,13 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bleu_oracle
+from conftest import bleu_oracle, grad_check
 
 from dialoglm import corpus, generator, metrics, synthetic, topics, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words
 from dialoglm.models import AttentionRnnLm, RnnLm, make_model
 from dialoglm.models.base import DialogueScore
-from dialoglm.numeric import grad_check
 
 
 def report(num, message):

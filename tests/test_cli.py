@@ -44,6 +44,7 @@ class TestPrepare:
         assert manifest["subcommand"] == "prepare"
         assert manifest["seed"] == 5
         assert manifest["config"]["vocab_size"] == 100
+        assert manifest["numerics"] == 2
         assert manifest["started"] <= manifest["ended"]
 
     def test_split_arithmetic(self, workspace):
@@ -416,9 +417,11 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("grid", ["abc", "0:1:0", "0:1:-0.5", "1:0:0.5", "1.5", "0,nan"],
+    @pytest.mark.parametrize("grid", ["abc", "0:1:0", "0:1:-0.5", "1:0:0.5", "1.5", "0,nan",
+                                      "0:1:1e-6", "0:1:1e-12", "0:1:1e-320"],
                              ids=["not_a_number", "zero_step", "negative_step",
-                                  "empty_grid", "above_one", "nan"])
+                                  "empty_grid", "above_one", "nan", "huge_grid",
+                                  "huger_grid", "infinite_grid"])
     def test_tune_on_bad_lambda_grid(self, workspace, generated, lda_model, tmp_path,
                                      capsys, grid):
         code = main(["tune", "--histories", str(workspace["prep"] / "test.txt"),
@@ -583,3 +586,6 @@ def test_pipeline_is_bit_reproducible(tmp_path):
     assert trees[0].keys() == trees[1].keys()
     differ = [path for path in trees[0] if trees[0][path] != trees[1][path]]
     assert differ == []
+    manifests = list(tmp_path.rglob("manifest.json"))
+    assert len(manifests) == 64
+    assert all(json.loads(p.read_text())["numerics"] == 2 for p in manifests)

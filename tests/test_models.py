@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grad_check
 
 from dialoglm import corpus
 from dialoglm.corpus import Dialogue
@@ -9,7 +10,7 @@ from dialoglm.errors import DataError, NumericalError
 from dialoglm.models import (AttentionRnnLm, RnnLm, Seq2Seq,
                              TopicAttentionRnnLm, load_checkpoint, make_model,
                              save_checkpoint, seq2seq_pair)
-from dialoglm.numeric import grad_check, softmax
+from dialoglm.numeric import softmax
 
 D, DE, V, K = 8, 6, 20, 4
 

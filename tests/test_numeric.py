@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import affine_tanh, grad_check
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialoglm.errors import NumericalError
-from dialoglm.numeric import (add_outers, affine_tanh, clip_global_norm, global_norm,
-                              grad_check, log_softmax, matvecs, softmax, zero_grads)
+from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
+from dialoglm.numeric import (attention, attention_backward, clip_global_norm, global_norm,
+                              log_softmax, nll_backward, softmax, unroll, zero_grads)
 
 
 class TestSoftmax:
@@ -90,40 +94,6 @@ class TestAffineTanh:
             affine_tanh(np.zeros((3, 3)), np.zeros(4), np.zeros((3, 2)), np.zeros(2))
 
 
-class TestBatchedProducts:
-    """The batched kernels must round exactly like the per-row products."""
-
-    def test_matvecs_bitwise_equal_to_loop(self):
-        rng = np.random.default_rng(0)
-        for trial in range(60):
-            n, d, m = (int(x) for x in rng.integers(1, 90, size=3))
-            if trial % 3 == 0:
-                d = int(rng.integers(1, 3))
-            A = rng.normal(size=(d, m))
-            X = rng.normal(size=(n, m))
-            Y = rng.normal(size=(n, d))
-            assert matvecs(A, X).tobytes() == np.array([A @ x for x in X]).tobytes()
-            assert matvecs(A.T, Y).tobytes() == np.array([A.T @ y for y in Y]).tobytes()
-            rows = rng.integers(0, n, size=n)
-            assert (matvecs(A.T, Y[rows][::-1]).tobytes()
-                    == np.array([A.T @ Y[r] for r in rows[::-1]]).tobytes())
-        assert matvecs(np.ones((3, 4)), np.empty((0, 4))).shape == (0, 3)
-
-    @pytest.mark.parametrize("shape", [(5, 7), (64, 64), (7, 1), (1, 1), (40, 900)])
-    def test_add_outers_bitwise_equal_to_loop(self, shape):
-        rng = np.random.default_rng(1)
-        for start in (np.zeros(shape), rng.normal(size=shape)):
-            A = rng.normal(size=(30, shape[0]))
-            B = rng.normal(size=(30, shape[1]))
-            A[3] = -0.0
-            want = start.copy()
-            for a, b in zip(A, B):
-                want += np.outer(a, b)
-            got = start.copy()
-            add_outers(got, A, B)
-            assert got.tobytes() == want.tobytes()
-
-
 class TestGradCheck:
     def test_quadratic(self):
         rng = np.random.default_rng(5)
@@ -180,3 +150,212 @@ def test_zero_grads_shapes():
     for k in params:
         assert g[k].shape == params[k].shape
         assert not g[k].any()
+
+
+# ---------------------------------------------------------------------------
+# numerics v2 against the per-position loops of v1
+
+def _rows(A, X):
+    """A @ x for every row x of X, one matrix-vector product each."""
+    return np.array([A @ x for x in X]).reshape(len(X), A.shape[0])
+
+
+def _outers(g, A, B):
+    """g += outer(A[0], B[0]); g += outer(A[1], B[1]); ... in row order."""
+    for a, b in zip(A, B):
+        g += a[:, None] * b
+
+
+def _bptt_rows(Hm, Pm, Em, tokens, states, dstates, gH, gP, gE):
+    n = len(tokens)
+    dtanh = 1.0 - states[1:] * states[1:]
+    das = np.empty((n, dstates.shape[1]))
+    for t in range(n, 0, -1):
+        da = das[t - 1] = dstates[t] * dtanh[t - 1]
+        dstates[t - 1] += Hm.T @ da
+    rev = das[::-1]
+    np.add.at(gE.T, np.asarray(tokens[::-1], dtype=np.intp), _rows(Pm.T, rev))
+    _outers(gH, rev, states[:n][::-1])
+    _outers(gP, rev, Em[:, tokens[::-1]].T)
+
+
+class _RowsRnnLm(RnnLm):
+    def loss_and_grads(self, tokens, theta=None):
+        tokens = list(tokens)
+        fw = self._forward(tokens, theta)
+        p = self.params
+        grads = zero_grads(p)
+        dstates = np.zeros((len(tokens), self.d))
+        loss, dlogits = nll_backward(fw["logps"], tokens)
+        self._backward_outputs(tokens, fw, dlogits, grads, dstates, theta)
+        _bptt_rows(p["H"], p["P"], p["E"], tokens[:-1], fw["states"], dstates,
+                   grads["H"], grads["P"], grads["E"])
+        return loss, grads
+
+    def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
+        dstates += _rows(self.params["O"], dlogits)
+        _outers(grads["O"], fw["states"], dlogits)
+
+
+class _RowsArnn(_RowsRnnLm, AttentionRnnLm):
+    def _forward(self, tokens, theta=None):
+        p = self.params
+        n = len(tokens)
+        states = self._states(tokens)
+        R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
+        UR = R @ p["U"].T
+        WQ = _rows(p["W"], states[:-1])
+        Z = np.empty((n - 1, self.d_z))
+        pre, alphas = [None] * n, [None] * n
+        for t in range(1, n):
+            pre[t], alphas[t], Z[t - 1] = attention(WQ[t - 1], p["b"], R[:t], UR[:t])
+        outs = _rows(p["Oh"], states)
+        outs[1:] += _rows(p["Oz"], Z)
+        outs = self._add_topic(outs, theta)
+        return {"states": states, "R": R, "pre": pre, "alphas": alphas, "Z": Z,
+                "outs": outs, "logps": log_softmax(outs @ p["O"])}
+
+    def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
+        p = self.params
+        n = len(tokens)
+        douts = _rows(p["O"], dlogits)
+        dstates += _rows(p["Oh"].T, douts)
+        dzs = _rows(p["Oz"].T, douts[1:])
+        dwqs = np.empty((n - 1, self.d))
+        drep = np.zeros_like(fw["R"])
+        for t in range(1, n):
+            dwqs[t - 1], dR = attention_backward(p["U"], p["b"], fw["R"][:t], fw["pre"][t],
+                                                 fw["alphas"][t], dzs[t - 1],
+                                                 grads["U"], grads["b"])
+            drep[:t] += dR
+        dstates[:-1] += _rows(p["W"].T, dwqs)
+        _outers(grads["W"], dwqs, fw["states"][:-1])
+        _outers(grads["O"], fw["outs"], dlogits)
+        _outers(grads["Oh"], douts, fw["states"])
+        if theta is not None:
+            _outers(grads["Otheta"], douts, np.broadcast_to(theta, (n, theta.size)))
+        _outers(grads["Oz"], douts[1:], fw["Z"])
+        dstates[1:] += drep[:, self.d_e:]
+        np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])
+
+
+class _RowsTarnn(_RowsArnn, TopicAttentionRnnLm):
+    pass
+
+
+class _RowsSeq2Seq(Seq2Seq):
+    def loss_and_grads(self, source, target):
+        p = self.params
+        enc0 = self._encode(source)
+        enc = enc0[1:]
+        dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
+        grads = zero_grads(p)
+        ddec = np.zeros_like(dec)
+        denc0 = np.zeros_like(enc0)
+        if self.use_attention:
+            UE = enc @ p["U"].T
+            q = np.maximum(np.arange(len(target)) - 1, 0)
+            WQ = _rows(p["W"], dec[q])
+            att = [attention(wq, p["b"], enc, UE) for wq in WQ]
+            Z = np.array([z for _, _, z in att])
+            outs = _rows(p["Oh"], dec) + _rows(p["Oz"], Z)
+            loss, dlogits = nll_backward(log_softmax(outs @ p["Od"]), target)
+            douts = _rows(p["Od"], dlogits)
+            ddec += _rows(p["Oh"].T, douts)
+            dzs = _rows(p["Oz"].T, douts)
+            dwqs = np.empty_like(douts)
+            for l, (pre, alpha, _) in enumerate(att):
+                dwqs[l], dR = attention_backward(p["U"], p["b"], enc, pre, alpha, dzs[l],
+                                                 grads["U"], grads["b"])
+                denc0[1:] += dR
+            np.add.at(ddec, q, _rows(p["W"].T, dwqs))
+            _outers(grads["W"], dwqs, dec[q])
+            _outers(grads["Od"], outs, dlogits)
+            _outers(grads["Oh"], douts, dec)
+            _outers(grads["Oz"], douts, Z)
+        else:
+            loss, dlogits = nll_backward(log_softmax(dec @ p["Od"]), target)
+            ddec += _rows(p["Od"], dlogits)
+            _outers(grads["Od"], dec, dlogits)
+        _bptt_rows(p["Hd"], p["Pd"], p["Ed"], target[:-1], dec, ddec,
+                   grads["Hd"], grads["Pd"], grads["Ed"])
+        denc0[-1] += ddec[0]
+        _bptt_rows(p["He"], p["Pe"], p["Ee"], source, enc0, denc0,
+                   grads["He"], grads["Pe"], grads["Ee"])
+        return loss, grads
+
+
+KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
+D, DE, V, K = 8, 6, 20, 4
+
+
+def _scaled_model(kind, seed, scale):
+    model = make_model(kind, D, DE, V, n_topics=K, seed=seed)
+    for p in model.params.values():
+        p *= scale
+    return model
+
+
+def _rows_reference(model):
+    """The per-row reference model over a copy of ``model``'s parameters."""
+    params = {k: v.copy() for k, v in model.params.items()}
+    if model.kind.startswith("seq2seq"):
+        return _RowsSeq2Seq(D, DE, V, use_attention=model.use_attention, params=params)
+    if model.kind == "tarnn":
+        return _RowsTarnn(D, DE, V, K, params=params)
+    return {"rnn": _RowsRnnLm, "arnn": _RowsArnn}[model.kind](D, DE, V, params=params)
+
+
+def _loss_and_grads(model, tokens, source, theta):
+    if model.kind.startswith("seq2seq"):
+        return model.loss_and_grads(source, tokens)
+    return model.loss_and_grads(tokens, theta if model.kind == "tarnn" else None)
+
+
+class TestNumericsV2:
+    """The teacher-forced passes form their per-position products and their
+    gradient sums as single matrix products (numerics v2, docs/FORMATS.md).
+    That rounds differently from the stepwise decode path and from a sum of
+    per-row products, but only at the level of the last bits."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 5.0]),
+           tokens=st.lists(st.integers(0, V - 1), min_size=1, max_size=40),
+           source=st.lists(st.integers(0, V - 1), min_size=1, max_size=40))
+    def test_teacher_forced_scores_match_stepwise(self, kind, seed, scale, tokens, source):
+        model = _scaled_model(kind, seed, scale)
+        theta = np.random.default_rng(seed).dirichlet(np.ones(K))
+        if kind.startswith("seq2seq"):
+            forced = model.score_pair(source, tokens).per_token
+            state = model.begin(source)
+        elif kind == "tarnn":
+            forced = model.score_sequence(tokens, theta).per_token
+            state = model.begin([], theta)
+        else:
+            forced = model.score_sequence(tokens).per_token
+            state = model.begin([])
+        stepwise = []
+        for tok in tokens:
+            probs, _ = model.step_dist(state)
+            stepwise.append(math.log(probs[tok]))
+            state = model.advance(state, tok)
+        np.testing.assert_allclose(forced, stepwise, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradients_match_per_row_reference(self, kind):
+        # at the gradient checks' generic point (5x the init scale); an entry
+        # far below its array's largest one is compared at that scale
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            tokens = [int(t) for t in rng.integers(0, V, size=rng.integers(1, 40))]
+            source = [int(t) for t in rng.integers(0, V, size=rng.integers(1, 40))]
+            theta = rng.dirichlet(np.ones(K))
+            model = _scaled_model(kind, seed, 5.0)
+            loss, grads = _loss_and_grads(model, tokens, source, theta)
+            ref_loss, ref_grads = _loss_and_grads(_rows_reference(model), tokens, source, theta)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert grads.keys() == ref_grads.keys()
+            for name, g in ref_grads.items():
+                np.testing.assert_allclose(grads[name], g, rtol=1e-12,
+                                           atol=1e-12 * np.abs(g).max(), err_msg=name)

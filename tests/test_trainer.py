@@ -63,6 +63,35 @@ class TestAdam:
         with pytest.raises(NumericalError):
             adam_update(state, params, {"w": np.array([np.nan])})
 
+    @pytest.mark.parametrize("kind", ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"])
+    def test_in_place_update_is_bit_exact(self, kind):
+        # the textbook formula, one fresh array per operation
+        def reference(state, params, grads):
+            state.t += 1
+            b1, b2 = state.beta1, state.beta2
+            for name, p in params.items():
+                g = grads[name]
+                state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+                state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+                m_hat = state.m[name] / (1.0 - b1 ** state.t)
+                v_hat = state.v[name] / (1.0 - b2 ** state.t)
+                p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+        rng = np.random.default_rng(3)
+        model = make_model(kind, 6, 5, 17, n_topics=3, seed=4)
+        ref = {k: v.copy() for k, v in model.params.items()}
+        state, ref_state = AdamState(model.params, lr=0.01), AdamState(ref, lr=0.01)
+        for _ in range(5):
+            tokens = [int(t) for t in rng.integers(0, 17, size=9)]
+            _, grads = (model.loss_and_grads(tokens[:4], tokens[4:]) if kind.startswith("seq2seq")
+                        else model.loss_and_grads(tokens))
+            adam_update(state, model.params, grads)
+            reference(ref_state, ref, grads)
+            for name in ref:
+                assert model.params[name].tobytes() == ref[name].tobytes()
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+
     def test_step_counter_increments(self):
         params = {"w": np.zeros(2)}
         state = AdamState(params)
