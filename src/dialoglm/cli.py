@@ -8,6 +8,7 @@ Environment variables are never consulted.
 """
 
 import argparse
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -234,7 +235,7 @@ def cmd_eval(args):
         model = _load_model(args, vocab, stop_ids)
         dialogues = corpus.load_corpus(args.corpus, vocab, min_turns=2)
         report = metrics.evaluate(model, dialogues)
-        if args.recall_n:
+        if args.recall_n is not None:
             sets = [
                 corpus.sample_candidates(dialogues, d, [args.recall_seed, i])
                 for i, d in enumerate(dialogues)
@@ -457,6 +458,13 @@ def _seed(text):
     return int(text)
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="dialoglm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -499,7 +507,7 @@ def build_parser():
     p.add_argument("--beam-width", type=int, default=10)
     p.add_argument("--n-best", type=int, default=10)
     p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--len-norm", type=float, default=1.0)
+    p.add_argument("--len-norm", type=_finite, default=1.0)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--topic-model", default=None)
     p.add_argument("--stopwords", default=None)
@@ -512,7 +520,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--recall-n", type=int, default=None)
     p.add_argument("--recall-seed", type=_seed, default=0)
-    p.add_argument("--len-norm", type=float, default=1.0)
+    p.add_argument("--len-norm", type=_finite, default=1.0)
     p.add_argument("--hyp", default=None)
     p.add_argument("--ref", default=None)
     p.add_argument("--max-n", type=int, default=4)
@@ -559,7 +567,7 @@ def build_parser():
     p.add_argument("--checkpoint", default=None,
                    help="needed by the recall objective to score references")
     p.add_argument("--topic-model", default=None)
-    p.add_argument("--len-norm", type=float, default=1.0)
+    p.add_argument("--len-norm", type=_finite, default=1.0)
     p.add_argument("--metric", choices=("cosine", "njsd"), default="cosine")
     p.add_argument("--stopwords", default=None)
     p.set_defaults(func=cmd_tune)
@@ -572,7 +580,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--beam-width", type=int, default=1)
     p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--len-norm", type=float, default=1.0)
+    p.add_argument("--len-norm", type=_finite, default=1.0)
     p.add_argument("--continuation", default=None,
                    help="trace this whitespace-tokenized continuation instead of decoding")
     p.add_argument("--cell-size", type=int, default=12)

@@ -10,6 +10,7 @@ its log-likelihood always equals an independent teacher-forced rescoring
 of exactly those tokens after the history prefix.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,14 +45,6 @@ class Candidate:
         return " ".join(vocab.decode(corpus.strip_reserved(self.tokens)))
 
 
-@dataclass
-class _Hyp:
-    state: object
-    tokens: list
-    logp: float
-    rows: list
-
-
 def norm_score(logp, length, len_norm):
     """Length-normalized log-likelihood, logp / length**len_norm."""
     return logp / (length ** len_norm)
@@ -61,58 +54,65 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
              len_norm=1.0, record_trace=False):
     """n-best continuations of ``history`` under ``model``.
 
-    Returns Candidates in non-increasing normalized-score order.
+    The beam is one decode state of B rows, stepped as a batch. Returns
+    Candidates in non-increasing normalized-score order.
     """
     if beam_width < 1 or max_len < 1 or not (1 <= n_best <= beam_width):
         raise DataError("need beam_width >= 1, max_len >= 1, 1 <= n_best <= beam_width")
+    if not math.isfinite(len_norm):
+        raise DataError(f"len_norm must be finite, got {len_norm}")
     if record_trace and not getattr(model, "attends", False):
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
-    beams = [_Hyp(state=model.start(history), tokens=[], logp=0.0, rows=[])]
-    finished = []
-    for _ in range(max_len):
-        pool = []
-        for hyp in beams:
-            probs, alpha = model.step_dist(hyp.state)
-            with np.errstate(divide="ignore"):  # underflowed probs rank last
-                logps = np.log(probs)
-            k = min(beam_width, len(logps))
-            top = np.argpartition(-logps, k - 1)[:k]
-            top = top[np.argsort(-logps[top], kind="stable")]
-            for tok in top:
-                tok = int(tok)
-                rows = hyp.rows + [alpha] if record_trace else hyp.rows
-                ext = _Hyp(hyp.state, hyp.tokens + [tok], hyp.logp + float(logps[tok]), rows)
-                if tok == corpus.EOU_ID:
-                    finished.append(ext)
-                else:
-                    pool.append(ext)
-        pool.sort(key=lambda h: (-h.logp, h.tokens))
-        beams = [
-            _Hyp(model.advance(h.state, h.tokens[-1]), h.tokens, h.logp, h.rows)
-            for h in pool[:beam_width]
-        ]
-        if not beams:
+    state = model.start(history)
+    tokens = np.zeros((1, 0), dtype=np.intp)  # row b: hypothesis b's tokens
+    logp = np.zeros(1)
+    rows = [[]]  # row b: hypothesis b's attention rows, when recorded
+    finished = []  # (tokens, logp, rows)
+    for step in range(max_len):
+        if step:
+            state = model.advance(state, tok, parent)
+        probs, alpha = model.step_dist(state)
+        with np.errstate(divide="ignore"):  # underflowed probs rank last
+            cost = np.negative(np.log(probs, out=probs), out=probs)  # -log p, in place
+        k = min(beam_width, cost.shape[1])
+        by_row = np.arange(len(cost))[:, None]
+        top = np.argpartition(cost, k - 1, axis=1)[:, :k]  # each row's k best tokens
+        top = top[by_row, np.argsort(cost[by_row, top], axis=1, kind="stable")]
+        ext = logp[:, None] - cost[by_row, top]  # the extended hypotheses' log-likelihoods
+        if record_trace:
+            rows = [r + [a] for r, a in zip(rows, alpha)]
+        for b, i in zip(*np.nonzero(top == corpus.EOU_ID)):
+            finished.append((tokens[b].tolist() + [corpus.EOU_ID], float(ext[b, i]), rows[b]))
+        parent, col = np.nonzero(top != corpus.EOU_ID)
+        if not len(parent):
             break
-    finished.extend(beams)  # hypotheses cut off at max_len
+        tok, ext = top[parent, col], ext[parent, col]
+        # the best beam_width extensions by (-logp, tokens)
+        keep = np.lexsort((tok, *tokens[parent].T[::-1], -ext))[:beam_width]
+        parent, tok, logp = parent[keep], tok[keep], ext[keep]
+        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
+        rows = [rows[b] for b in parent]
+    else:  # hypotheses cut off at max_len
+        finished.extend(zip(tokens.tolist(), logp.tolist(), rows))
     ranked = sorted(
         finished,
-        key=lambda h: (-norm_score(h.logp, len(h.tokens), len_norm), h.tokens),
+        key=lambda f: (-norm_score(f[1], len(f[0]), len_norm), f[0]),
     )
     prefix_labels = vocab.decode(corpus.continuation_prefix(history))
     out = []
-    for h in ranked[:n_best]:
+    for toks, lp, trace_rows in ranked[:n_best]:
         trace = None
         if record_trace:
             trace = AttentionTrace(
-                rows=h.rows,
+                rows=trace_rows,
                 prefix_labels=prefix_labels,
-                generated_labels=vocab.decode(h.tokens),
+                generated_labels=vocab.decode(toks),
             )
         out.append(
             Candidate(
-                tokens=h.tokens,
-                loglik=h.logp,
-                norm_score=norm_score(h.logp, len(h.tokens), len_norm),
+                tokens=toks,
+                loglik=lp,
+                norm_score=norm_score(lp, len(toks), len_norm),
                 trace=trace,
             )
         )
@@ -121,18 +121,29 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
 
 def continuation_log_likelihood(model, history, tokens):
     """Teacher-forced conditional log-likelihood of ``tokens`` given the history."""
-    return continuation_logp_from(model, model.start(history), tokens)
+    return continuation_logp_from(model, model.start(history), [tokens])[0]
 
 
-def continuation_logp_from(model, state, tokens):
-    """Sum of per-token log-probs of ``tokens`` continued from a decode state."""
-    total = 0.0
-    for tok in tokens:
+def continuation_logp_from(model, state, sequences):
+    """Sum of per-token log-probs of each of ``sequences``, continued from
+    the one-hypothesis decode state ``state`` and scored as one batch.
+
+    Consumes ``state``. A sequence leaves the batch after its last token.
+    """
+    totals = [0.0] * len(sequences)
+    live = [i for i, seq in enumerate(sequences) if seq]  # sequences still scoring
+    rows = [0] * len(live)  # the state row each live sequence continues
+    for j in itertools.count():
         probs, _ = model.step_dist(state)
-        p = float(probs[tok])
-        total += math.log(p) if p > 0.0 else -math.inf
-        state = model.advance(state, tok)
-    return total
+        for i, r in zip(live, rows):
+            p = float(probs[r, sequences[i][j]])
+            totals[i] += math.log(p) if p > 0.0 else -math.inf
+        rows = [r for i, r in zip(live, rows) if len(sequences[i]) > j + 1]
+        live = [i for i in live if len(sequences[i]) > j + 1]
+        if not live:
+            return totals
+        state = model.advance(state, [sequences[i][j] for i in live], rows)
+        rows = range(len(live))
 
 
 def trace_attention(model, history, continuation, vocab):
@@ -149,8 +160,8 @@ def trace_attention(model, history, continuation, vocab):
     rows = []
     for tok in continuation:
         _, alpha = model.step_dist(state)
-        rows.append(alpha)
-        state = model.advance(state, tok)
+        rows.append(alpha[0])
+        state = model.advance(state, [tok])
     return AttentionTrace(
         rows=rows,
         prefix_labels=vocab.decode(corpus.continuation_prefix(history)),

@@ -97,7 +97,7 @@ def recall_at_n(model, candidate_sets, n, len_norm=1.0):
     """Fraction of sets whose true continuation ranks in the top n of 10.
 
     Candidates are scored as teacher-forced continuations (with a closing
-    </u>) of the history, normalized by length**len_norm.
+    </u>) of the history, one batch per set, normalized by length**len_norm.
     """
     if not candidate_sets:
         raise DataError("no candidate sets")
@@ -105,11 +105,9 @@ def recall_at_n(model, candidate_sets, n, len_norm=1.0):
         raise DataError("recall@N needs 1 <= N <= 10")
     hits = 0
     for cs in candidate_sets:
-        root = model.start(cs.history)
-        scores = []
-        for cand in cs.candidates:
-            seq = list(cand) + [corpus.EOU_ID]
-            scores.append(norm_score(continuation_logp_from(model, root, seq), len(seq), len_norm))
+        seqs = [list(cand) + [corpus.EOU_ID] for cand in cs.candidates]
+        logps = continuation_logp_from(model, model.start(cs.history), seqs)
+        scores = [norm_score(lp, len(seq), len_norm) for lp, seq in zip(logps, seqs)]
         order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         if order.index(cs.truth_index) < n:
             hits += 1

@@ -10,7 +10,7 @@ decoding share this convention exactly, so they produce identical
 distributions for identical prefixes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,29 +62,35 @@ class DialogueScore:
 
 @dataclass
 class LmDecodeState:
-    """Stepwise decoding state for the language-model family.
+    """Stepwise decoding state of a batch of B hypotheses, language models.
 
-    ``h`` scores the next position; ``prev_h`` is the state before the most
-    recent token was consumed (the attention query), None before the first.
-    ``reps`` holds one token representation per consumed token; ``ureps``
-    caches U @ rep for the attention models. States are cheap to branch:
-    ``advance`` copies the lists shallowly.
+    Row b of ``h`` (B, d) scores hypothesis b's next position; ``prev_h``
+    holds the states before the most recent token was consumed (the
+    attention queries), None before the first. The attention models keep
+    the representation r of every consumed token in the arena ``R``
+    (slots, cap, d_e + d) and U r in ``UR`` (slots, cap, d): rows [0:t] of
+    slot b are hypothesis b's scope. Rows [0:t0] hold the prefix the batch
+    started from and are the same in every slot, so reordering the slots
+    copies only rows [t0:t]; the capacity doubles when it runs out.
     """
 
-    h: np.ndarray = None
+    h: np.ndarray
     prev_h: np.ndarray = None
-    reps: list = field(default_factory=list)
-    ureps: list = field(default_factory=list)
     theta: np.ndarray = None
+    R: np.ndarray = None
+    UR: np.ndarray = None
+    t: int = 0
+    t0: int = 0
 
 
 @dataclass
 class Seq2SeqDecodeState:
-    """Decoder-side state; the encoder pass is shared read-only by branches."""
+    """Decoder-side state of a batch of B hypotheses; the encoder pass is
+    shared read-only by every row."""
 
     enc_states: np.ndarray  # (M+1, d)
     uenc: np.ndarray  # (M+1, d) cached U @ enc_states[m], attention only
-    h: np.ndarray = None
+    h: np.ndarray = None  # (B, d)
     prev_h: np.ndarray = None  # None until the decoder has consumed a token
 
 
@@ -100,6 +106,17 @@ class Model:
 
     Subclasses list their parameter arrays in ``param_shapes``; that order
     is the checkpoint order and the order fresh parameters are drawn in.
+
+    Stepwise decoding works on a batch of B hypotheses, with one code path
+    for every B. ``begin(prefix[, theta])`` returns a state of one
+    hypothesis that has consumed ``prefix``. ``step_dist(state)`` returns
+    the (B, V) next-token probabilities and one attention weight row per
+    hypothesis, or None for a kind without attention. ``advance(state, tokens,
+    parents=None)`` returns the state whose row i is row ``parents[i]``
+    (row i when ``parents`` is None) after consuming ``tokens[i]``. It may
+    reuse the buffers of the state it consumes, so that state must not be
+    used again. Row b of every result is bitwise the same whatever the
+    other rows of the batch hold and however many there are.
     """
 
     def __init__(self, d, d_e, vocab_size, seed=0, params=None):

@@ -25,8 +25,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, attention_backward, bptt, log_softmax, nll_backward,
-                       recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, attention_backward, bptt, columns, log_softmax, matvecs,
+                       nll_backward, recur, softmax, unroll, zero_grads)
 from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
 
 
@@ -51,15 +51,17 @@ class RnnLm(Model):
     # ------------------------------------------------------------------
     # single-step operations
 
-    def step(self, h_prev, token):
-        """h_t = tanh(H h_prev + P E[token]); the initial h is the zero vector."""
-        check_tokens([token], self.V)
+    def step(self, h_prev, tokens):
+        """h_t = tanh(H h_prev + P E[token]) for each row of ``h_prev`` and
+        its token; the initial h is the zero vector."""
+        check_tokens(tokens, self.V)
         p = self.params
-        return recur(p["H"], h_prev, p["P"], p["E"][:, token])
+        return recur(p["H"], h_prev, p["P"], columns(p["E"], tokens))
 
     def next_dist(self, h):
-        """Distribution over the vocabulary given the current state."""
-        return softmax(self.params["O"].T @ h)
+        """Distribution over the vocabulary given the current state (row-wise
+        for a batch of states)."""
+        return softmax(matvecs(self.params["O"].T, h))
 
     # ------------------------------------------------------------------
     # teacher-forced scoring
@@ -113,22 +115,32 @@ class RnnLm(Model):
     # stepwise decoding
 
     def begin(self, prefix, theta=None):
-        state = LmDecodeState(h=np.zeros(self.d), theta=theta)
-        for tok in prefix:
-            state = self.advance(state, tok)
+        """Decode state of one hypothesis that has consumed ``prefix``."""
+        prefix = list(prefix)
+        check_tokens(prefix, self.V)
+        p = self.params
+        states = unroll(p["H"], p["P"], p["E"], prefix, np.zeros(self.d))
+        state = LmDecodeState(h=states[-1:], prev_h=states[-2:-1] if prefix else None,
+                              theta=theta, t=len(prefix), t0=len(prefix))
+        self._start_scope(state, prefix, states[1:])
         return state
 
-    def advance(self, state, token):
-        h_new = self.step(state.h, token)
-        new = LmDecodeState(h=h_new, prev_h=state.h, theta=state.theta)
-        if self.attends:
-            rep = np.concatenate([self.params["E"][:, token], h_new])
-            new.reps = state.reps + [rep]
-            new.ureps = state.ureps + [self.params["U"] @ rep]
+    def advance(self, state, tokens, parents=None):
+        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model)."""
+        h = state.h if parents is None else state.h[parents]
+        new = LmDecodeState(h=self.step(h, tokens), prev_h=h, theta=state.theta,
+                            t=state.t + 1, t0=state.t0)
+        self._extend_scope(state, new, tokens, parents)
         return new
 
+    def _start_scope(self, state, prefix, states):
+        """Attention scope of a fresh state; none here."""
+
+    def _extend_scope(self, state, new, tokens, parents):
+        """Attention scope of an advanced state; none here."""
+
     def step_dist(self, state):
-        """Next-token distribution and attention weight row (None here)."""
+        """(B, V) next-token distributions and attention weights (None here)."""
         return self.next_dist(state.h), None
 
     # ------------------------------------------------------------------
@@ -155,6 +167,15 @@ class RnnLm(Model):
         )
 
 
+def _arena(a, rows, t, t0, slots, cap):
+    """A (slots, cap, ·) buffer: every slot starts with the shared rows [0:t0]
+    and slot i goes on with rows [t0:t] of a[rows[i]]."""
+    out = np.empty((slots, cap, a.shape[2]))
+    out[:, :t0] = a[0, :t0]
+    out[: len(rows), t0:t] = a[rows, t0:t]
+    return out
+
+
 class AttentionRnnLm(RnnLm):
     """Recurrent LM with a dynamic attention scope over the consumed tokens."""
 
@@ -176,28 +197,14 @@ class AttentionRnnLm(RnnLm):
     # ------------------------------------------------------------------
     # single-step operations
 
-    def attend(self, h_prev, reps):
-        """Context vector and weights over the token representations so far.
-
-        reps is the list (or (t, d_e+d) array) of representations of every
-        consumed token; the scope must be non-empty.
-        """
-        R = np.asarray(reps, dtype=np.float64)
-        if R.ndim == 1:
-            R = R.reshape(1, -1)
-        if R.size == 0:
-            raise DataError("attention over an empty history")
-        p = self.params
-        _, alpha, z = attention(p["W"] @ h_prev, p["b"], R, R @ p["U"].T)
-        return z, alpha
-
     def next_dist(self, h, z=None, theta=None):
-        """Distribution from the state and the attention context."""
+        """Distribution from the state and the attention context (row-wise
+        for a batch)."""
         p = self.params
-        out = p["Oh"] @ h
+        out = matvecs(p["Oh"], h)
         if z is not None:
-            out += p["Oz"] @ z
-        return softmax(p["O"].T @ self._add_topic(out, theta))
+            out += matvecs(p["Oz"], z)
+        return softmax(matvecs(p["O"].T, self._add_topic(out, theta)))
 
     def _outputs(self, H, Z, theta):
         """Output-layer inputs Oh h (+ Oz z) for the rows h of ``H``.
@@ -263,12 +270,39 @@ class AttentionRnnLm(RnnLm):
     # ------------------------------------------------------------------
     # stepwise decoding
 
+    def _start_scope(self, state, prefix, states):
+        """One arena slot holding the representations of ``prefix``, whose
+        tokens produced ``states``."""
+        t0, p = len(prefix), self.params
+        state.R = np.empty((1, 2 * t0 + 1, self.d_z))
+        state.UR = np.empty((1, 2 * t0 + 1, self.d))
+        state.R[0, :t0, : self.d_e] = p["E"][:, prefix].T
+        state.R[0, :t0, self.d_e :] = states
+        state.UR[0, :t0] = matvecs(p["U"], state.R[0, :t0])
+
+    def _extend_scope(self, state, new, tokens, parents):
+        """Give ``new`` the arena of ``state`` with slot i holding the scope of
+        row ``parents[i]``, plus the representation of ``tokens[i]``."""
+        B, t, t0, p = len(new.h), state.t, state.t0, self.params
+        R, UR = state.R, state.UR
+        if B > len(R) or t == R.shape[1]:  # more slots or rows: a fresh arena
+            rows = np.arange(B) if parents is None else parents
+            cap = 2 * R.shape[1] if t == R.shape[1] else R.shape[1]
+            R, UR = (_arena(a, rows, t, t0, max(B, len(a)), cap) for a in (R, UR))
+        elif parents is not None:  # the prefix rows [0:t0] agree in every slot
+            R[:B, t0:t] = R[parents, t0:t]
+            UR[:B, t0:t] = UR[parents, t0:t]
+        R[:B, t, : self.d_e] = p["E"][:, tokens].T
+        R[:B, t, self.d_e :] = new.h
+        UR[:B, t] = matvecs(p["U"], R[:B, t])
+        new.R, new.UR = R, UR
+
     def step_dist(self, state):
         alpha = z = None
         if state.prev_h is not None:
-            p = self.params
-            _, alpha, z = attention(p["W"] @ state.prev_h, p["b"],
-                                    np.asarray(state.reps), np.asarray(state.ureps))
+            p, B, t = self.params, len(state.h), state.t
+            _, alpha, z = attention(matvecs(p["W"], state.prev_h), p["b"],
+                                    state.R[:B, :t], state.UR[:B, :t])
         return self.next_dist(state.h, z, state.theta), alpha
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, attention_backward, bptt, log_softmax, nll_backward,
-                       recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, attention_backward, bptt, columns, log_softmax, matvecs,
+                       nll_backward, recur, softmax, unroll, zero_grads)
 from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
 
 
@@ -150,29 +150,33 @@ class Seq2Seq(Model):
     # stepwise decoding
 
     def begin(self, prefix):
+        """Decoder state of one hypothesis, after encoding ``prefix``."""
         if not prefix:
             raise DataError("seq2seq decoding needs a non-empty source prefix")
         enc = self._encode(prefix)[1:]
         uenc = enc @ self.params["U"].T if self.use_attention else None
-        return Seq2SeqDecodeState(enc_states=enc, uenc=uenc, h=enc[-1].copy())
+        return Seq2SeqDecodeState(enc_states=enc, uenc=uenc, h=enc[-1:].copy())
 
-    def advance(self, state, token):
-        check_tokens([token], self.V)
+    def advance(self, state, tokens, parents=None):
+        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model)."""
+        check_tokens(tokens, self.V)
         p = self.params
+        h = state.h if parents is None else state.h[parents]
         return Seq2SeqDecodeState(
             enc_states=state.enc_states,
             uenc=state.uenc,
-            h=recur(p["Hd"], state.h, p["Pd"], p["Ed"][:, token]),
-            prev_h=state.h,
+            h=recur(p["Hd"], h, p["Pd"], columns(p["Ed"], tokens)),
+            prev_h=h,
         )
 
     def step_dist(self, state):
+        """(B, V) next-token distributions and (B, M+1) attention weights."""
         p = self.params
         if not self.use_attention:
-            return softmax(p["Od"].T @ state.h), None
+            return softmax(matvecs(p["Od"].T, state.h)), None
         q = state.h if state.prev_h is None else state.prev_h
-        _, alpha, z = attention(p["W"] @ q, p["b"], state.enc_states, state.uenc)
-        return softmax(p["Od"].T @ (p["Oh"] @ state.h + p["Oz"] @ z)), alpha
+        _, alpha, z = attention(matvecs(p["W"], q), p["b"], state.enc_states, state.uenc)
+        return softmax(matvecs(p["Od"].T, matvecs(p["Oh"], state.h) + matvecs(p["Oz"], z))), alpha
 
     # ------------------------------------------------------------------
     # dialogue plumbing

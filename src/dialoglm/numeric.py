@@ -13,19 +13,26 @@ from .errors import NumericalError
 INIT_HALF_WIDTH = 0.08
 # Version of the rounding contract (docs/FORMATS.md, "Numerics"); run
 # manifests record it. Version 2 forms every gradient sum over positions
-# and every per-position product of a teacher-forced pass as one gemm.
+# and every per-position product of a teacher-forced pass as one gemm; the
+# stepwise decode path forms its products as one gemv per row (matvecs).
 NUMERICS = 2
 
 
 def softmax(scores):
-    """Probability distribution over ``scores``, stabilized by max subtraction."""
+    """Probability distribution over ``scores``, stabilized by max subtraction.
+
+    A matrix is normalized row by row.
+    """
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:
         raise NumericalError("softmax of an empty score vector")
     if not np.isfinite(s).all():
         raise NumericalError("softmax input contains non-finite entries")
-    e = np.exp(s - s.max())
-    return e / e.sum()
+    # in place: a fresh buffer per step costs page faults at decode sizes
+    e = s - s.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(scores):
@@ -42,9 +49,32 @@ def log_softmax(scores):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def matvecs(A, X):
+    """A @ x for the vector ``X``, or for every row x of a batch ``X``.
+
+    numpy runs a stacked matmul as one BLAS gemv per row, so each row is
+    bitwise equal to A @ x however many rows share the batch. (X @ A.T is
+    one gemm, which rounds differently, and differently again for one row.)
+    """
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def columns(Em, tokens):
+    """The columns Em[:, tok] of ``tokens`` as the rows of a strided view.
+
+    Every row keeps a non-unit stride, like a single column Em[:, tok]:
+    BLAS rounds a dot product over a strided vector (a product with a
+    one-row matrix) differently from one over a contiguous vector.
+    """
+    cols = np.empty((Em.shape[0], len(tokens) + 1))
+    cols[:, :-1] = Em[:, tokens]
+    return cols[:, :-1].T
+
+
 def recur(Hm, h, Pm, e):
-    """tanh(Hm @ h + Pm @ e), the shared recurrence nonlinearity."""
-    return np.tanh(Hm @ h + Pm @ e)
+    """tanh(Hm @ h + Pm @ e), the shared recurrence nonlinearity; row-wise
+    for a batch of states ``h`` and inputs ``e``."""
+    return np.tanh(matvecs(Hm, h) + matvecs(Pm, e))
 
 
 def unroll(Hm, Pm, Em, tokens, h0):
@@ -85,10 +115,15 @@ def attention(wq, b, R, UR):
     caller owns both projections, so it can batch them over positions.
     Returns (pre, alpha, z) with pre = tanh(W q + U r_i) row-wise,
     alpha = softmax(pre b), z = alpha R.
+
+    A batch of queries ``wq`` (B, d) attends row by row, each over its own
+    ``R[i]`` (B, t, d_z) or all over one shared ``R`` (t, d_z); every row is
+    bitwise equal to the single-query result.
     """
-    pre = np.tanh(wq + UR)
+    pre = wq[..., None, :] + UR
+    np.tanh(pre, out=pre)
     alpha = softmax(pre @ b)
-    return pre, alpha, alpha @ R
+    return pre, alpha, np.matmul(alpha[..., None, :], R)[..., 0, :]
 
 
 def attention_backward(Um, b, R, pre, alpha, dz, gU, gb):

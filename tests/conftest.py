@@ -1,13 +1,14 @@
 """Shared test helpers: independent metric oracles kept deliberately
 separate from the package implementations they check, a shape-checked
-form of the recurrence and the central-difference gradient check."""
+form of the recurrence, single-query attention over a list of token
+representations and the central-difference gradient check."""
 
 import math
 
 import numpy as np
 
-from dialoglm.errors import NumericalError
-from dialoglm.numeric import recur
+from dialoglm.errors import DataError, NumericalError
+from dialoglm.numeric import attention, recur
 
 
 def bleu_oracle(hyps, refs, max_n=4):
@@ -56,6 +57,23 @@ def affine_tanh(Hm, h, Pm, e):
             f"affine_tanh shape mismatch: {Hm.shape}@{h.shape} + {Pm.shape}@{e.shape}"
         )
     return recur(Hm, h, Pm, e)
+
+
+def attend(model, h_prev, reps):
+    """Context vector and weights of an attention model's query ``h_prev``
+    over the token representations so far.
+
+    reps is the list (or (t, d_e+d) array) of representations of every
+    consumed token; the scope must be non-empty.
+    """
+    R = np.asarray(reps, dtype=np.float64)
+    if R.ndim == 1:
+        R = R.reshape(1, -1)
+    if R.size == 0:
+        raise DataError("attention over an empty history")
+    p = model.params
+    _, alpha, z = attention(p["W"] @ h_prev, p["b"], R, R @ p["U"].T)
+    return z, alpha
 
 
 def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=None):

@@ -145,8 +145,8 @@ def test_criterion_04_ablation_equivalence():
             pa, _ = arnn.step_dist(sa)
             pr, _ = rnn.step_dist(sr)
             worst = max(worst, float(np.max(np.abs(pa - pr))))
-            sa = arnn.advance(sa, tok)
-            sr = rnn.advance(sr, tok)
+            sa = arnn.advance(sa, [tok])
+            sr = rnn.advance(sr, [tok])
     assert worst < 1e-9
     report(4, f"Oz=0 ablation matches the plain LM within {worst:.1e} "
               f"across 100 random sequences")

@@ -461,6 +461,39 @@ class TestBadInput:
         assert err.strip().splitlines()[-1].startswith("error: argument --")
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["generate", "eval", "tune", "attviz"])
+    def test_non_finite_len_norm_is_a_usage_error(self, workspace, generated, lda_model,
+                                                   tmp_path, capsys, command, value):
+        test, vocab = str(workspace["prep"] / "test.txt"), str(workspace["vocab"])
+        ckpt = ["--checkpoint", str(workspace["ckpt"]), "--vocab", vocab]
+        argv = {
+            "generate": [*ckpt, "--histories", test],
+            "eval": [*ckpt, "--corpus", test, "--recall-n", "1"],
+            "tune": ["--histories", test, "--candidates-dir", str(generated),
+                     "--topic-models", str(lda_model), "--vocab", vocab,
+                     "--objective", "recall", "--checkpoint", str(workspace["ckpt"])],
+            "attviz": [*ckpt, "--history", test],
+        }[command]
+        code = main([command, "--out", str(tmp_path / command), *argv,
+                     f"--len-norm={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("error: argument --len-norm")
+
+    @pytest.mark.parametrize("n", ["0", "-1", "11"])
+    def test_eval_recall_n_out_of_range(self, workspace, tmp_path, capsys, n):
+        code = main(["eval", "--checkpoint", str(workspace["ckpt"]),
+                     "--vocab", str(workspace["vocab"]),
+                     "--corpus", str(workspace["prep"] / "test.txt"),
+                     "--out", str(tmp_path / "ev"), "--recall-n", n])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "recall@N" in err
+
+
 def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_model,
                                                       tmp_path, monkeypatch):
     # a tarnn model scores the reference under the history's inferred topics,

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from dialoglm.generator import (Candidate, continuation_log_likelihood,
                                 continuation_logp_from, format_candidates, format_trace,
                                 generate, norm_score, trace_attention)
 from dialoglm.metrics import recall_at_n
-from dialoglm.models import AttentionRnnLm, RnnLm, TopicAttentionRnnLm
+from dialoglm.models import AttentionRnnLm, RnnLm, TopicAttentionRnnLm, make_model
 
 VOCAB = Vocabulary([f"w{i}" for i in range(6)])  # V = 12
 V = VOCAB.size
@@ -55,7 +57,7 @@ class TestGenerate:
             expected.append(tok)
             if tok == corpus.EOU_ID:
                 break
-            state = m.advance(state, tok)
+            state = m.advance(state, [tok])
         assert cand.tokens == expected
 
     def test_wide_beam_matches_exhaustive_oracle(self):
@@ -110,6 +112,11 @@ class TestGenerate:
             generate(m, HISTORY, VOCAB, beam_width=2, n_best=3)
         with pytest.raises(DataError):
             generate(m, HISTORY, VOCAB, max_len=0)
+
+    @pytest.mark.parametrize("len_norm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_len_norm_rejected(self, len_norm):
+        with pytest.raises(DataError, match="len_norm"):
+            generate(tiny_model(), HISTORY, VOCAB, len_norm=len_norm)
 
     def test_length_normalization_exponent(self):
         m = tiny_model(seed=6)
@@ -201,7 +208,7 @@ class TestTopicFeature:
 
     def _under_theta(self, m, tokens):
         state = m.begin(corpus.continuation_prefix(HISTORY), self.THETA)
-        return continuation_logp_from(m, state, tokens)
+        return continuation_logp_from(m, state, [tokens])[0]
 
     def test_continuation_log_likelihood(self):
         calls = []
@@ -243,3 +250,143 @@ class TestTopicFeature:
             calls.clear()
             assert recall_at_n(m, [cs], 1) == float(order[0] == truth)
             assert calls == [HISTORY]
+
+
+# ---------------------------------------------------------------------------
+# the per-hypothesis decode loops that the batched ones replaced
+
+
+@dataclass
+class _Hyp:
+    state: object
+    tokens: list
+    logp: float
+    rows: list
+
+
+def _reference_generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
+                        len_norm=1.0, record_trace=False):
+    """Beam search with one one-row decode state per hypothesis; a state is
+    copied before it branches, since ``advance`` may reuse its buffers."""
+    beams = [_Hyp(state=model.start(history), tokens=[], logp=0.0, rows=[])]
+    finished = []
+    for _ in range(max_len):
+        pool = []
+        for hyp in beams:
+            probs, alpha = model.step_dist(hyp.state)
+            alpha = None if alpha is None else alpha[0]
+            with np.errstate(divide="ignore"):
+                logps = np.log(probs[0])
+            k = min(beam_width, len(logps))
+            top = np.argpartition(-logps, k - 1)[:k]
+            top = top[np.argsort(-logps[top], kind="stable")]
+            for tok in top:
+                tok = int(tok)
+                rows = hyp.rows + [alpha] if record_trace else hyp.rows
+                ext = _Hyp(hyp.state, hyp.tokens + [tok], hyp.logp + float(logps[tok]), rows)
+                if tok == corpus.EOU_ID:
+                    finished.append(ext)
+                else:
+                    pool.append(ext)
+        pool.sort(key=lambda h: (-h.logp, h.tokens))
+        beams = [
+            _Hyp(model.advance(copy.deepcopy(h.state), [h.tokens[-1]]), h.tokens, h.logp, h.rows)
+            for h in pool[:beam_width]
+        ]
+        if not beams:
+            break
+    finished.extend(beams)
+    ranked = sorted(
+        finished,
+        key=lambda h: (-norm_score(h.logp, len(h.tokens), len_norm), h.tokens),
+    )
+    return [(h.tokens, h.logp, norm_score(h.logp, len(h.tokens), len_norm),
+             h.rows if record_trace else None) for h in ranked[:n_best]]
+
+
+def _reference_continuation_logp_from(model, state, tokens):
+    total = 0.0
+    for tok in tokens:
+        probs, _ = model.step_dist(state)
+        p = float(probs[0, tok])
+        total += math.log(p) if p > 0.0 else -math.inf
+        state = model.advance(state, [tok])
+    return total
+
+
+def _reference_recall_at_n(model, candidate_sets, n, len_norm=1.0):
+    hits = 0
+    for cs in candidate_sets:
+        root = model.start(cs.history)
+        scores = []
+        for cand in cs.candidates:
+            seq = list(cand) + [corpus.EOU_ID]
+            lp = _reference_continuation_logp_from(model, copy.deepcopy(root), seq)
+            scores.append(norm_score(lp, len(seq), len_norm))
+        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        if order.index(cs.truth_index) < n:
+            hits += 1
+    return hits / len(candidate_sets)
+
+
+def _bytes(x):
+    return np.float64(x).tobytes()
+
+
+def _candidate_bytes(tokens, loglik, norm, rows):
+    return (tokens, _bytes(loglik), _bytes(norm),
+            None if rows is None else [r.tobytes() for r in rows])
+
+
+KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
+LONG_HISTORY = Dialogue(((0, (6, 7, 8, 9)), (1, (10, 11)), (0, (6, 6, 9)), (1, (7,))))
+
+
+def _decode_models():
+    """Every kind at the init scale, and peaked (scaled) so that many
+    probabilities underflow and the beam meets exact ties; a tarnn scores
+    under a non-uniform provider theta."""
+    theta = np.array([0.6, 0.3, 0.1])
+    for kind in KINDS:
+        for scale in (1.0, 300.0):
+            m = make_model(kind, 5, 4, V, n_topics=3, seed=41,
+                           theta_provider=lambda history: theta)
+            for p in m.params.values():
+                p *= scale
+            yield kind, scale, m
+
+
+class TestBatchedDecodeMatchesReference:
+    @pytest.mark.parametrize("beam_width", [1, 3, 10])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_generate(self, beam_width, record_trace):
+        for kind, scale, m in _decode_models():
+            if record_trace and not m.attends:
+                continue
+            for history in (HISTORY, LONG_HISTORY):
+                for len_norm in (1.0, 0.5):
+                    kw = dict(beam_width=beam_width, max_len=30, n_best=beam_width,
+                              len_norm=len_norm, record_trace=record_trace)
+                    got = [_candidate_bytes(c.tokens, c.loglik, c.norm_score,
+                                            c.trace.rows if record_trace else None)
+                           for c in generate(m, history, VOCAB, **kw)]
+                    want = [_candidate_bytes(*c)
+                            for c in _reference_generate(m, history, VOCAB, **kw)]
+                    assert got == want, (kind, scale, history, len_norm)
+
+    def test_continuation_logp_from_and_recall(self):
+        rng = np.random.default_rng(43)
+        for kind, scale, m in _decode_models():
+            sets = []
+            for history in (HISTORY, LONG_HISTORY):
+                cands = tuple(tuple(int(t) for t in rng.integers(0, V, int(rng.integers(0, 7))))
+                              for _ in range(10))
+                sets.append(corpus.CandidateSet(history=history, candidates=cands,
+                                                truth_index=int(rng.integers(0, 10))))
+                seqs = [list(c) + [corpus.EOU_ID] for c in cands] + [[], [6]]
+                got = continuation_logp_from(m, m.start(history), seqs)
+                want = [_reference_continuation_logp_from(m, m.start(history), seq)
+                        for seq in seqs]
+                assert [_bytes(x) for x in got] == [_bytes(x) for x in want], (kind, scale)
+            for n in range(1, 11):
+                assert recall_at_n(m, sets, n) == _reference_recall_at_n(m, sets, n)

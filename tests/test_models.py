@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import grad_check
+from conftest import attend, grad_check
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialoglm import corpus
 from dialoglm.corpus import Dialogue
@@ -24,7 +26,7 @@ class TestRnnStep:
         m = RnnLm(D, DE, V, seed=0)
         for k in m.params:
             m.params[k][:] = 0.0
-        np.testing.assert_array_equal(m.step(np.ones(D), 3), np.zeros(D))
+        np.testing.assert_array_equal(m.step(np.ones((1, D)), [3])[0], np.zeros(D))
 
     def test_hand_computed_d2(self):
         m = RnnLm(2, 1, V, seed=0)
@@ -33,7 +35,7 @@ class TestRnnStep:
         m.params["E"][:] = 0.0
         m.params["E"][0, 7] = 0.3
         h = np.array([0.2, -0.4])
-        got = m.step(h, 7)
+        got = m.step(h[None], [7])[0]
         exp0 = math.tanh(0.5 * 0.2 + (-0.25) * (-0.4) + 2.0 * 0.3)
         exp1 = math.tanh(0.0 * 0.2 + 1.0 * (-0.4) + (-1.0) * 0.3)
         np.testing.assert_allclose(got, [exp0, exp1], atol=1e-12)
@@ -42,13 +44,13 @@ class TestRnnStep:
         rng = np.random.default_rng(1)
         m = RnnLm(D, DE, V, seed=2)
         for _ in range(20):
-            h = m.step(rng.normal(size=D) * 10, int(rng.integers(0, V)))
+            h = m.step(rng.normal(size=(1, D)) * 10, [int(rng.integers(0, V))])
             assert np.all(np.abs(h) < 1.0)
 
     def test_out_of_range_token(self):
         m = RnnLm(D, DE, V, seed=0)
         with pytest.raises(DataError):
-            m.step(np.zeros(D), V)
+            m.step(np.zeros((1, D)), [V])
 
 
 class TestLmNextDist:
@@ -79,14 +81,14 @@ class TestAttend:
     def test_singleton_scope(self):
         m = AttentionRnnLm(D, DE, V, seed=6)
         r0 = np.random.default_rng(0).normal(size=m.d_z)
-        z, alpha = m.attend(np.ones(D), [r0])
+        z, alpha = attend(m, np.ones(D), [r0])
         np.testing.assert_allclose(alpha, [1.0], atol=1e-12)
         np.testing.assert_allclose(z, r0, atol=1e-12)
 
     def test_identical_reps_uniform(self):
         m = AttentionRnnLm(D, DE, V, seed=7)
         r = np.random.default_rng(1).normal(size=m.d_z)
-        z, alpha = m.attend(np.zeros(D), [r, r, r])
+        z, alpha = attend(m, np.zeros(D), [r, r, r])
         np.testing.assert_allclose(alpha, np.full(3, 1 / 3), atol=1e-12)
         np.testing.assert_allclose(z, r, atol=1e-12)
 
@@ -95,7 +97,7 @@ class TestAttend:
         m = AttentionRnnLm(D, DE, V, seed=8)
         h = rng.normal(size=D)
         reps = [rng.normal(size=m.d_z) for _ in range(3)]
-        z, alpha = m.attend(h, reps)
+        z, alpha = attend(m, h, reps)
         # independent recomputation, scalar loops only
         p = m.params
         betas = []
@@ -111,7 +113,7 @@ class TestAttend:
     def test_empty_scope_rejected(self):
         m = AttentionRnnLm(D, DE, V, seed=9)
         with pytest.raises(DataError):
-            m.attend(np.zeros(D), np.empty((0, m.d_z)))
+            attend(m, np.zeros(D), np.empty((0, m.d_z)))
 
 
 class TestArnnNextDist:
@@ -213,12 +215,12 @@ class TestSequenceLogLikelihood:
             if t == 0:
                 dist = softmax(p["O"].T @ (p["Oh"] @ h))
             else:
-                z, _ = m.attend(prev_h, reps)
+                z, _ = attend(m, prev_h, reps)
                 dist = m.next_dist(h, z)
             total += math.log(float(dist[tok]))
             assert abs(math.log(float(dist[tok])) - s.per_token[t]) < 1e-10
             prev_h = h
-            h = m.step(h, tok)
+            h = m.step(h[None], [tok])[0]
             reps.append(np.concatenate([p["E"][:, tok], h]))
         assert abs(total - s.logp) < 1e-9
 
@@ -321,8 +323,8 @@ class TestDecodeScoreConsistency:
         state = m.begin([], theta=theta) if theta is not None else m.begin([])
         for t, tok in enumerate(tokens):
             probs, _ = m.step_dist(state)
-            assert abs(math.log(float(probs[tok])) - s.per_token[t]) < 1e-10
-            state = m.advance(state, tok)
+            assert abs(math.log(float(probs[0, tok])) - s.per_token[t]) < 1e-10
+            state = m.advance(state, [tok])
 
     @pytest.mark.parametrize("attn", [False, True])
     def test_seq2seq(self, attn):
@@ -334,10 +336,10 @@ class TestDecodeScoreConsistency:
         state = m.begin(src)
         for l, tok in enumerate(tgt):
             probs, alpha = m.step_dist(state)
-            assert abs(math.log(float(probs[tok])) - s.per_token[l]) < 1e-10
+            assert abs(math.log(float(probs[0, tok])) - s.per_token[l]) < 1e-10
             if attn:
-                np.testing.assert_allclose(alpha, s.alphas[l], atol=1e-12)
-            state = m.advance(state, tok)
+                np.testing.assert_allclose(alpha[0], s.alphas[l], atol=1e-12)
+            state = m.advance(state, [tok])
 
 
 KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
@@ -359,7 +361,7 @@ class TestStart:
             (pa, wa), (pb, wb) = m.step_dist(a), m.step_dist(b)
             assert pa.tobytes() == pb.tobytes()
             assert (wa is None and wb is None) or wa.tobytes() == wb.tobytes()
-            a, b = m.advance(a, tok), m.advance(b, tok)
+            a, b = m.advance(a, [tok]), m.advance(b, [tok])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_step_dist_weight_row(self, kind):
@@ -367,12 +369,42 @@ class TestStart:
         state = m.start(self.HISTORY)
         for tok in (6, 7):
             probs, alpha = m.step_dist(state)
-            assert abs(probs.sum() - 1.0) < 1e-12
+            assert abs(probs[0].sum() - 1.0) < 1e-12
             if kind in ("rnn", "seq2seq"):
                 assert alpha is None
             else:
-                assert abs(alpha.sum() - 1.0) < 1e-12
-            state = m.advance(state, tok)
+                assert abs(alpha[0].sum() - 1.0) < 1e-12
+            state = m.advance(state, [tok])
+
+
+class TestBatchedDecode:
+    """Row b of a batched decode state is bitwise the hypothesis it stands for,
+    decoded alone, whatever else shares the batch."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
+           d=st.integers(1, 9), prefix=st.lists(st.integers(0, V - 1), min_size=1, max_size=12),
+           steps=st.lists(st.lists(st.tuples(st.integers(0, 99), st.integers(0, V - 1)),
+                                   min_size=1, max_size=6), min_size=1, max_size=7))
+    def test_rows_match_single_hypothesis(self, kind, seed, d, prefix, steps):
+        theta = np.random.default_rng(seed).dirichlet(np.ones(K))
+        m = make_model(kind, d, DE, V, n_topics=K, seed=seed)
+        begin = (lambda: m.begin(prefix, theta)) if kind == "tarnn" else (lambda: m.begin(prefix))
+        state, histories = begin(), [[]]
+        for step in steps:  # each step: (parent, token) per new row
+            parents = [p % len(histories) for p, _ in step]
+            tokens = [tok for _, tok in step]
+            state = m.advance(state, tokens, parents)
+            histories = [histories[p] + [tok] for p, tok in zip(parents, tokens)]
+            probs, alpha = m.step_dist(state)
+            assert probs.shape == (len(histories), V)
+            for row, hist in enumerate(histories):
+                single = begin()
+                for tok in hist:
+                    single = m.advance(single, [tok])
+                p1, a1 = m.step_dist(single)
+                assert probs[row].tobytes() == p1[0].tobytes()
+                assert (alpha is None and a1 is None) or alpha[row].tobytes() == a1[0].tobytes()
 
 
 class TestGradients:

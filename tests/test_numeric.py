@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from dialoglm.errors import NumericalError
 from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
-from dialoglm.numeric import (attention, attention_backward, clip_global_norm, global_norm,
-                              log_softmax, nll_backward, softmax, unroll, zero_grads)
+from dialoglm.numeric import (attention, attention_backward, clip_global_norm, columns,
+                              global_norm, log_softmax, matvecs, nll_backward, recur, softmax,
+                              unroll, zero_grads)
 
 
 class TestSoftmax:
@@ -179,6 +180,34 @@ def _bptt_rows(Hm, Pm, Em, tokens, states, dstates, gH, gP, gE):
     _outers(gP, rev, Em[:, tokens[::-1]].T)
 
 
+class TestDecodeProducts:
+    """The batched decode kernels give every row the bits of the one-vector
+    products the stepwise path has always used (A @ x, P @ E[:, tok])."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64])
+    def test_rows_equal_single_products(self, d):
+        rng = np.random.default_rng(d)
+        de, n, t = 5, 300, 9
+        H, P = rng.normal(size=(d, d)), rng.normal(size=(d, de))
+        E, O = rng.normal(size=(de, n)), rng.normal(size=(d, n))
+        U, b = rng.normal(size=(d, de)), rng.normal(size=d)
+        for B in (1, 2, 5):
+            h = rng.normal(size=(B, d))
+            toks = [int(x) for x in rng.integers(0, n, B)]
+            R = rng.normal(size=(B, t + 3, de))
+            UR = matvecs(U, R[:, :t])
+            got_h = recur(H, h, P, columns(E, toks))
+            got_o = softmax(matvecs(O.T, h))
+            _, alpha, z = attention(h, b, R[:, :t], UR)
+            for i in range(B):
+                assert got_h[i].tobytes() == np.tanh(H @ h[i] + P @ E[:, toks[i]]).tobytes()
+                assert got_o[i].tobytes() == softmax(O.T @ h[i]).tobytes()
+                assert UR[i].tobytes() == np.array([U @ r for r in R[i, :t]]).tobytes()
+                a1 = softmax(np.tanh(h[i] + np.array(UR[i])) @ b)
+                assert alpha[i].tobytes() == a1.tobytes()
+                assert z[i].tobytes() == (a1 @ np.array(R[i, :t])).tobytes()
+
+
 class _RowsRnnLm(RnnLm):
     def loss_and_grads(self, tokens, theta=None):
         tokens = list(tokens)
@@ -338,8 +367,8 @@ class TestNumericsV2:
         stepwise = []
         for tok in tokens:
             probs, _ = model.step_dist(state)
-            stepwise.append(math.log(probs[tok]))
-            state = model.advance(state, tok)
+            stepwise.append(math.log(probs[0, tok]))
+            state = model.advance(state, [tok])
         np.testing.assert_allclose(forced, stepwise, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("kind", KINDS)
