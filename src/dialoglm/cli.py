@@ -56,7 +56,8 @@ def _load_stopwords(path, vocab):
 def _theta_provider(topic_model_path, vocab, stopword_ids):
     if topic_model_path is None:
         return None, None
-    tm = topics.TopicModel.load(topic_model_path, expect_vocab_sha256=vocab.sha256())
+    tm = topics.TopicModel.load(topic_model_path, expect_vocab_sha256=vocab.sha256(),
+                                expect_vocab_size=len(vocab))
     cache = {}
 
     def provider(dialogue):
@@ -75,7 +76,7 @@ def _load_model(args, vocab, stopword_ids=frozenset()):
             raise DataError("a tarnn checkpoint needs --topic-model for topic features")
         _, provider = _theta_provider(args.topic_model, vocab, stopword_ids)
     return load_checkpoint(args.checkpoint, expect_vocab_sha256=vocab.sha256(),
-                           theta_provider=provider)
+                           expect_vocab_size=len(vocab), theta_provider=provider)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,8 @@ def cmd_rerank(args):
     out = _outdir(args.out)
     vocab = _load_vocab(args.vocab)
     stop_ids = _load_stopwords(args.stopwords, vocab)
-    tm = topics.TopicModel.load(args.topic_model, expect_vocab_sha256=vocab.sha256())
+    tm = topics.TopicModel.load(args.topic_model, expect_vocab_sha256=vocab.sha256(),
+                                expect_vocab_size=len(vocab))
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
     config = topics.RerankConfig(lam=args.lam, metric=args.metric)
     top_lines = []
@@ -350,7 +352,8 @@ def cmd_tune(args):
     dev = corpus.load_corpus(args.histories, vocab, min_turns=2)
     topic_models = {}
     for path in args.topic_models.split(","):
-        tm = topics.TopicModel.load(path, expect_vocab_sha256=vocab.sha256())
+        tm = topics.TopicModel.load(path, expect_vocab_sha256=vocab.sha256(),
+                                    expect_vocab_size=len(vocab))
         topic_models[tm.n_topics] = tm
     model = None
     if args.objective == "recall":

@@ -46,8 +46,15 @@ class Candidate:
 
 
 def norm_score(logp, length, len_norm):
-    """Length-normalized log-likelihood, logp / length**len_norm."""
-    return logp / (length ** len_norm)
+    """Length-normalized log-likelihood, logp / length**len_norm; DataError
+    when a len_norm of large magnitude takes it out of the float range."""
+    try:
+        score = logp / (length ** len_norm)
+    except (OverflowError, ZeroDivisionError):
+        score = math.inf
+    if math.isinf(score) and math.isfinite(logp):
+        raise DataError(f"len_norm {len_norm!r} takes length**len_norm out of the float range")
+    return score
 
 
 def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,

@@ -63,8 +63,8 @@ def read_checkpoint_header(path):
         return _read_header(f, path)
 
 
-def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
-    """Reconstruct a model from a checkpoint; verifies the vocabulary hash."""
+def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None, expect_vocab_size=None):
+    """Reconstruct a model from a checkpoint; verifies the vocabulary hash and size."""
     from . import make_model
 
     with open(path, "rb") as f:
@@ -74,6 +74,8 @@ def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None):
                 f"{path}: checkpoint was trained against a different vocabulary "
                 f"(hash {header['vocab_sha256'][:12]}.. != {expect_vocab_sha256[:12]}..)"
             )
+        if expect_vocab_size not in (None, V := header["dims"]["V"]):
+            raise DataError(f"{path}: checkpoint has V={V}, not {expect_vocab_size}")
         params = {}
         for name, shape in header["arrays"]:
             raw = read_exact(f, math.prod(shape) * 8, path,

@@ -25,8 +25,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, attention_backward, bptt, columns, log_softmax, matvecs,
-                       nll_backward, recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, recur,
+                       scoped_attention, scoped_attention_backward, softmax, unroll, zero_grads)
 from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
 
 
@@ -231,31 +231,23 @@ class AttentionRnnLm(RnnLm):
         # rep[i] pairs token i's embedding with the state that consumed it
         R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
         UR = R @ p["U"].T  # (n-1, d)
-        WQ = states[:-1] @ p["W"].T  # position t queries with states[t-1]
-        Z = np.empty((n - 1, self.d_z))
-        pre, alphas = [None] * n, [None] * n
-        for t in range(1, n):
-            pre[t], alphas[t], Z[t - 1] = attention(WQ[t - 1], p["b"], R[:t], UR[:t])
+        WQ = states[:-1] @ p["W"].T  # position t queries with states[t-1] over R[:t]
+        pre, A, Z = scoped_attention(WQ, p["b"], R, UR, np.arange(1, n))
         outs = self._outputs(states, Z, theta)
-        return {"states": states, "R": R, "pre": pre, "alphas": alphas, "Z": Z,
-                "outs": outs, "logps": log_softmax(outs @ p["O"])}
+        return {"states": states, "R": R, "pre": pre, "A": A, "Z": Z, "outs": outs,
+                "alphas": [None] + [A[t - 1, :t] for t in range(1, n)],
+                "logps": log_softmax(outs @ p["O"])}
 
     # ------------------------------------------------------------------
     # backward
 
     def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
         p = self.params
-        n = len(tokens)
         douts = dlogits @ p["O"].T
         dstates += douts @ p["Oh"]
-        dzs = douts[1:] @ p["Oz"]
-        dwqs = np.empty((n - 1, self.d))
-        drep = np.zeros_like(fw["R"])
-        for t in range(1, n):  # position 0 is scored without attention
-            dwqs[t - 1], dR = attention_backward(p["U"], p["b"], fw["R"][:t], fw["pre"][t],
-                                                 fw["alphas"][t], dzs[t - 1],
-                                                 grads["U"], grads["b"])
-            drep[:t] += dR
+        dzs = douts[1:] @ p["Oz"]  # position 0 is scored without attention
+        dwqs, drep = scoped_attention_backward(p["U"], p["b"], fw["R"], fw["pre"], fw["A"],
+                                               dzs, grads["U"], grads["b"])
         dstates[:-1] += dwqs @ p["W"]
         grads["W"] += dwqs.T @ fw["states"][:-1]
         grads["O"] += fw["outs"].T @ dlogits

@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, attention_backward, bptt, columns, log_softmax, matvecs,
-                       nll_backward, recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, recur,
+                       scoped_attention, scoped_attention_backward, softmax, unroll, zero_grads)
 from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
 
 
@@ -90,12 +90,10 @@ class Seq2Seq(Model):
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
             WQ = dec[queries] @ p["W"].T
-            Z = np.empty((L, self.d))
-            pres, alphas = [None] * L, [None] * L
-            for l in range(L):
-                pres[l], alphas[l], Z[l] = attention(WQ[l], p["b"], enc, UE)
+            pres, A, Z = scoped_attention(WQ, p["b"], enc, UE, np.full(L, len(enc)))
             outs = dec @ p["Oh"].T + Z @ p["Oz"].T
-            fw.update({"pre": pres, "alphas": alphas, "Z": Z, "queries": queries, "outs": outs})
+            fw.update({"pre": pres, "A": A, "alphas": list(A), "Z": Z, "queries": queries,
+                       "outs": outs})
             logits = outs @ p["Od"]
         else:
             logits = dec @ p["Od"]
@@ -122,11 +120,9 @@ class Seq2Seq(Model):
             douts = dlogits @ p["Od"].T
             ddec += douts @ p["Oh"]
             dzs = douts @ p["Oz"]
-            dwqs = np.empty_like(douts)
-            for l in range(len(target)):
-                dwqs[l], dR = attention_backward(p["U"], p["b"], fw["enc"], fw["pre"][l],
-                                                 fw["alphas"][l], dzs[l], grads["U"], grads["b"])
-                denc += dR
+            dwqs, dR = scoped_attention_backward(p["U"], p["b"], fw["enc"], fw["pre"], fw["A"],
+                                                 dzs, grads["U"], grads["b"])
+            denc += dR
             q = fw["queries"]
             np.add.at(ddec, q, dwqs @ p["W"])
             grads["W"] += dwqs.T @ fw["dec"][q]

@@ -13,9 +13,13 @@ from .errors import NumericalError
 INIT_HALF_WIDTH = 0.08
 # Version of the rounding contract (docs/FORMATS.md, "Numerics"); run
 # manifests record it. Version 2 forms every gradient sum over positions
-# and every per-position product of a teacher-forced pass as one gemm; the
-# stepwise decode path forms its products as one gemv per row (matvecs).
-NUMERICS = 2
+# and every per-position product of a teacher-forced pass as one gemm,
+# version 3 its attention by blocks of queries; decoding keeps one gemv
+# per row.
+NUMERICS = 3
+# Queries per scoped_attention block: a larger block wastes tanh work past
+# its narrower scopes, a smaller one pays more per-block overhead.
+ATTENTION_BLOCK = 16
 
 
 def softmax(scores):
@@ -28,8 +32,11 @@ def softmax(scores):
         raise NumericalError("softmax of an empty score vector")
     if not np.isfinite(s).all():
         raise NumericalError("softmax input contains non-finite entries")
-    # in place: a fresh buffer per step costs page faults at decode sizes
-    e = s - s.max(axis=-1, keepdims=True)
+    return _normalize(s - s.max(axis=-1, keepdims=True))
+
+
+def _normalize(e):
+    """exp(e) / its sum along the last axis, in place (fresh buffers cost page faults)."""
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -126,19 +133,44 @@ def attention(wq, b, R, UR):
     return pre, alpha, np.matmul(alpha[..., None, :], R)[..., 0, :]
 
 
-def attention_backward(Um, b, R, pre, alpha, dz, gU, gb):
-    """Backward pass of :func:`attention` for one query, given dL/dz.
+def scoped_attention(WQ, b, R, UR, scope):
+    """:func:`attention` of each query WQ[j] over R[:scope[j]] (scope >= 1),
+    as one (k, T, d) tanh per block of k = ATTENTION_BLOCK queries over its
+    widest scope T, the scores masked past each query's own scope. Returns
+    the blocks' pre-activations, the (n, len(R)) weights, zero past each
+    scope, and the (n, d_z) contexts."""
+    A, pres = np.zeros((len(WQ), len(R))), []
+    for j in range(0, len(WQ), ATTENTION_BLOCK):
+        blk = slice(j, j + ATTENTION_BLOCK)
+        T = scope[blk].max()
+        pre = WQ[blk, None, :] + UR[:T]
+        pres.append(np.tanh(pre, out=pre))
+        s = pre @ b
+        if not np.isfinite(s).all():
+            raise NumericalError("attention scores contain non-finite entries")
+        s[np.arange(T) >= scope[blk, None]] = -np.inf
+        A[blk, :T] = _normalize(s - s.max(axis=1, keepdims=True))
+    return pres, A, A @ R
 
-    Adds into the gradients ``gU`` and ``gb``; returns (dwq, dR), where
-    dwq = dL/d(W q): the W gradient and dL/dq are the caller's, like the
-    projection itself.
-    """
-    dalpha = R @ dz
-    dbeta = alpha * (dalpha - alpha @ dalpha)
-    gb += pre.T @ dbeta
-    dpre = dbeta[:, None] * b * (1.0 - pre * pre)
-    gU += dpre.T @ R
-    return dpre.sum(axis=0), alpha[:, None] * dz + dpre @ Um
+
+def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
+    """Backward pass of :func:`scoped_attention` given dL/dZ: adds into ``gU``
+    and ``gb``, returns (dWQ, dR). Summed over queries j, dpre_j^T R[:scope[j]]
+    is S^T R and dpre_j U is S U, S[i] summing dpre_j[i] over the j that see
+    row i: two products with U in all, not two per query."""
+    dWQ, S = np.empty((len(dZ), len(b))), np.zeros((len(R), len(b)))
+    for j, pre in zip(range(0, len(dZ), ATTENTION_BLOCK), pres):
+        blk, T = slice(j, j + ATTENTION_BLOCK), pre.shape[1]
+        alpha = A[blk, :T]
+        dalpha = dZ[blk] @ R[:T].T
+        dbeta = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+        gb += np.tensordot(dbeta, pre, axes=2)
+        dpre = 1.0 - pre * pre
+        dpre *= dbeta[..., None] * b
+        dWQ[blk] = dpre.sum(axis=1)
+        S[:T] += dpre.sum(axis=0)
+    gU += S.T @ R
+    return dWQ, A.T @ dZ + S @ Um
 
 
 def nll_backward(logps, targets):

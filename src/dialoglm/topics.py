@@ -76,9 +76,9 @@ class TopicModel:
         write_bytes_atomic(path, blob)
 
     @classmethod
-    def load(cls, path, expect_vocab_sha256=None):
-        """Read ``topics.bin``; a caller that passes a vocabulary hash gets a
-        DataError unless the file is bound to that vocabulary."""
+    def load(cls, path, expect_vocab_sha256=None, expect_vocab_size=None):
+        """Read ``topics.bin``; a caller that passes a vocabulary's hash and
+        size gets a DataError unless the file is bound to that vocabulary."""
         with open(path, "rb") as f:
             header = read_json_header(f, path)
             if header.get("format") != TOPIC_FORMAT_VERSION:
@@ -92,6 +92,8 @@ class TopicModel:
                 "xi": lambda xi: type(xi) is list and all(map(is_positive, xi)),
             })
             K, V = header["K"], header["V"]
+            if expect_vocab_size not in (None, V):
+                raise DataError(f"{path}: topic model has V={V}, not {expect_vocab_size}")
             if len(header["xi"]) != K:
                 raise DataError(f"{path}: header field 'xi' must hold K={K} values")
             raw = read_exact(f, K * V * 8, path, "topic model")

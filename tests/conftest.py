@@ -1,7 +1,8 @@
 """Shared test helpers: independent metric oracles kept deliberately
 separate from the package implementations they check, a shape-checked
 form of the recurrence, single-query attention over a list of token
-representations and the central-difference gradient check."""
+representations, the per-query attention backward pass that the per-row
+reference models use, and the central-difference gradient check."""
 
 import math
 
@@ -74,6 +75,21 @@ def attend(model, h_prev, reps):
     p = model.params
     _, alpha, z = attention(p["W"] @ h_prev, p["b"], R, R @ p["U"].T)
     return z, alpha
+
+
+def attention_backward(Um, b, R, pre, alpha, dz, gU, gb):
+    """Backward pass of :func:`attention` for one query, given dL/dz.
+
+    Adds into the gradients ``gU`` and ``gb``; returns (dwq, dR), where
+    dwq = dL/d(W q): the W gradient and dL/dq are the caller's, like the
+    projection itself.
+    """
+    dalpha = R @ dz
+    dbeta = alpha * (dalpha - alpha @ dalpha)
+    gb += pre.T @ dbeta
+    dpre = dbeta[:, None] * b * (1.0 - pre * pre)
+    gU += dpre.T @ R
+    return dpre.sum(axis=0), alpha[:, None] * dz + dpre @ Um
 
 
 def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=None):

@@ -44,7 +44,7 @@ class TestPrepare:
         assert manifest["subcommand"] == "prepare"
         assert manifest["seed"] == 5
         assert manifest["config"]["vocab_size"] == 100
-        assert manifest["numerics"] == 2
+        assert manifest["numerics"] == 3
         assert manifest["started"] <= manifest["ended"]
 
     def test_split_arithmetic(self, workspace):
@@ -417,6 +417,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_header_V_off_by_one(self, workspace, generated, lda_model, tmp_path, capsys,
+                                 command, delta):
+        # the vocabulary hash matches; only the declared size is wrong
+        good = workspace["ckpt"] if command == "eval" else lda_model
+        head, body = good.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        dims = header["dims"] if command == "eval" else header
+        dims["V"] += delta
+        bad = tmp_path / good.name
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        vocab, test = str(workspace["vocab"]), str(workspace["prep"] / "test.txt")
+        argv = {
+            "eval": ["--checkpoint", str(bad), "--vocab", vocab, "--corpus", test],
+            "rerank": ["--histories", test, "--candidates-dir", str(generated),
+                       "--topic-model", str(bad), "--vocab", vocab],
+        }[command]
+        assert main([command, "--out", str(tmp_path / command), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert f"V={dims['V']}" in err
+
     @pytest.mark.parametrize("grid", ["abc", "0:1:0", "0:1:-0.5", "1:0:0.5", "1.5", "0,nan",
                                       "0:1:1e-6", "0:1:1e-12", "0:1:1e-320"],
                              ids=["not_a_number", "zero_step", "negative_step",
@@ -481,6 +504,24 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith("error: argument --len-norm")
+
+    @pytest.mark.parametrize("value", ["1000", "-1000"])
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    def test_len_norm_out_of_float_range_is_a_data_error(self, workspace, tmp_path, capsys,
+                                                         command, value):
+        # finite, but length ** len_norm overflows (1000) or underflows to 0 (-1000)
+        test, vocab = str(workspace["prep"] / "test.txt"), str(workspace["vocab"])
+        ckpt = ["--checkpoint", str(workspace["ckpt"]), "--vocab", vocab]
+        argv = {
+            "generate": [*ckpt, "--histories", test],
+            "eval": [*ckpt, "--corpus", test, "--recall-n", "1"],
+        }[command]
+        code = main([command, "--out", str(tmp_path / command), *argv,
+                     f"--len-norm={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "len_norm" in err
 
     @pytest.mark.parametrize("n", ["0", "-1", "11"])
     def test_eval_recall_n_out_of_range(self, workspace, tmp_path, capsys, n):
@@ -621,4 +662,4 @@ def test_pipeline_is_bit_reproducible(tmp_path):
     assert differ == []
     manifests = list(tmp_path.rglob("manifest.json"))
     assert len(manifests) == 64
-    assert all(json.loads(p.read_text())["numerics"] == 2 for p in manifests)
+    assert all(json.loads(p.read_text())["numerics"] == 3 for p in manifests)

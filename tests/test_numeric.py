@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import affine_tanh, grad_check
+from conftest import affine_tanh, attention_backward, grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialoglm.errors import NumericalError
 from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
-from dialoglm.numeric import (attention, attention_backward, clip_global_norm, columns,
-                              global_norm, log_softmax, matvecs, nll_backward, recur, softmax,
-                              unroll, zero_grads)
+from dialoglm.numeric import (ATTENTION_BLOCK, attention, clip_global_norm, columns, global_norm,
+                              log_softmax, matvecs, nll_backward, recur, scoped_attention,
+                              scoped_attention_backward, softmax, unroll, zero_grads)
 
 
 class TestSoftmax:
@@ -208,6 +208,94 @@ class TestDecodeProducts:
                 assert z[i].tobytes() == (a1 @ np.array(R[i, :t])).tobytes()
 
 
+def _assert_close(got, ref, what=""):
+    """Within 1e-12 relative, or 1e-12 of the reference's largest entry."""
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(initial=0.0),
+                               err_msg=what)
+
+
+BLOCK_SIZES = [1, 2, ATTENTION_BLOCK - 1, ATTENTION_BLOCK, ATTENTION_BLOCK + 1,
+               2 * ATTENTION_BLOCK + 1, 3 * ATTENTION_BLOCK]
+
+
+class TestScopedAttention:
+    """The block kernels against one attention / attention_backward call per
+    query, the loop that numerics v2 ran."""
+
+    @staticmethod
+    def _inputs(n, growing, d=5, d_z=7):
+        rng = np.random.default_rng(100 * n + growing)
+        # growing: query j attends rows [0, j+1), like arnn; fixed: every
+        # query attends all rows, like seq2seq-attn over its M+1 = 9 states
+        T = n if growing else 9
+        scope = np.arange(1, n + 1) if growing else np.full(n, T)
+        Um, R = rng.normal(size=(d, d_z)), rng.normal(size=(T, d_z))
+        return (rng.normal(size=(n, d)), rng.normal(size=d), R, R @ Um.T, scope, Um,
+                rng.normal(size=(n, d_z)))
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("growing", [True, False], ids=["growing", "fixed"])
+    def test_matches_per_query_loop(self, n, growing):
+        WQ, b, R, UR, scope, Um, dZ = self._inputs(n, growing)
+        pres, A, Z = scoped_attention(WQ, b, R, UR, scope)
+        gU, gb = np.zeros_like(Um), np.zeros_like(b)
+        dWQ, dR = scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb)
+        ref_gU, ref_gb, ref_dR = np.zeros_like(Um), np.zeros_like(b), np.zeros_like(R)
+        assert A.shape == (n, len(R)) and Z.shape == (n, R.shape[1])
+        for j, t in enumerate(scope):
+            pre, alpha, z = attention(WQ[j], b, R[:t], UR[:t])
+            _assert_close(Z[j], z, f"Z[{j}]")
+            _assert_close(A[j, :t], alpha, f"alpha[{j}]")
+            assert not A[j, t:].any()
+            assert abs(A[j].sum() - 1.0) < 1e-12
+            dwq, dRj = attention_backward(Um, b, R[:t], pre, alpha, dZ[j], ref_gU, ref_gb)
+            _assert_close(dWQ[j], dwq, f"dWQ[{j}]")
+            ref_dR[:t] += dRj
+        _assert_close(dR, ref_dR, "dR")
+        _assert_close(gU, ref_gU, "gU")
+        _assert_close(gb, ref_gb, "gb")
+
+    @pytest.mark.parametrize("spoil", ["nan_UR", "nan_WQ", "inf_b"])
+    def test_non_finite_score_raises(self, spoil):
+        WQ, b, R, UR, scope, _, _ = self._inputs(2 * ATTENTION_BLOCK + 1, True)
+        if spoil == "nan_UR":
+            UR[ATTENTION_BLOCK + 3, 0] = np.nan
+        elif spoil == "nan_WQ":
+            WQ[-1, 1] = np.nan
+        else:
+            b[2] = np.inf
+        with pytest.raises(NumericalError):
+            scoped_attention(WQ, b, R, UR, scope)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
+    def test_model_weight_rows(self, kind, n):
+        # every teacher-forced weight row against the per-position loop
+        rng = np.random.default_rng(n)
+        model = _scaled_model(kind, n, 5.0)
+        if kind == "arnn":
+            tokens = [int(t) for t in rng.integers(0, V, n + 1)]  # n attending positions
+            got = model.score_sequence(tokens).alphas
+            ref = _rows_reference(model)._forward(tokens)["alphas"]
+            assert got[0] is None and ref[0] is None
+            got, ref, lengths = got[1:], ref[1:], range(1, n + 1)
+        else:
+            source = [int(t) for t in rng.integers(0, V, 6)]
+            target = [int(t) for t in rng.integers(0, V, n)]
+            got = model.score_pair(source, target).alphas
+            p = model.params
+            enc = model._encode(source)[1:]
+            dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
+            ref = [attention(p["W"] @ dec[max(l - 1, 0)], p["b"], enc, enc @ p["U"].T)[1]
+                   for l in range(n)]  # position l queries with dec[max(l-1, 0)]
+            lengths = [len(source)] * n
+        assert len(got) == len(ref) == n
+        for t, (a, r, length) in enumerate(zip(got, ref, lengths)):
+            assert len(a) == length
+            assert abs(a.sum() - 1.0) < 1e-12
+            _assert_close(a, r, f"row {t}")
+
+
 class _RowsRnnLm(RnnLm):
     def loss_and_grads(self, tokens, theta=None):
         tokens = list(tokens)
@@ -343,9 +431,10 @@ def _loss_and_grads(model, tokens, source, theta):
 
 class TestNumericsV2:
     """The teacher-forced passes form their per-position products and their
-    gradient sums as single matrix products (numerics v2, docs/FORMATS.md).
-    That rounds differently from the stepwise decode path and from a sum of
-    per-row products, but only at the level of the last bits."""
+    gradient sums as single matrix products (numerics v2, docs/FORMATS.md),
+    and run attention over blocks of queries (v3). That rounds differently
+    from the stepwise decode path and from a sum of per-row products, but
+    only at the level of the last bits."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
