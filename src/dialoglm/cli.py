@@ -13,8 +13,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import corpus, fileio, generator, metrics, topics, trainer
 from .errors import DataError, ToolkitError
 from .models import load_checkpoint, make_model, read_checkpoint_header, save_checkpoint
@@ -260,7 +258,7 @@ def cmd_lda(args):
     stop_ids = _load_stopwords(args.stopwords, vocab)
     dialogues = corpus.load_corpus(args.corpus, vocab, min_turns=1)
     docs = [topics.dialogue_bow(d, stop_ids) for d in dialogues]
-    xi = np.full(args.topics_k, args.xi) if args.xi else None
+    xi = None if args.xi is None else [args.xi] * args.topics_k
     tm = topics.lda_train(
         docs, args.topics_k, vocab.size, eta=args.eta, xi=xi,
         sweeps=args.sweeps, seed=args.seed, infer_sweeps=args.infer_sweeps,
@@ -354,6 +352,8 @@ def cmd_tune(args):
     for path in args.topic_models.split(","):
         tm = topics.TopicModel.load(path, expect_vocab_sha256=vocab.sha256(),
                                     expect_vocab_size=len(vocab))
+        if tm.n_topics in topic_models:
+            raise DataError(f"--topic-models: two models with K={tm.n_topics}")
         topic_models[tm.n_topics] = tm
     model = None
     if args.objective == "recall":

@@ -15,7 +15,9 @@ import json
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -97,7 +99,12 @@ class TopicModel:
             if len(header["xi"]) != K:
                 raise DataError(f"{path}: header field 'xi' must hold K={K} values")
             raw = read_exact(f, K * V * 8, path, "topic model")
+            if f.read(1):
+                raise DataError(f"{path}: trailing bytes after phi")
             phi = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(K, V)
+        # NaN fails > 0, and an inf entry makes its row's sum miss 1
+        if not (np.all(phi > 0) and np.all(np.abs(phi.sum(axis=1) - 1.0) <= 1e-9)):
+            raise DataError(f"{path}: phi must hold finite positive rows that sum to 1")
         return cls(
             n_topics=K,
             vocab_size=V,
@@ -111,7 +118,7 @@ class TopicModel:
 
 
 def _draw(weights, u):
-    """Index drawn in proportion to ``weights`` by the uniform ``u``.
+    """Index drawn in proportion to the iterable ``weights`` by the uniform ``u``.
 
     The running sum and the search are those of ``np.cumsum`` and
     ``np.searchsorted(side="right")``, on Python floats: bit for bit the
@@ -149,8 +156,10 @@ def lda_train(docs, n_topics, vocab_size, eta=0.01, xi=None, sweeps=100, seed=0,
         xi = np.asarray(xi, dtype=np.float64)
         if xi.shape != (K,):
             raise DataError(f"xi must have length K={K}")
-    if eta <= 0 or np.any(xi <= 0):
-        raise DataError("Dirichlet hyperparameters must be positive")
+    if not (0 < eta < np.inf and np.all((0 < xi) & (xi < np.inf))):
+        raise DataError("Dirichlet hyperparameters must be finite and positive")
+    if sweeps < 0 or infer_sweeps < 0:
+        raise DataError("sweep counts must not be negative")
 
     kept = []
     skipped = 0
@@ -185,24 +194,33 @@ def lda_train(docs, n_topics, vocab_size, eta=0.01, xi=None, sweeps=100, seed=0,
 
     xs = xi.tolist()
     v_eta = V * eta
+    # sums recomputed from their counts, never stepped: (c + eta) - 1 != (c - 1) + eta
+    ndx = [list(map(add, nd, xs)) for nd in ndk]
+    cwe = {w: [c + eta for c in cw] for w, cw in nkw.items()}
+    nkv = [n + v_eta for n in nk]
     n_tokens = sum(map(len, words))
     ll_history = []
     for _ in range(sweeps):
         # one call gives the same stream as one rng.random() per token
         us = iter(rng.random(n_tokens).tolist())
-        for doc, z, nd in zip(words, assign, ndk):
+        for doc, z, nd, dx in zip(words, assign, ndk, ndx):
             for j, (w, u) in enumerate(zip(doc, us)):
                 k = z[j]
-                cw = nkw[w]
+                cw, ce = nkw[w], cwe[w]
                 cw[k] -= 1
+                ce[k] = cw[k] + eta
                 nk[k] -= 1
+                nkv[k] = nk[k] + v_eta
                 nd[k] -= 1
-                k = _draw([(a + x) * (b + eta) / (n + v_eta)
-                           for a, x, b, n in zip(nd, xs, cw, nk)], u)
+                dx[k] = nd[k] + xs[k]
+                k = _draw(map(truediv, map(mul, dx, ce), nkv), u)
                 z[j] = k
                 cw[k] += 1
+                ce[k] = cw[k] + eta
                 nk[k] += 1
+                nkv[k] = nk[k] + v_eta
                 nd[k] += 1
+                dx[k] = nd[k] + xs[k]
         phi = _topic_word(nkw, nk, V, eta)
         ndk_arr = np.array(ndk)
         ll = 0.0
@@ -240,21 +258,30 @@ def infer_theta(model, doc):
         return xi / xi.sum()
     if doc.min() < 0 or doc.max() >= model.vocab_size:
         raise DataError("document token id out of vocabulary range")
-    K = model.n_topics
-    rng = np.random.default_rng([model.seed, 0x7EA])
-    z = rng.integers(0, K, size=doc.size)
-    mk = np.bincount(z, minlength=K).astype(np.float64).tolist()
-    z = z.tolist()
+    z, mk, us = _chain_start(model.seed, model.n_topics, doc.size, model.infer_sweeps)
+    z, mk, us = list(z), list(mk), iter(np.frombuffer(us).tolist())
     cols = model.phi[:, doc].T.tolist()  # per token, its word's K topic weights
     xs = xi.tolist()
-    us = iter(rng.random(model.infer_sweeps * doc.size).tolist())
+    mx = list(map(add, mk, xs))  # mk + xi, recomputed from mk as in lda_train
     for _ in range(model.infer_sweeps):
         for j, (col, u) in enumerate(zip(cols, us)):
-            mk[z[j]] -= 1
-            k = _draw([(m + x) * p for m, x, p in zip(mk, xs, col)], u)
+            k = z[j]
+            mk[k] -= 1
+            mx[k] = mk[k] + xs[k]
+            k = _draw(map(mul, mx, col), u)
             z[j] = k
             mk[k] += 1
+            mx[k] = mk[k] + xs[k]
     return (np.array(mk) + xi) / (doc.size + xi.sum())
+
+
+@lru_cache(maxsize=256)
+def _chain_start(seed, K, n, sweeps):
+    """infer_theta's chain start for an n-token document, immutable: callers share it."""
+    rng = np.random.default_rng([seed, 0x7EA])
+    z = rng.integers(0, K, size=n)
+    mk = np.bincount(z, minlength=K).astype(np.float64)
+    return tuple(z.tolist()), tuple(mk.tolist()), rng.random(sweeps * n).tobytes()
 
 
 def dialogue_bow(dialogue, stopword_ids=frozenset()):

@@ -11,6 +11,8 @@ import numpy as np
 from dialoglm.errors import DataError, NumericalError
 from dialoglm.numeric import attention, recur
 
+EPS_MACH = np.finfo(np.float64).eps
+
 
 def bleu_oracle(hyps, refs, max_n=4):
     """Independent corpus BLEU: same published definition and the same
@@ -99,7 +101,15 @@ def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=No
     perturbed) parameter values; ``analytic`` holds gradient buffers computed
     at the unperturbed point. For each parameter array a random coordinate
     subset of size ``samples_per_array`` is probed. The relative error per
-    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    coordinate is |analytic - numeric| / max(floor, |analytic| + |numeric|).
+
+    The floor comes from the rounding of the loss itself: the two losses
+    carry an error of about machine epsilon times their size, so the
+    central difference carries noise = eps_mach (|up| + |down|) / (2 eps).
+    The floor is 1e5 times that noise: a difference of up to ten times the
+    noise reads at most 1e-4, the bound the tests use, so an entry too small
+    for central differences to resolve does not fail, while a 1e-3 relative
+    error still does wherever it is more than ten times the noise.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -121,6 +131,8 @@ def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=No
             if not (np.isfinite(up) and np.isfinite(down)):
                 raise NumericalError(f"non-finite loss while probing '{name}'")
             numeric = (up - down) / (2.0 * eps)
-            rel = abs(g[i] - numeric) / max(1e-8, abs(g[i]) + abs(numeric))
+            floor = max(1e5 * EPS_MACH * (abs(up) + abs(down)) / (2.0 * eps),
+                        np.finfo(np.float64).tiny)  # 0 / 0 reads 0
+            rel = abs(g[i] - numeric) / max(floor, abs(g[i]) + abs(numeric))
             worst = max(worst, rel)
     return worst

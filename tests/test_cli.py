@@ -523,6 +523,68 @@ class TestBadInput:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "len_norm" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1.0", "inf", "unnormalized"])
+    @pytest.mark.parametrize("command", ["rerank", "tune"])
+    def test_corrupt_phi_values(self, workspace, generated, lda_model, tmp_path, capsys,
+                                command, value):
+        # every 7th entry of an lda-written phi spoiled (or every row scaled
+        # by 1 + 1e-6): a bisect past the last topic raised IndexError before
+        head, body = lda_model.read_bytes().split(b"\n", 1)
+        phi = np.frombuffer(body, dtype="<f8").copy()
+        if value == "unnormalized":
+            phi *= 1.0 + 1e-6
+        else:
+            phi[::7] = float(value)
+        bad = tmp_path / "topics.bin"
+        bad.write_bytes(head + b"\n" + phi.tobytes())
+        test, vocab = str(workspace["prep"] / "test.txt"), str(workspace["vocab"])
+        argv = {
+            "rerank": ["--topic-model", str(bad)],
+            "tune": ["--topic-models", str(bad)],
+        }[command]
+        code = main([command, "--histories", test, "--candidates-dir", str(generated),
+                     "--vocab", vocab, "--out", str(tmp_path / command), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta", "nan"), ("--eta", "inf"), ("--eta", "0"),
+        ("--xi", "nan"), ("--xi", "inf"), ("--xi", "0"),
+        ("--sweeps", "-1"), ("--infer-sweeps", "-1"),
+    ])
+    def test_lda_hyperparameter_out_of_range(self, workspace, tmp_path, capsys, flag,
+                                             value):
+        # each of these raised IndexError in the sampler, silently used the
+        # default xi (0), or wrote a topics.bin that rerank refused (-1)
+        out = tmp_path / "lda"
+        code = main(["lda", "--corpus", str(workspace["prep"] / "train.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(out),
+                     "--topics-k", "2", "--sweeps", "1", f"{flag}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (out / "topics.bin").exists()
+
+    def test_tune_two_models_with_one_K(self, workspace, generated, lda_model, tmp_path,
+                                        capsys):
+        # the later model of a repeated K used to replace the earlier one
+        other = tmp_path / "other"
+        assert main(["lda", "--corpus", str(workspace["prep"] / "train.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(other),
+                     "--topics-k", "2", "--sweeps", "2", "--seed", "9"]) == 0
+        capsys.readouterr()
+        code = main(["tune", "--histories", str(workspace["prep"] / "test.txt"),
+                     "--candidates-dir", str(generated), "--vocab", str(workspace["vocab"]),
+                     "--topic-models", f"{lda_model},{other / 'topics.bin'}",
+                     "--out", str(tmp_path / "tune"), "--lambdas", "0,0.5,1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "K=2" in err
+        assert not (tmp_path / "tune" / "grid.tsv").exists()
+
     @pytest.mark.parametrize("n", ["0", "-1", "11"])
     def test_eval_recall_n_out_of_range(self, workspace, tmp_path, capsys, n):
         code = main(["eval", "--checkpoint", str(workspace["ckpt"]),

@@ -460,13 +460,11 @@ class TestGradients:
         assert err < 1e-4
 
 
-    @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
-    def test_attention_across_blocks(self, kind):
-        # 2k + 1 attending positions: three blocks of scoped_attention queries.
-        # (At seed 33 one probed W entry is 2e-7, which central differences of a
-        # loss near 100 resolve only to 1.5e-4 relative, with the v2 loop too.)
+    @staticmethod
+    def _across_blocks(kind, seed):
+        # 2k + 1 attending positions: three blocks of scoped_attention queries
         rng = np.random.default_rng(17)
-        m = make_model(kind, D, DE, V, seed=34)
+        m = make_model(kind, D, DE, V, seed=seed)
         for k in m.params:
             m.params[k] *= 5.0
         n = 2 * ATTENTION_BLOCK + 1
@@ -475,9 +473,37 @@ class TestGradients:
         else:
             args = (random_tokens(rng, 7), random_tokens(rng, n))
         _, grads = m.loss_and_grads(*args)
-        err = grad_check(lambda: m.loss_and_grads(*args)[0], m.params, grads,
-                         eps=3e-4, samples_per_array=8, rng=np.random.default_rng(0))
+        return m, lambda: m.loss_and_grads(*args)[0], grads
+
+    @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
+    def test_attention_across_blocks(self, kind):
+        m, loss, grads = self._across_blocks(kind, seed=34)
+        err = grad_check(loss, m.params, grads, eps=3e-4, samples_per_array=8,
+                         rng=np.random.default_rng(0))
         assert err < 1e-4
+
+    def test_unresolvable_entry_is_not_a_failure(self):
+        # one probed W entry is 2.25e-7 on a loss near 99; central differences
+        # agree with it only to their rounding noise (about 7e-11), which a
+        # floor of 1e-8 on the denominator read as 1.5e-4 relative error
+        m, loss, grads = self._across_blocks("seq2seq_attn", seed=33)
+        err = grad_check(loss, m.params, grads, eps=3e-4, samples_per_array=8,
+                         rng=np.random.default_rng(0))
+        assert err < 1e-4
+
+    def test_planted_error_still_fails(self):
+        # a 1e-3 relative error in the largest probed entry of any one array
+        m, loss, grads = self._across_blocks("seq2seq_attn", seed=33)
+        for name, p in m.params.items():
+            g = grads[name].reshape(-1)
+            probed = (np.arange(g.size) if g.size <= 8 else
+                      np.random.default_rng(0).choice(g.size, size=8, replace=False))
+            planted = g.copy()
+            i = probed[np.argmax(np.abs(g[probed]))]
+            planted[i] *= 1.0 + 1e-3
+            err = grad_check(loss, {name: p}, {name: planted.reshape(p.shape)},
+                             eps=3e-4, samples_per_array=8, rng=np.random.default_rng(0))
+            assert err > 1e-4, name
 
 
 class TestCheckpoints:

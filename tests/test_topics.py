@@ -1,10 +1,14 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialoglm import corpus, synthetic
+from dialoglm import topics as topics_module
 from dialoglm.corpus import Dialogue, build_vocab
 from dialoglm.errors import DataError
 from dialoglm.generator import Candidate
@@ -14,9 +18,10 @@ from dialoglm.topics import (RerankConfig, RerankItem, TopicModel,
                              topic_similarity, tune_rerank)
 
 
-def _reference_lda_train(docs, K, V, eta, xi, sweeps, seed):
+def _reference_lda_train(docs, K, V, eta, xi, sweeps, seed, weights_log=None):
     """The numpy sampler the list-based one replaced: per token, array
-    weights, ``np.cumsum`` and ``np.searchsorted``, one ``rng.random()``."""
+    weights, ``np.cumsum`` and ``np.searchsorted``, one ``rng.random()``.
+    Each draw's weights go to ``weights_log`` when one is given."""
     kept = [np.asarray(d, dtype=np.int64) for d in docs if len(d)]
     rng = np.random.default_rng(seed)
     nkw, nk, ndk = np.zeros((K, V)), np.zeros(K), np.zeros((len(kept), K))
@@ -37,7 +42,10 @@ def _reference_lda_train(docs, K, V, eta, xi, sweeps, seed):
                 nkw[k, w] -= 1
                 nk[k] -= 1
                 ndk[d, k] -= 1
-                cum = np.cumsum((ndk[d] + xi) * (nkw[:, w] + eta) / (nk + V * eta))
+                weights = (ndk[d] + xi) * (nkw[:, w] + eta) / (nk + V * eta)
+                if weights_log is not None:
+                    weights_log.append(weights.tolist())
+                cum = np.cumsum(weights)
                 k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
                 z[j] = k
                 nkw[k, w] += 1
@@ -52,7 +60,7 @@ def _reference_lda_train(docs, K, V, eta, xi, sweeps, seed):
     return (nkw + eta) / (nk + V * eta)[:, None], ll_history
 
 
-def _reference_infer_theta(model, doc):
+def _reference_infer_theta(model, doc, weights_log=None):
     doc = np.asarray(doc, dtype=np.int64)
     xi = model.xi
     if doc.size == 0:
@@ -65,30 +73,92 @@ def _reference_infer_theta(model, doc):
     for _ in range(model.infer_sweeps):
         for j in range(doc.size):
             mk[z[j]] -= 1
-            cum = np.cumsum((mk + xi) * phi_doc[:, j])
+            weights = (mk + xi) * phi_doc[:, j]
+            if weights_log is not None:
+                weights_log.append(weights.tolist())
+            cum = np.cumsum(weights)
             k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
             z[j] = k
             mk[k] += 1
     return (mk + xi) / (doc.size + xi.sum())
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-@pytest.mark.parametrize("K", [1, 3, 20])
-def test_sampler_matches_numpy_reference_bitwise(K, seed):
-    # the chain, not just its statistics: phi, ll_history and theta are the
-    # reference's to the last bit, on single-token documents, repeated
-    # words and an empty document
+def _recording_draw(monkeypatch):
+    """Route every ``topics._draw`` call through a recorder; returns the list
+    that receives each draw's weights."""
+    log, real = [], topics_module._draw
+
+    def draw(weights, u):
+        weights = list(weights)
+        log.append(weights)
+        return real(weights, u)
+
+    monkeypatch.setattr(topics_module, "_draw", draw)
+    return log
+
+
+def _check_sampler_against_reference(monkeypatch, K, seed, eta, xi):
+    # a weight one ulp off rarely moves a draw, so the weights themselves
+    # are compared as well as phi, ll_history and theta
     V = 40
     rng = np.random.default_rng(100 + seed)
     special = [[7], [], [3, 3, 3, 3], [5, 9, 5, 9, 5]]
     docs = [list(rng.integers(0, V, size=int(n))) for n in rng.integers(2, 30, size=25)]
     docs += special
-    xi = np.full(K, 50.0 / K)
-    model = lda_train(docs, K, V, eta=0.05, sweeps=3, seed=seed, infer_sweeps=4)
-    phi, ll_history = _reference_lda_train(docs, K, V, 0.05, xi, 3, seed)
+    weights, ref_weights = _recording_draw(monkeypatch), []
+    model = lda_train(docs, K, V, eta=eta, xi=xi, sweeps=3, seed=seed, infer_sweeps=4)
+    phi, ll_history = _reference_lda_train(docs, K, V, eta, model.xi, 3, seed, ref_weights)
     assert model.phi.tobytes() == phi.tobytes()
     assert model.ll_history == ll_history
     for doc in special + docs[:5]:
+        theta = infer_theta(model, doc)
+        assert theta.tobytes() == _reference_infer_theta(model, doc, ref_weights).tobytes()
+    assert np.array(weights).tobytes() == np.array(ref_weights).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("K", [1, 3, 10, 20])
+def test_sampler_matches_numpy_reference_bitwise(monkeypatch, K, seed):
+    # the chain, not just its statistics: phi, ll_history and theta are the
+    # reference's to the last bit, on single-token documents, repeated
+    # words and an empty document
+    _check_sampler_against_reference(monkeypatch, K, seed, 0.05, None)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("K", [1, 3, 10, 20])
+def test_sampler_matches_reference_with_inexact_priors(monkeypatch, K, seed):
+    # count + 0.1 and count + 0.03 round, so (c + eta) - 1 != (c - 1) + eta:
+    # a cached sum stepped along with its count would drift off the weights
+    _check_sampler_against_reference(monkeypatch, K, seed, 0.03, np.full(K, 0.1))
+
+
+def _random_model(K, V, seed, infer_sweeps, rng, xi=0.7):
+    return TopicModel(n_topics=K, vocab_size=V, phi=rng.dirichlet(np.ones(V), size=K),
+                      eta=0.01, xi=np.full(K, xi), seed=seed, train_sweeps=1,
+                      infer_sweeps=infer_sweeps)
+
+
+def test_infer_theta_chain_start_is_keyed_by_seed_k_length_and_sweeps():
+    # interleaved calls whose documents share a length but not their words,
+    # repeat a document, or go to models that differ in one part of the
+    # chain-start key (seed, K, infer_sweeps) or in nothing but phi and xi
+    V = 30
+    rng = np.random.default_rng(8)
+    models = [_random_model(3, V, 5, 4, rng), _random_model(3, V, 6, 4, rng),
+              _random_model(4, V, 5, 4, rng), _random_model(3, V, 5, 7, rng),
+              _random_model(3, V, 5, 4, rng, xi=0.3)]
+    docs = [list(rng.integers(0, V, size=6)) for _ in range(3)]
+    docs += [docs[0], list(rng.integers(0, V, size=1)), list(rng.integers(0, V, size=9))]
+    for _ in range(2):
+        for doc in docs:
+            for model in models:
+                assert (infer_theta(model, doc).tobytes()
+                        == _reference_infer_theta(model, doc).tobytes())
+    # a model changed in place is read afresh on the next call
+    model = models[0]
+    model.seed, model.infer_sweeps = 9, 3
+    for doc in docs:
         assert infer_theta(model, doc).tobytes() == _reference_infer_theta(model, doc).tobytes()
 
 
@@ -163,6 +233,16 @@ class TestLdaTrain:
             lda_train([[11]], 2, 10)  # out of range
         with pytest.raises(DataError):
             lda_train([[1]], 2, 10, eta=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eta": math.nan}, {"eta": math.inf}, {"eta": -0.5},
+        {"xi": [0.5, math.nan]}, {"xi": [math.inf, 0.5]}, {"xi": [0.0, 0.5]},
+        {"sweeps": -1}, {"infer_sweeps": -1},
+    ], ids=["eta_nan", "eta_inf", "eta_negative", "xi_nan", "xi_inf", "xi_zero",
+            "negative_sweeps", "negative_infer_sweeps"])
+    def test_hyperparameters_outside_what_load_accepts(self, kwargs):
+        with pytest.raises(DataError):
+            lda_train([[1, 2]], 2, 10, **kwargs)
 
 
 class TestInferTheta:
@@ -419,3 +499,56 @@ def test_dialogue_bow_strips_reserved_and_stopwords():
     d = Dialogue(((0, (7, 8, 9)), (1, (9, 10))))
     assert dialogue_bow(d) == [7, 8, 9, 9, 10]
     assert dialogue_bow(d, stopword_ids=frozenset({9})) == [7, 8, 10]
+
+
+@pytest.fixture(scope="module")
+def topics_file(tmp_path_factory):
+    """A small trained topics.bin: its bytes, a path to overwrite, and the vocabulary
+    binding (hash and size) that the CLI passes to ``load``."""
+    rng = np.random.default_rng(3)
+    docs = [list(rng.integers(0, 12, size=8)) for _ in range(10)]
+    model = lda_train(docs, 2, 12, eta=0.03, xi=np.full(2, 0.1), sweeps=2, seed=4)
+    path = tmp_path_factory.mktemp("topics") / "topics.bin"
+    model.save(path, vocab_sha256="e" * 64)
+    binding = {"expect_vocab_sha256": "e" * 64, "expect_vocab_size": 12}
+    return path.read_bytes(), path, binding
+
+
+class TestTopicsFileDamage:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_file_is_a_data_error(self, topics_file, cut):
+        blob, path, binding = topics_file
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(DataError):
+            TopicModel.load(path, **binding)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\n", bytes(8)])
+    def test_trailing_bytes_are_a_data_error(self, topics_file, extra):
+        blob, path, binding = topics_file
+        path.write_bytes(blob + extra)
+        with pytest.raises(DataError, match="trailing"):
+            TopicModel.load(path, **binding)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
+    def test_corrupted_header_byte(self, topics_file, where, byte):
+        # a header byte replaced by any other byte gives DataError, except
+        # inside a number or in the whitespace between tokens, where the
+        # result may still be a valid header: there it may load instead
+        blob, path, binding = topics_file
+        header = blob[:blob.index(b"\n")]
+        i = min(int(where * len(header)), len(header) - 1)
+        if byte == header[i]:
+            byte ^= 0x20
+        path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+        text = re.sub(r'"[^"]*"', lambda m: "_" * len(m.group()), header.decode())
+        may_load = text[i] in " 0123456789.-+eE"
+        if may_load:
+            try:
+                TopicModel.load(path, **binding)
+            except DataError:
+                pass
+        else:
+            with pytest.raises(DataError):
+                TopicModel.load(path, **binding)
