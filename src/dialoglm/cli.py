@@ -8,6 +8,7 @@ Environment variables are never consulted.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -28,27 +29,16 @@ def _utcnow():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _outdir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _config_of(args):
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _load_vocab(path):
-    if not os.path.exists(path):
-        raise DataError(f"vocabulary file not found: {path}")
-    return corpus.Vocabulary.load(path)
-
-
-def _load_stopwords(path, vocab):
-    if path is None:
-        return frozenset()
-    with open(path, encoding="utf-8") as f:
+def _load_vocab(args):
+    """The vocabulary of ``--vocab`` and the ids of the ``--stopwords`` in it."""
+    if not os.path.exists(args.vocab):
+        raise DataError(f"vocabulary file not found: {args.vocab}")
+    vocab = corpus.Vocabulary.load(args.vocab)
+    if args.stopwords is None:
+        return vocab, frozenset()
+    with open(args.stopwords, encoding="utf-8") as f:
         words = [line.strip() for line in f if line.strip()]
-    return frozenset(vocab.id_of(w) for w in words if w in vocab)
+    return vocab, frozenset(vocab.id_of(w) for w in words if w in vocab)
 
 
 def _theta_provider(topic_model_path, vocab, stopword_ids):
@@ -66,11 +56,11 @@ def _theta_provider(topic_model_path, vocab, stopword_ids):
     return tm, provider
 
 
-def _load_model(args, vocab, stopword_ids=frozenset()):
+def _load_model(args, vocab, stopword_ids):
     header = read_checkpoint_header(args.checkpoint)
     provider = None
     if header["kind"] == "tarnn":
-        if getattr(args, "topic_model", None) is None:
+        if args.topic_model is None:
             raise DataError("a tarnn checkpoint needs --topic-model for topic features")
         _, provider = _theta_provider(args.topic_model, vocab, stopword_ids)
     return load_checkpoint(args.checkpoint, expect_vocab_sha256=vocab.sha256(),
@@ -82,7 +72,6 @@ def _load_model(args, vocab, stopword_ids=frozenset()):
 
 
 def cmd_prepare(args):
-    out = _outdir(args.out)
     dialogues = corpus.read_corpus_words(args.corpus, min_turns=2)
     train_w, dev_w, test_w = corpus.split_corpus(dialogues, args.ratios, args.seed)
     if not train_w:
@@ -90,17 +79,17 @@ def cmd_prepare(args):
     vocab = corpus.build_vocab(
         (turn for dlg in train_w for turn in dlg), args.vocab_size
     )
-    vocab.save(os.path.join(out, "vocab.txt"))
+    vocab.save(os.path.join(args.out, "vocab.txt"))
     for name, split in (("train", train_w), ("dev", dev_w), ("test", test_w)):
-        corpus.write_corpus_words(os.path.join(out, f"{name}.txt"), split)
+        corpus.write_corpus_words(os.path.join(args.out, f"{name}.txt"), split)
         if split:
             rate = corpus.unk_rate(split, vocab)
             print(f"{name}: {len(split)} dialogues, unk rate {rate:.4f}")
         else:
             print(f"{name}: 0 dialogues")
     return {
-        "vocab": os.path.join(out, "vocab.txt"),
-        "splits": [os.path.join(out, f"{n}.txt") for n in ("train", "dev", "test")],
+        "vocab": os.path.join(args.out, "vocab.txt"),
+        "splits": [os.path.join(args.out, f"{n}.txt") for n in ("train", "dev", "test")],
     }
 
 
@@ -118,9 +107,7 @@ KIND_FLAGS = {
 
 
 def cmd_train(args):
-    out = _outdir(args.out)
-    vocab = _load_vocab(args.vocab)
-    stop_ids = _load_stopwords(args.stopwords, vocab)
+    vocab, stop_ids = _load_vocab(args)
     kind = KIND_FLAGS[args.kind]
     tm, provider = _theta_provider(args.topic_model, vocab, stop_ids)
     if kind == "tarnn" and tm is None:
@@ -143,12 +130,12 @@ def cmd_train(args):
         pretrain = (pre_train, pre_dev)
     result = trainer.pretrain_finetune(model, pretrain, (train_dlg, dev_dlg), config,
                                        log_lines=log_lines)
-    ckpt = os.path.join(out, "model.ckpt")
+    ckpt = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt, result.model, vocab.sha256())
-    fileio.write_text_atomic(os.path.join(out, "train_log.txt"),
+    fileio.write_text_atomic(os.path.join(args.out, "train_log.txt"),
                              "".join(line + "\n" for line in log_lines))
     print(f"best dev ppl {result.best_dev_ppl:.4f} after {len(result.log)} evaluations")
-    return {"checkpoint": ckpt, "log": os.path.join(out, "train_log.txt")}
+    return {"checkpoint": ckpt, "log": os.path.join(args.out, "train_log.txt")}
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +143,7 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
-    out = _outdir(args.out)
-    vocab = _load_vocab(args.vocab)
-    stop_ids = _load_stopwords(args.stopwords, vocab)
+    vocab, stop_ids = _load_vocab(args)
     model = _load_model(args, vocab, stop_ids)
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
     top_lines = []
@@ -168,15 +153,15 @@ def cmd_generate(args):
             model, history, vocab, beam_width=args.beam_width, max_len=args.max_len,
             n_best=args.n_best, len_norm=args.len_norm, record_trace=args.trace,
         )
-        path = os.path.join(out, f"candidates_{i:04d}.txt")
+        path = os.path.join(args.out, f"candidates_{i:04d}.txt")
         fileio.write_text_atomic(path, generator.format_candidates(cands, vocab))
         outputs.append(path)
         top_lines.append(cands[0].text(vocab))
         if args.trace:
-            tpath = os.path.join(out, f"trace_{i:04d}.txt")
+            tpath = os.path.join(args.out, f"trace_{i:04d}.txt")
             fileio.write_text_atomic(tpath, generator.format_trace(cands[0].trace))
             outputs.append(tpath)
-    gen_path = os.path.join(out, "generations.txt")
+    gen_path = os.path.join(args.out, "generations.txt")
     fileio.write_text_atomic(gen_path, "".join(line + "\n" for line in top_lines))
     return {"generations": gen_path, "candidates": outputs}
 
@@ -211,7 +196,6 @@ def _parse_candidate_file(path, vocab):
 
 
 def cmd_eval(args):
-    out = _outdir(args.out)
     if args.hyp or args.ref:
         if not (args.hyp and args.ref):
             raise DataError("text evaluation needs both --hyp and --ref")
@@ -229,8 +213,7 @@ def cmd_eval(args):
     else:
         if not (args.checkpoint and args.vocab and args.corpus):
             raise DataError("model evaluation needs --checkpoint, --vocab and --corpus")
-        vocab = _load_vocab(args.vocab)
-        stop_ids = _load_stopwords(args.stopwords, vocab)
+        vocab, stop_ids = _load_vocab(args)
         model = _load_model(args, vocab, stop_ids)
         dialogues = corpus.load_corpus(args.corpus, vocab, min_turns=2)
         report = metrics.evaluate(model, dialogues)
@@ -242,10 +225,10 @@ def cmd_eval(args):
             report.values[f"recall_at_{args.recall_n}"] = metrics.recall_at_n(
                 model, sets, args.recall_n, len_norm=args.len_norm)
             report.counts["candidate_sets"] = len(sets)
-    fileio.write_text_atomic(os.path.join(out, "report.tsv"), report.to_tsv())
-    fileio.write_text_atomic(os.path.join(out, "report.json"), report.to_json())
+    fileio.write_text_atomic(os.path.join(args.out, "report.tsv"), report.to_tsv())
+    fileio.write_text_atomic(os.path.join(args.out, "report.json"), report.to_json())
     print(report.to_tsv(), end="")
-    return {"report": os.path.join(out, "report.tsv")}
+    return {"report": os.path.join(args.out, "report.tsv")}
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +236,7 @@ def cmd_eval(args):
 
 
 def cmd_lda(args):
-    out = _outdir(args.out)
-    vocab = _load_vocab(args.vocab)
-    stop_ids = _load_stopwords(args.stopwords, vocab)
+    vocab, stop_ids = _load_vocab(args)
     dialogues = corpus.load_corpus(args.corpus, vocab, min_turns=1)
     docs = [topics.dialogue_bow(d, stop_ids) for d in dialogues]
     xi = None if args.xi is None else [args.xi] * args.topics_k
@@ -263,16 +244,16 @@ def cmd_lda(args):
         docs, args.topics_k, vocab.size, eta=args.eta, xi=xi,
         sweeps=args.sweeps, seed=args.seed, infer_sweeps=args.infer_sweeps,
     )
-    path = os.path.join(out, "topics.bin")
+    path = os.path.join(args.out, "topics.bin")
     tm.save(path, vocab_sha256=vocab.sha256())
     top = tm.top_words(10, vocab)
     fileio.write_text_atomic(
-        os.path.join(out, "topwords.txt"),
+        os.path.join(args.out, "topwords.txt"),
         "".join(f"topic {k}: " + " ".join(ws) + "\n" for k, ws in enumerate(top)),
     )
-    log_path = os.path.join(out, "lda_log.txt")
+    log_path = os.path.join(args.out, "lda_log.txt")
     fileio.write_text_atomic(log_path, topics.format_lda_log(tm))
-    return {"topic_model": path, "top_words": os.path.join(out, "topwords.txt"),
+    return {"topic_model": path, "top_words": os.path.join(args.out, "topwords.txt"),
             "log": log_path}
 
 
@@ -289,9 +270,7 @@ def _iter_candidate_files(cand_dir, n):
 
 
 def cmd_rerank(args):
-    out = _outdir(args.out)
-    vocab = _load_vocab(args.vocab)
-    stop_ids = _load_stopwords(args.stopwords, vocab)
+    vocab, stop_ids = _load_vocab(args)
     tm = topics.TopicModel.load(args.topic_model, expect_vocab_sha256=vocab.sha256(),
                                 expect_vocab_size=len(vocab))
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
@@ -306,10 +285,10 @@ def cmd_rerank(args):
             lines.append(
                 f"{rank} {rc.combined!r} {rc.similarity!r} {rc.ll_z!r}\t{text}"
             )
-        fileio.write_text_atomic(os.path.join(out, f"reranked_{i:04d}.txt"),
+        fileio.write_text_atomic(os.path.join(args.out, f"reranked_{i:04d}.txt"),
                                  "\n".join(lines) + "\n")
         top_lines.append(ranked[0].candidate.text(vocab))
-    top_path = os.path.join(out, "rerank_top1.txt")
+    top_path = os.path.join(args.out, "rerank_top1.txt")
     fileio.write_text_atomic(top_path, "".join(line + "\n" for line in top_lines))
     return {"top1": top_path}
 
@@ -343,10 +322,8 @@ def _parse_lambdas(grid):
 
 
 def cmd_tune(args):
-    out = _outdir(args.out)
     lambdas = _parse_lambdas(args.lambdas)
-    vocab = _load_vocab(args.vocab)
-    stop_ids = _load_stopwords(args.stopwords, vocab)
+    vocab, stop_ids = _load_vocab(args)
     dev = corpus.load_corpus(args.histories, vocab, min_turns=2)
     topic_models = {}
     for path in args.topic_models.split(","):
@@ -382,11 +359,11 @@ def cmd_tune(args):
         items, topic_models, lambdas=lambdas, objective=args.objective,
         recall_n=args.recall_n, metric=args.metric, stopword_ids=stop_ids,
     )
-    fileio.write_text_atomic(os.path.join(out, "grid.tsv"), topics.format_grid(table))
-    fileio.write_json_atomic(os.path.join(out, "best.json"),
-                             {"K": best_k, "lambda": best_lam})
+    grid, best = os.path.join(args.out, "grid.tsv"), os.path.join(args.out, "best.json")
+    fileio.write_text_atomic(grid, topics.format_grid(table))
+    fileio.write_json_atomic(best, {"K": best_k, "lambda": best_lam})
     print(f"best K={best_k} lambda={best_lam}")
-    return {"grid": os.path.join(out, "grid.tsv"), "best": os.path.join(out, "best.json")}
+    return {"grid": grid, "best": best}
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +377,8 @@ def render_heatmap_pgm(trace, cell_size=12):
     mean larger attention weight. The exact weight rows are embedded as
     comment lines, so the image is self-describing.
     """
+    if cell_size < 1:
+        raise DataError(f"cell size {cell_size} must be at least 1")
     n_rows = len(trace.rows)
     width = max(len(row) for row in trace.rows)
     lines = [f"# row {i}: " + " ".join(repr(float(w)) for w in row)
@@ -418,9 +397,7 @@ def render_heatmap_pgm(trace, cell_size=12):
 
 
 def cmd_attviz(args):
-    out = _outdir(args.out)
-    vocab = _load_vocab(args.vocab)
-    stop_ids = _load_stopwords(args.stopwords, vocab)
+    vocab, stop_ids = _load_vocab(args)
     model = _load_model(args, vocab, stop_ids)
     if not getattr(model, "attends", False):
         raise DataError(f"checkpoint kind {model.kind!r} has no attention to visualize")
@@ -437,10 +414,11 @@ def cmd_attviz(args):
             n_best=1, len_norm=args.len_norm, record_trace=True,
         )
         trace = cands[0].trace
-    trace_path = os.path.join(out, "trace.txt")
+    heatmap = render_heatmap_pgm(trace, args.cell_size)
+    trace_path = os.path.join(args.out, "trace.txt")
     fileio.write_text_atomic(trace_path, generator.format_trace(trace))
-    pgm_path = os.path.join(out, "heatmap.pgm")
-    fileio.write_text_atomic(pgm_path, render_heatmap_pgm(trace, args.cell_size))
+    pgm_path = os.path.join(args.out, "heatmap.pgm")
+    fileio.write_text_atomic(pgm_path, heatmap)
     return {"trace": trace_path, "heatmap": pgm_path}
 
 
@@ -468,135 +446,112 @@ def _finite(text):
     return value
 
 
+# Flags that several subcommands take, each declared once. A subcommand names
+# the ones it takes and states only where it departs from this spec.
+SHARED = {
+    "--vocab": {"required": True},
+    "--out": {"required": True},
+    "--checkpoint": {"required": True},
+    "--histories": {"required": True},
+    "--seed": {"type": _seed, "default": 0},
+    "--len-norm": {"type": _finite, "default": 1.0},
+    "--beam-width": {"type": int, "default": 10},
+    "--max-len": {"type": int, "default": 30},
+    "--metric": {"choices": ("cosine", "njsd"), "default": "cosine"},
+    "--topic-model": {},
+    "--stopwords": {},
+}
+
+
+def _flag(name, **spec):
+    """A subcommand's flag: its own spec, or a SHARED flag's departures."""
+    return name, spec
+
+
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process (parse_args
+    keeps no state in it)."""
     parser = _Parser(prog="dialoglm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="split a corpus and build its vocabulary")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=int, default=10000)
-    p.add_argument("--ratios", type=_ratios, default=[0.8, 0.1, 0.1])
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_prepare)
+    def command(name, func, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            name, spec = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(name, **{**SHARED.get(name, {}), **spec})
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("train", help="train a model variant")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--kind", choices=sorted(KIND_FLAGS), default="arnn")
-    p.add_argument("--d", type=int, default=300)
-    p.add_argument("--d-e", type=int, default=None)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--clip", type=float, default=5.0)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--eval-interval", type=int, default=1)
-    p.add_argument("--topic-model", default=None)
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--pretrain", default=None)
-    p.add_argument("--pretrain-dev", default=None)
-    p.add_argument("--config", default=None,
-                   help="key=value file; flags given on the command line win")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("generate", help="beam-search continuations for histories")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--histories", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--beam-width", type=int, default=10)
-    p.add_argument("--n-best", type=int, default=10)
-    p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--len-norm", type=_finite, default=1.0)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--topic-model", default=None)
-    p.add_argument("--stopwords", default=None)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("eval", help="evaluate a model on a corpus, or score generations")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--recall-n", type=int, default=None)
-    p.add_argument("--recall-seed", type=_seed, default=0)
-    p.add_argument("--len-norm", type=_finite, default=1.0)
-    p.add_argument("--hyp", default=None)
-    p.add_argument("--ref", default=None)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--topic-model", default=None)
-    p.add_argument("--stopwords", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("lda", help="train the LDA topic structure")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--topics-k", type=int, default=10)
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--xi", type=float, default=None,
-                   help="scalar document-topic prior; default 50/K")
-    p.add_argument("--sweeps", type=int, default=100)
-    p.add_argument("--infer-sweeps", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--stopwords", default=None)
-    p.set_defaults(func=cmd_lda)
-
-    p = sub.add_parser("rerank", help="reorder generated candidates by topic match")
-    p.add_argument("--histories", required=True)
-    p.add_argument("--candidates-dir", required=True)
-    p.add_argument("--topic-model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.45)
-    p.add_argument("--metric", choices=("cosine", "njsd"), default="cosine")
-    p.add_argument("--stopwords", default=None)
-    p.set_defaults(func=cmd_rerank)
-
-    p = sub.add_parser("tune", help="grid-search (K, lambda) for the reranker")
-    p.add_argument("--histories", required=True,
-                   help="dev corpus with reference responses as final turns")
-    p.add_argument("--candidates-dir", required=True)
-    p.add_argument("--topic-models", required=True,
-                   help="comma-separated topic model paths (one per K)")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--lambdas", default="0.0:1.0:0.05")
-    p.add_argument("--objective", choices=("bleu", "recall"), default="bleu")
-    p.add_argument("--recall-n", type=int, default=1)
-    p.add_argument("--checkpoint", default=None,
-                   help="needed by the recall objective to score references")
-    p.add_argument("--topic-model", default=None)
-    p.add_argument("--len-norm", type=_finite, default=1.0)
-    p.add_argument("--metric", choices=("cosine", "njsd"), default="cosine")
-    p.add_argument("--stopwords", default=None)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("attviz", help="emit an attention trace and heatmap")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--history", required=True)
-    p.add_argument("--history-index", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--beam-width", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--len-norm", type=_finite, default=1.0)
-    p.add_argument("--continuation", default=None,
-                   help="trace this whitespace-tokenized continuation instead of decoding")
-    p.add_argument("--cell-size", type=int, default=12)
-    p.add_argument("--topic-model", default=None)
-    p.add_argument("--stopwords", default=None)
-    p.set_defaults(func=cmd_attviz)
-
+    command("prepare", cmd_prepare, "split a corpus and build its vocabulary",
+            _flag("--corpus", required=True), "--out",
+            _flag("--vocab-size", type=int, default=10000),
+            _flag("--ratios", type=_ratios, default=(0.8, 0.1, 0.1)), "--seed")
+    command("train", cmd_train, "train a model variant",
+            _flag("--train", required=True),
+            _flag("--dev", required=True), "--vocab", "--out",
+            _flag("--kind", choices=sorted(KIND_FLAGS), default="arnn"),
+            _flag("--d", type=int, default=300),
+            _flag("--d-e", type=int, default=None),
+            _flag("--lr", type=float, default=1e-3),
+            _flag("--epochs", type=int, default=50),
+            _flag("--patience", type=int, default=5),
+            _flag("--clip", type=float, default=5.0), "--seed",
+            _flag("--eval-interval", type=int, default=1), "--topic-model", "--stopwords",
+            _flag("--pretrain", default=None),
+            _flag("--pretrain-dev", default=None),
+            _flag("--config", default=None,
+                  help="key=value file; flags given on the command line win"))
+    command("generate", cmd_generate, "beam-search continuations for histories",
+            "--checkpoint", "--vocab", "--histories", "--out", "--beam-width",
+            _flag("--n-best", type=int, default=10), "--max-len", "--len-norm",
+            _flag("--trace", action="store_true"), "--topic-model", "--stopwords")
+    command("eval", cmd_eval, "evaluate a model on a corpus, or score generations",
+            _flag("--checkpoint", required=False),
+            _flag("--vocab", required=False),
+            _flag("--corpus", default=None), "--out",
+            _flag("--recall-n", type=int, default=None),
+            _flag("--recall-seed", type=_seed, default=0), "--len-norm",
+            _flag("--hyp", default=None),
+            _flag("--ref", default=None),
+            _flag("--max-n", type=int, default=4), "--topic-model", "--stopwords")
+    command("lda", cmd_lda, "train the LDA topic structure",
+            _flag("--corpus", required=True), "--vocab", "--out",
+            _flag("--topics-k", type=int, default=10),
+            _flag("--eta", type=float, default=0.01),
+            _flag("--xi", type=float, default=None,
+                  help="scalar document-topic prior; default 50/K"),
+            _flag("--sweeps", type=int, default=100),
+            _flag("--infer-sweeps", type=int, default=50), "--seed", "--stopwords")
+    command("rerank", cmd_rerank, "reorder generated candidates by topic match",
+            "--histories",
+            _flag("--candidates-dir", required=True),
+            _flag("--topic-model", required=True), "--vocab", "--out",
+            _flag("--lambda", dest="lam", type=float, default=0.45), "--metric", "--stopwords")
+    command("tune", cmd_tune, "grid-search (K, lambda) for the reranker",
+            _flag("--histories", help="dev corpus with reference responses as final turns"),
+            _flag("--candidates-dir", required=True),
+            _flag("--topic-models", required=True,
+                  help="comma-separated topic model paths (one per K)"), "--vocab", "--out",
+            _flag("--lambdas", default="0.0:1.0:0.05"),
+            _flag("--objective", choices=("bleu", "recall"), default="bleu"),
+            _flag("--recall-n", type=int, default=1),
+            _flag("--checkpoint", required=False,
+                  help="needed by the recall objective to score references"),
+            "--topic-model", "--len-norm", "--metric", "--stopwords")
+    command("attviz", cmd_attviz, "emit an attention trace and heatmap",
+            "--checkpoint", "--vocab",
+            _flag("--history", required=True),
+            _flag("--history-index", type=int, default=0), "--out",
+            _flag("--beam-width", default=1), "--max-len", "--len-norm",
+            _flag("--continuation", default=None,
+                  help="trace this whitespace-tokenized continuation instead of decoding"),
+            _flag("--cell-size", type=int, default=12), "--topic-model", "--stopwords")
     return parser
 
 
 def _apply_config_file(argv):
-    """Expand --config key=value pairs into flags placed before user flags."""
-    if "--config" not in argv:
+    """Expand train's --config key=value pairs into flags placed before user flags."""
+    if argv[:1] != ["train"] or "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
@@ -622,18 +577,15 @@ def main(argv=None):
         argv = sys.argv[1:]
     started = _utcnow()
     try:
-        argv = _apply_config_file(list(argv))
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config_file(list(argv)))
+        os.makedirs(args.out, exist_ok=True)
         outputs = args.func(args)
-        if hasattr(args, "out"):
-            inputs = {k: v for k, v in _config_of(args).items()
-                      if k != "out" and isinstance(v, str) and os.path.exists(v)}
-            fileio.write_manifest(
-                args.out, args.command, _config_of(args), inputs=inputs,
-                outputs=outputs, seed=getattr(args, "seed", None),
-                started=started, ended=_utcnow(),
-            )
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        inputs = {k: v for k, v in config.items()
+                  if k != "out" and isinstance(v, str) and os.path.exists(v)}
+        fileio.write_manifest(args.out, args.command, config, inputs=inputs, outputs=outputs,
+                              seed=getattr(args, "seed", None), started=started,
+                              ended=_utcnow())
         return 0
     except ToolkitError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -64,7 +64,7 @@ class Vocabulary:
         for t in tokens:
             if t in RESERVED_TOKENS:
                 raise DataError(f"token {t!r} collides with a reserved marker")
-            if not t or any(c.isspace() for c in t):
+            if t.split() != [t]:  # empty, or holds whitespace
                 raise DataError(f"invalid vocabulary token {t!r}")
         self._id_to_token = list(RESERVED_TOKENS) + tokens
         self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
@@ -328,7 +328,7 @@ def unk_rate(dialogues_words, vocab):
 
 def split_corpus(items, ratios, seed):
     """Deterministic shuffled split into (train, dev, test) by ``ratios``."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or not 0 < sum(ratios) < np.inf:
         raise DataError(f"invalid split ratios {ratios!r}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(items))

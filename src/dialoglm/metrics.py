@@ -71,18 +71,6 @@ def _tallies(model, dialogues):
     return full, last
 
 
-def perplexity(model, dialogues, last_utterance_only=False):
-    """exp(-sum log P / token count) over the flagged span."""
-    full, last = _tallies(model, dialogues)
-    return (last if last_utterance_only else full).rates()[0]
-
-
-def word_error_rate(model, dialogues, last_utterance_only=False):
-    """Fraction of positions whose argmax prediction misses the reference."""
-    full, last = _tallies(model, dialogues)
-    return (last if last_utterance_only else full).rates()[1]
-
-
 def evaluate(model, dialogues):
     """PPL, PPL@L, WER and WER@L in one pass over the dialogues."""
     full, last = _tallies(model, dialogues)
@@ -131,6 +119,8 @@ def corpus_bleu(hypotheses, references, max_n=4):
         raise DataError("hypotheses and references must align one-to-one")
     if not hypotheses:
         raise DataError("empty corpus for BLEU")
+    if max_n < 1:
+        raise DataError(f"BLEU needs max_n >= 1, got {max_n}")
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
     if hyp_len == 0:

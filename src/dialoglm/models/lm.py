@@ -25,8 +25,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, recur,
-                       scoped_attention, scoped_attention_backward, softmax, unroll, zero_grads)
+from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, readout,
+                       readout_backward, recur, softmax, unroll, zero_grads)
 from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
 
 
@@ -206,17 +206,6 @@ class AttentionRnnLm(RnnLm):
             out += matvecs(p["Oz"], z)
         return softmax(matvecs(p["O"].T, self._add_topic(out, theta)))
 
-    def _outputs(self, H, Z, theta):
-        """Output-layer inputs Oh h (+ Oz z) for the rows h of ``H``.
-
-        ``Z`` holds the attention contexts of the last len(Z) rows (the
-        first position of a sequence attends to nothing).
-        """
-        p = self.params
-        out = H @ p["Oh"].T
-        out[len(H) - len(Z):] += Z @ p["Oz"].T
-        return self._add_topic(out, theta)
-
     def _add_topic(self, out, theta):
         """Output-layer input(s) ``out`` plus the topic term; none here."""
         return out
@@ -230,11 +219,10 @@ class AttentionRnnLm(RnnLm):
         states = self._states(tokens)
         # rep[i] pairs token i's embedding with the state that consumed it
         R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
-        UR = R @ p["U"].T  # (n-1, d)
-        WQ = states[:-1] @ p["W"].T  # position t queries with states[t-1] over R[:t]
-        pre, A, Z = scoped_attention(WQ, p["b"], R, UR, np.arange(1, n))
-        outs = self._outputs(states, Z, theta)
-        return {"states": states, "R": R, "pre": pre, "A": A, "Z": Z, "outs": outs,
+        # position t >= 1 queries with states[t-1] over R[:t]; position 0 attends to nothing
+        outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n))
+        outs = self._add_topic(outs, theta)
+        return {"states": states, "R": R, "tape": tape, "outs": outs,
                 "alphas": [None] + [A[t - 1, :t] for t in range(1, n)],
                 "logps": log_softmax(outs @ p["O"])}
 
@@ -244,17 +232,10 @@ class AttentionRnnLm(RnnLm):
     def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
         p = self.params
         douts = dlogits @ p["O"].T
-        dstates += douts @ p["Oh"]
-        dzs = douts[1:] @ p["Oz"]  # position 0 is scored without attention
-        dwqs, drep = scoped_attention_backward(p["U"], p["b"], fw["R"], fw["pre"], fw["A"],
-                                               dzs, grads["U"], grads["b"])
-        dstates[:-1] += dwqs @ p["W"]
-        grads["W"] += dwqs.T @ fw["states"][:-1]
+        drep = readout_backward(p, fw["tape"], douts, dstates, grads)
         grads["O"] += fw["outs"].T @ dlogits
-        grads["Oh"] += douts.T @ fw["states"]
         if theta is not None:
             grads["Otheta"] += np.outer(douts.sum(axis=0), theta)
-        grads["Oz"] += douts[1:].T @ fw["Z"]
         # scatter representation gradients back to embeddings and states
         dstates[1:] += drep[:, self.d_e :]
         np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])

@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, recur,
-                       scoped_attention, scoped_attention_backward, softmax, unroll, zero_grads)
+from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, readout,
+                       readout_backward, recur, softmax, unroll, zero_grads)
 from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
 
 
@@ -84,16 +84,12 @@ class Seq2Seq(Model):
         p = self.params
         enc = enc0[1:]
         dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
-        fw = {"enc0": enc0, "enc": enc, "dec": dec, "alphas": None}
+        fw = {"enc0": enc0, "dec": dec, "alphas": None}
         if self.use_attention:
-            UE = enc @ p["U"].T  # (M+1, d)
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
-            WQ = dec[queries] @ p["W"].T
-            pres, A, Z = scoped_attention(WQ, p["b"], enc, UE, np.full(L, len(enc)))
-            outs = dec @ p["Oh"].T + Z @ p["Oz"].T
-            fw.update({"pre": pres, "A": A, "alphas": list(A), "Z": Z, "queries": queries,
-                       "outs": outs})
+            outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)))
+            fw.update({"tape": tape, "alphas": list(A), "outs": outs})
             logits = outs @ p["Od"]
         else:
             logits = dec @ p["Od"]
@@ -118,17 +114,8 @@ class Seq2Seq(Model):
         loss, dlogits = nll_backward(fw["logps"], target)
         if self.use_attention:
             douts = dlogits @ p["Od"].T
-            ddec += douts @ p["Oh"]
-            dzs = douts @ p["Oz"]
-            dwqs, dR = scoped_attention_backward(p["U"], p["b"], fw["enc"], fw["pre"], fw["A"],
-                                                 dzs, grads["U"], grads["b"])
-            denc += dR
-            q = fw["queries"]
-            np.add.at(ddec, q, dwqs @ p["W"])
-            grads["W"] += dwqs.T @ fw["dec"][q]
+            denc += readout_backward(p, fw["tape"], douts, ddec, grads)
             grads["Od"] += fw["outs"].T @ dlogits
-            grads["Oh"] += douts.T @ fw["dec"]
-            grads["Oz"] += douts.T @ fw["Z"]
         else:
             ddec += dlogits @ p["Od"].T
             grads["Od"] += fw["dec"].T @ dlogits

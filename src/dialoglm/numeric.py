@@ -173,6 +173,35 @@ def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
     return dWQ, A.T @ dZ + S @ Um
 
 
+def readout(p, H, rows, q, R, scope):
+    """Teacher-forced output-layer inputs Oh h (+ Oz z) of an attention decoder.
+
+    Every row h of ``H`` gets Oh h. The rows ``rows`` also get Oz z, where
+    the j-th of them attends with the query W H[q][j] over R[:scope[j]]
+    (:func:`scoped_attention`). Returns the inputs, the (len(scope), len(R))
+    attention weights and the tape that :func:`readout_backward` takes.
+    """
+    pres, A, Z = scoped_attention(H[q] @ p["W"].T, p["b"], R, R @ p["U"].T, scope)
+    outs = H @ p["Oh"].T
+    outs[rows] += Z @ p["Oz"].T
+    return outs, A, (H, rows, q, R, pres, A, Z)
+
+
+def readout_backward(p, tape, douts, dH, grads):
+    """Backward pass of :func:`readout` given dL/d(inputs) ``douts``: adds
+    dL/dH into ``dH`` and the gradients of W, U, b, Oh and Oz into ``grads``,
+    and returns dL/dR."""
+    H, rows, q, R, pres, A, Z = tape
+    dH += douts @ p["Oh"]
+    dWQ, dR = scoped_attention_backward(p["U"], p["b"], R, pres, A, douts[rows] @ p["Oz"],
+                                        grads["U"], grads["b"])
+    np.add.at(dH, q, dWQ @ p["W"])
+    grads["W"] += dWQ.T @ H[q]
+    grads["Oh"] += douts.T @ H
+    grads["Oz"] += douts[rows].T @ Z
+    return dR
+
+
 def nll_backward(logps, targets):
     """Summed negative log-likelihood of ``targets`` under per-position
     log-distributions (the rows of ``logps``), and its gradient wrt the

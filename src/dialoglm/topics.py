@@ -436,6 +436,8 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
     check_lambdas(lambdas)
     if objective not in ("bleu", "recall"):
         raise DataError(f"unknown tuning objective {objective!r}")
+    if recall_n < 1:
+        raise DataError(f"recall@N needs N >= 1, got {recall_n}")
     if objective == "bleu" and any(item.reference is None for item in items):
         raise DataError("BLEU tuning needs a reference per item")
     if objective == "recall" and any(item.truth_index is None for item in items):

@@ -30,8 +30,8 @@ class TrainConfig:
         for name in ("max_epochs", "patience", "eval_interval"):
             if getattr(self, name) <= 0:
                 raise DataError(f"config field {name} must be positive")
-        if self.lr < 0 or self.clip <= 0:
-            raise DataError("learning rate must be >= 0 and clip > 0")
+        if not (0 <= self.lr < np.inf and self.clip > 0):
+            raise DataError("learning rate must be finite and >= 0, and clip > 0")
 
 
 class AdamState:

@@ -82,7 +82,7 @@ def test_criterion_02_uniform_closed_forms():
     for cls in (RnnLm, AttentionRnnLm):
         m = cls(8, 6, V, seed=1)
         m.params["O"][:] = 0.0
-        ppl = metrics.perplexity(m, dialogues)
+        ppl = metrics.evaluate(m, dialogues).values["ppl"]
         assert abs(ppl - V) <= V * 1e-6
         s = m.score_sequence(corpus.flatten(dialogues[0]))
         np.testing.assert_allclose(s.per_token, -math.log(V), atol=1e-9)
@@ -173,8 +173,8 @@ def test_criterion_05_lm_beats_seq2seq():
                                 train_d, dev_d, cfg)
             # the final utterance is the only span both models score, so
             # the comparison is made there (PPL@L for the language model)
-            vals[kind] = metrics.perplexity(res.model, dev_d,
-                                            last_utterance_only=(kind == "rnn"))
+            vals[kind] = metrics.evaluate(res.model, dev_d).values[
+                "ppl_at_l" if kind == "rnn" else "ppl"]
         wins += vals["rnn"] < vals["seq2seq"]
         details.append(f"{vals['rnn']:.2f}<{vals['seq2seq']:.2f}")
     elapsed = time.time() - t0
@@ -313,8 +313,8 @@ def test_criterion_08_metric_oracles():
                 last_slice=slice(start, stop),
             )
 
-    assert metrics.word_error_rate(_Stub(0), dialogues) == 0.0
-    assert metrics.word_error_rate(_Stub(1), dialogues) == 1.0
+    assert metrics.evaluate(_Stub(0), dialogues).values["wer"] == 0.0
+    assert metrics.evaluate(_Stub(1), dialogues).values["wer"] == 1.0
     report(8, "BLEU matches the independent implementation to 4 decimals; "
               "recall@N, Distinct-1 and WER oracles exact")
 
@@ -462,7 +462,7 @@ def test_criterion_12_overfit_sanity():
         cfg = trainer.TrainConfig(lr=0.01, max_epochs=200, patience=200, seed=0)
         res = trainer.train(make_model(kind, 12, 8, 20, n_topics=3, seed=cfg.seed),
                             [d1], [d1], cfg)
-        ppls[kind] = metrics.perplexity(res.model, [d1])
+        ppls[kind] = metrics.evaluate(res.model, [d1]).values["ppl"]
         assert ppls[kind] < 1.5, (kind, ppls[kind])
     report(12, "single-dialogue memorization PPL " +
                ", ".join(f"{k}={v:.3f}" for k, v in ppls.items()))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import time
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from dialoglm import corpus, synthetic, topics
-from dialoglm.cli import KIND_FLAGS, _parse_candidate_file, main, render_heatmap_pgm
+from dialoglm.cli import (KIND_FLAGS, _parse_candidate_file, build_parser, main,
+                          render_heatmap_pgm)
 from dialoglm.errors import DataError
 from dialoglm.generator import AttentionTrace, continuation_log_likelihood
 from dialoglm.models import RnnLm, load_checkpoint, save_checkpoint
@@ -595,6 +597,86 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "recall@N" in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("prepare", "--ratios", "nan,1,1"), ("prepare", "--ratios", "inf,1,1"),
+        ("train", "--clip", "nan"), ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+        ("eval", "--max-n", "0"), ("eval", "--max-n", "-2"),
+        ("attviz", "--cell-size", "-1"), ("attviz", "--cell-size", "0"),
+        ("tune", "--recall-n", "0"),
+    ])
+    def test_number_out_of_range(self, workspace, generated, lda_model, tmp_path, capsys,
+                                 command, flag, value):
+        # these ended in a traceback (ratios), turned clipping off (clip), failed
+        # only inside the first epoch (lr), reported the brevity penalty as BLEU
+        # (max-n), wrote an image with a negative or zero size (cell-size), or
+        # scored every grid point 0.0 (recall-n)
+        prep, vocab = workspace["prep"], str(workspace["vocab"])
+        test = str(prep / "test.txt")
+        argv = {
+            "prepare": ["--corpus", str(workspace["raw"])],
+            "train": ["--train", str(prep / "train.txt"), "--dev", str(prep / "dev.txt"),
+                      "--vocab", vocab, "--kind", "rnn", "--d", "4", "--epochs", "1"],
+            "eval": ["--hyp", test, "--ref", test],
+            "attviz": ["--checkpoint", str(workspace["ckpt"]), "--vocab", vocab,
+                       "--history", test, "--max-len", "2"],
+            "tune": ["--histories", test, "--candidates-dir", str(generated),
+                     "--topic-models", str(lda_model), "--vocab", vocab,
+                     "--objective", "recall", "--checkpoint", str(workspace["ckpt"])],
+        }[command]
+        code = main([command, "--out", str(tmp_path / command), *argv, f"{flag}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+class TestFrontEnd:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_second_call_sees_its_own_flags_and_defaults(self, workspace, tmp_path):
+        ckpt, vocab = str(workspace["ckpt"]), str(workspace["vocab"])
+        test = str(workspace["prep"] / "test.txt")
+        assert main(["generate", "--checkpoint", ckpt, "--vocab", vocab, "--histories", test,
+                     "--out", str(tmp_path / "gen"), "--beam-width", "3", "--max-len", "4",
+                     "--len-norm", "0.5", "--n-best", "2"]) == 0
+        out = str(tmp_path / "viz")
+        assert main(["attviz", "--checkpoint", ckpt, "--vocab", vocab, "--history", test,
+                     "--out", out, "--max-len", "3"]) == 0
+        config = json.loads((tmp_path / "viz" / "manifest.json").read_text())["config"]
+        assert config == {
+            "command": "attviz", "checkpoint": ckpt, "vocab": vocab, "history": test,
+            "out": out, "max_len": 3, "history_index": 0, "beam_width": 1, "len_norm": 1.0,
+            "continuation": None, "cell_size": 12, "topic_model": None, "stopwords": None,
+        }
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_config_is_train_only(self, workspace, tmp_path, capsys, exists):
+        # generate used to splice the file's pairs into its own flags
+        cfg = tmp_path / "c.cfg"
+        if exists:
+            cfg.write_text("epochs=1\n", encoding="utf-8")
+        code = main(["generate", "--checkpoint", str(workspace["ckpt"]),
+                     "--vocab", str(workspace["vocab"]),
+                     "--histories", str(workspace["prep"] / "test.txt"),
+                     "--out", str(tmp_path / "gen"), "--config", str(cfg)])
+        assert code == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_shared_flags_parse_alike(self):
+        # a flag that several subcommands take converts and checks its value
+        # the same way in each, so --len-norm refuses nan in all four
+        specs = {}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for sub in subparsers.choices.values():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    specs.setdefault(flag, []).append((action.type, action.choices))
+        shared = {flag: s for flag, s in specs.items() if len(s) > 1 and flag != "-h"}
+        assert len(shared["--len-norm"]) == 4 and len(shared) >= 11
+        for flag, s in shared.items():
+            assert all(spec == s[0] for spec in s), flag
 
 
 def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_model,

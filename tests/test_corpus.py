@@ -1,12 +1,15 @@
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialoglm import corpus
 from dialoglm.corpus import (Dialogue, Vocabulary, build_vocab,
                              continuation_prefix, dialogue_from_words, flatten,
-                             last_utterance_span, load_corpus,
+                             format_dialogue_line, last_utterance_span, load_corpus,
                              parse_dialogue_line, sample_candidates,
                              split_corpus, unflatten, write_corpus_words)
 from dialoglm.errors import DataError
@@ -50,6 +53,24 @@ class TestVocabulary:
 
     def test_hash_tracks_content(self):
         assert Vocabulary(["a"]).sha256() != Vocabulary(["b"]).sha256()
+
+
+    def test_whitespace_inside_a_token_is_refused(self, tmp_path):
+        # every code point str.isspace() accepts, alone or inside a token; the
+        # zero-width space, the BOM and the Mongolian vowel separator are not
+        # whitespace and load
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) > 20
+        for c in spaces:
+            for token in (c, "a" + c, c + "b", "a" + c + "b"):
+                with pytest.raises(DataError, match="invalid vocabulary token"):
+                    Vocabulary([token])
+        with pytest.raises(DataError, match="invalid vocabulary token"):
+            Vocabulary([""])
+        tokens = ["a\u200bb", "\ufeff", "x\u180e"]
+        Vocabulary(tokens).save(tmp_path / "v.txt")
+        v = Vocabulary.load(tmp_path / "v.txt")
+        assert [v.token_of(corpus.N_RESERVED + i) for i in range(3)] == tokens
 
 
 class TestBuildVocab:
@@ -102,6 +123,14 @@ class TestFlatten:
         for _ in range(100):
             d = random_dialogue(rng, 40)
             assert unflatten(flatten(d)) == d
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.lists(
+        st.one_of(st.just(corpus.UNK_ID), st.integers(corpus.N_RESERVED, 10 ** 6)), max_size=6)),
+        min_size=1, max_size=6))
+    def test_round_trip_any_dialogue(self, turns):
+        d = Dialogue(tuple(turns))
+        assert unflatten(flatten(d)) == d
 
     def test_injective(self):
         rng = np.random.default_rng(2)
@@ -242,6 +271,13 @@ class TestFileFormat:
         vocab = Vocabulary(["a"])
         rate = corpus.unk_rate([[["a", "b"], ["a", "a"]]], vocab)
         assert rate == 0.25
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.text(min_size=1).filter(lambda t: t.split() == [t] and t != "|"),
+                             max_size=5), min_size=1, max_size=5))
+    def test_line_round_trip(self, utterances):
+        # tokens hold no whitespace, and "|" alone would read as a separator
+        assert parse_dialogue_line(format_dialogue_line(utterances)) == utterances
 
     def test_speaker_alternation(self):
         d = dialogue_from_words([["a"], ["b"], ["c"]], Vocabulary(["a", "b", "c"]))

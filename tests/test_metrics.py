@@ -8,8 +8,7 @@ from dialoglm import corpus
 from dialoglm.corpus import Dialogue, sample_candidates
 from dialoglm.errors import DataError
 from dialoglm.generator import continuation_log_likelihood
-from dialoglm.metrics import (corpus_bleu, distinct_1, evaluate, perplexity,
-                              recall_at_n, word_error_rate)
+from dialoglm.metrics import corpus_bleu, distinct_1, evaluate, recall_at_n
 from dialoglm.models import AttentionRnnLm, RnnLm
 
 V = 20
@@ -58,8 +57,9 @@ class TestPerplexity:
         m = RnnLm(6, 4, V, seed=0)
         m.params["O"][:] = 0.0
         dialogues = random_dialogues(rng, 5)
-        assert abs(perplexity(m, dialogues) - V) < V * 1e-6
-        assert abs(perplexity(m, dialogues, last_utterance_only=True) - V) < V * 1e-6
+        values = evaluate(m, dialogues).values
+        assert abs(values["ppl"] - V) < V * 1e-6
+        assert abs(values["ppl_at_l"] - V) < V * 1e-6
 
     def test_single_position_closed_form(self):
         dist = np.full(V, 0.5 / (V - 1))
@@ -71,13 +71,13 @@ class TestPerplexity:
         dist[corpus.SPEAKER_B_ID] = 0.5
         dist[corpus.EOU_ID] = 0.5
         dist[corpus.EOD_ID] = 0.5
-        assert abs(perplexity(m, [d]) - 2.0) < 1e-9
+        assert abs(evaluate(m, [d]).values["ppl"] - 2.0) < 1e-9
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(1)
         m = AttentionRnnLm(6, 4, V, seed=1)
         dialogues = random_dialogues(rng, 3)
-        got = perplexity(m, dialogues)
+        got = evaluate(m, dialogues).values["ppl"]
         total, count = 0.0, 0
         for d in dialogues:
             s = m.score_sequence(corpus.flatten(d))
@@ -89,31 +89,32 @@ class TestPerplexity:
         rng = np.random.default_rng(2)
         m = RnnLm(6, 4, V, seed=2)
         dialogues = random_dialogues(rng, 6)
-        assert perplexity(m, dialogues) == perplexity(m, dialogues[::-1])
+        assert evaluate(m, dialogues).values["ppl"] == evaluate(m, dialogues[::-1]).values["ppl"]
 
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
-            perplexity(RnnLm(6, 4, V, seed=0), [])
+            evaluate(RnnLm(6, 4, V, seed=0), [])
 
 
 class TestWordErrorRate:
     def test_oracle_predictor_is_zero(self):
         rng = np.random.default_rng(3)
         m = _FixedDistModel(np.full(V, 1.0 / V), argmax_of=lambda r: r)
-        assert word_error_rate(m, random_dialogues(rng, 4)) == 0.0
+        assert evaluate(m, random_dialogues(rng, 4)).values["wer"] == 0.0
 
     def test_adversarial_predictor_is_one(self):
         rng = np.random.default_rng(4)
         m = _FixedDistModel(np.full(V, 1.0 / V), argmax_of=lambda r: (r + 1) % V)
         dialogues = random_dialogues(rng, 4)
-        assert word_error_rate(m, dialogues) == 1.0
-        assert word_error_rate(m, dialogues, last_utterance_only=True) == 1.0
+        values = evaluate(m, dialogues).values
+        assert values["wer"] == 1.0
+        assert values["wer_at_l"] == 1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         m = RnnLm(6, 4, V, seed=3)
         dialogues = random_dialogues(rng, 4)
-        got = word_error_rate(m, dialogues)
+        got = evaluate(m, dialogues).values["wer"]
         errors, count = 0, 0
         for d in dialogues:
             tokens = corpus.flatten(d)
@@ -242,23 +243,13 @@ class TestDistinct1:
 
 
 class TestJointEvaluation:
-    def test_one_pass_equals_individual_metrics(self):
-        rng = np.random.default_rng(10)
-        m = AttentionRnnLm(6, 4, V, seed=8)
-        dialogues = random_dialogues(rng, 5)
-        report = evaluate(m, dialogues)
-        assert report.values["ppl"] == perplexity(m, dialogues)
-        assert report.values["ppl_at_l"] == perplexity(m, dialogues, True)
-        assert report.values["wer"] == word_error_rate(m, dialogues)
-        assert report.values["wer_at_l"] == word_error_rate(m, dialogues, True)
-        assert report.counts["dialogues"] == 5
-
     def test_report_bounds(self):
         rng = np.random.default_rng(11)
         m = RnnLm(6, 4, V, seed=9)
         report = evaluate(m, random_dialogues(rng, 4))
         assert report.values["ppl"] >= 1.0
         assert 0.0 <= report.values["wer"] <= 1.0
+        assert report.counts["dialogues"] == 4
 
     def test_serialization(self):
         import json

@@ -535,6 +535,51 @@ class TestCheckpoints:
             load_checkpoint(path)
 
 
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A small tarnn checkpoint: its bytes, a path to overwrite, and the
+    vocabulary binding (hash and size) that the CLI passes to ``load_checkpoint``."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, make_model("tarnn", 3, 2, 12, n_topics=2, seed=5), "e" * 64)
+    return path.read_bytes(), path, {"expect_vocab_sha256": "e" * 64, "expect_vocab_size": 12}
+
+
+class TestCheckpointDamage:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_file_is_a_data_error(self, checkpoint_file, cut):
+        blob, path, binding = checkpoint_file
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(DataError):
+            load_checkpoint(path, **binding)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(extra=st.binary(min_size=1, max_size=16))
+    def test_trailing_bytes_are_a_data_error(self, checkpoint_file, extra):
+        blob, path, binding = checkpoint_file
+        path.write_bytes(blob + extra)
+        with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path, **binding)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
+    def test_corrupted_header_byte(self, checkpoint_file, where, byte):
+        # every number in the header is a dimension or a shape, checked against
+        # the parameter shapes, the vocabulary size and the file length, so any
+        # replaced byte gives DataError; only whitespace for whitespace may load
+        blob, path, binding = checkpoint_file
+        header = blob[:blob.index(b"\n")]
+        i = min(int(where * len(header)), len(header) - 1)
+        if byte == header[i]:
+            byte ^= 0x20
+        path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+        if header[i] in b" \t\r" and byte in b" \t\r":
+            load_checkpoint(path, **binding)
+        else:
+            with pytest.raises(DataError):
+                load_checkpoint(path, **binding)
+
+
 class TestForwardFinite:
     @pytest.mark.parametrize("kind", ["rnn", "arnn", "tarnn"])
     def test_finite_outputs(self, kind):

@@ -105,7 +105,7 @@ class TestTrain:
         d = Dialogue(((0, tuple(range(6, 12))), (1, tuple(range(12, 17)))))
         cfg = TrainConfig(lr=3e-3, max_epochs=200, patience=200, seed=0)
         res = train(make_model("rnn", 12, 8, 20, seed=0), [d], [d], cfg)
-        assert metrics.perplexity(res.model, [d]) < 1.5
+        assert metrics.evaluate(res.model, [d]).values["ppl"] < 1.5
         # training loss strictly decreases in >= 95% of recorded intervals
         losses = [e.train_loss for e in res.log]
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
@@ -139,7 +139,7 @@ class TestTrain:
             assert entry.best == (entry.dev_ppl < best_seen)
             best_seen = min(best_seen, entry.dev_ppl)
         # returned model is the best-dev checkpoint
-        got = metrics.perplexity(res.model, dlgs[10:])
+        got = metrics.evaluate(res.model, dlgs[10:]).values["ppl"]
         assert abs(got - min(e.dev_ppl for e in res.log)) < 1e-9
 
     def test_early_stopping_respects_patience(self):
