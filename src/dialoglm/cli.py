@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from . import corpus, fileio, generator, metrics, topics, trainer
 from .errors import DataError, ToolkitError
-from .models import load_checkpoint, make_model, read_checkpoint_header, save_checkpoint
+from .models import load_checkpoint, make_model, save_checkpoint
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,14 +57,13 @@ def _theta_provider(topic_model_path, vocab, stopword_ids):
 
 
 def _load_model(args, vocab, stopword_ids):
-    header = read_checkpoint_header(args.checkpoint)
-    provider = None
-    if header["kind"] == "tarnn":
+    model = load_checkpoint(args.checkpoint, expect_vocab_sha256=vocab.sha256(),
+                            expect_vocab_size=len(vocab))
+    if model.kind == "tarnn":
         if args.topic_model is None:
             raise DataError("a tarnn checkpoint needs --topic-model for topic features")
-        _, provider = _theta_provider(args.topic_model, vocab, stopword_ids)
-    return load_checkpoint(args.checkpoint, expect_vocab_sha256=vocab.sha256(),
-                           expect_vocab_size=len(vocab), theta_provider=provider)
+        _, model.theta_provider = _theta_provider(args.topic_model, vocab, stopword_ids)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +178,8 @@ def _parse_candidate_file(path, vocab):
                 norm_score, loglik = float(norm_score), float(loglik)
             except ValueError as e:
                 raise DataError(f"{path}: line {lineno}: malformed candidate line: {e}") from e
+            if not (norm_score < math.inf and loglik < math.inf):  # -inf is an underflow
+                raise DataError(f"{path}: line {lineno}: score is nan or inf: {head!r}")
             cands.append(
                 generator.Candidate(
                     tokens=vocab.encode(text.split()),
@@ -481,12 +482,13 @@ def build_parser():
             name, spec = (flag, {}) if isinstance(flag, str) else flag
             p.add_argument(name, **{**SHARED.get(name, {}), **spec})
         p.set_defaults(func=func)
+        return p
 
     command("prepare", cmd_prepare, "split a corpus and build its vocabulary",
             _flag("--corpus", required=True), "--out",
             _flag("--vocab-size", type=int, default=10000),
             _flag("--ratios", type=_ratios, default=(0.8, 0.1, 0.1)), "--seed")
-    command("train", cmd_train, "train a model variant",
+    train = command("train", cmd_train, "train a model variant",
             _flag("--train", required=True),
             _flag("--dev", required=True), "--vocab", "--out",
             _flag("--kind", choices=sorted(KIND_FLAGS), default="arnn"),
@@ -501,6 +503,7 @@ def build_parser():
             _flag("--pretrain-dev", default=None),
             _flag("--config", default=None,
                   help="key=value file; flags given on the command line win"))
+    parser.train_required = [a.option_strings[0] for a in train._actions if a.required]
     command("generate", cmd_generate, "beam-search continuations for histories",
             "--checkpoint", "--vocab", "--histories", "--out", "--beam-width",
             _flag("--n-best", type=int, default=10), "--max-len", "--len-norm",
@@ -549,16 +552,17 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(argv):
-    """Expand train's --config key=value pairs into flags placed before user flags."""
-    if argv[:1] != ["train"] or "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = argv[i + 1]
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
+def _parse_args(argv):
+    """``argv`` parsed; train's --config pairs go before the user's flags, which win."""
+    parser = build_parser()
+    if argv[:1] != ["train"]:
+        return parser.parse_args(argv)
+    # --config as argparse reads it (--config=f, a prefix); the file may give
+    # the flags train requires, so they get placeholders that it overrides
+    fill = [s for flag in parser.train_required for s in (flag, "")]
+    path = parser.parse_args(argv[:1] + fill + argv[1:]).config
+    if path is None:
+        return parser.parse_args(argv)
     flags = []
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -569,7 +573,7 @@ def _apply_config_file(argv):
                 raise DataError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             flags.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
-    return argv[:1] + flags + argv[1:]
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def main(argv=None):
@@ -577,7 +581,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     started = _utcnow()
     try:
-        args = build_parser().parse_args(_apply_config_file(list(argv)))
+        args = _parse_args(list(argv))
         os.makedirs(args.out, exist_ok=True)
         outputs = args.func(args)
         config = {k: v for k, v in vars(args).items() if k != "func"}

@@ -149,33 +149,6 @@ def flatten(dialogue):
     return out
 
 
-def unflatten(ids):
-    """Invert :func:`flatten`; raises DataError on malformed sequences."""
-    ids = list(ids)
-    if not ids or ids[-1] != EOD_ID:
-        raise DataError("flattened dialogue must end with the </d> marker")
-    turns = []
-    i = 0
-    while i < len(ids) - 1:
-        marker = ids[i]
-        if marker not in (SPEAKER_A_ID, SPEAKER_B_ID):
-            raise DataError(f"expected a speaker marker at position {i}, got id {marker}")
-        i += 1
-        tokens = []
-        while i < len(ids) - 1 and ids[i] != EOU_ID:
-            if ids[i] == EOD_ID:
-                raise DataError(f"unexpected </d> inside a turn at position {i}")
-            tokens.append(ids[i])
-            i += 1
-        if i >= len(ids) - 1:
-            raise DataError("turn not closed by </u>")
-        i += 1  # consume </u>
-        turns.append((marker - SPEAKER_A_ID, tuple(tokens)))
-    if not turns:
-        raise DataError("flattened dialogue contains no turns")
-    return Dialogue(tuple(turns))
-
-
 def flatten_history(dialogue):
     """Flattened form without the trailing </d>, for continuation prefixes."""
     return flatten(dialogue)[:-1]

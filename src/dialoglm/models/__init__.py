@@ -3,31 +3,31 @@ attention, the topic-feature variant, and encoder-decoder baselines."""
 
 from ..errors import DataError
 from .base import DialogueScore, LmDecodeState, Seq2SeqDecodeState, SequenceScore
-from .io import load_checkpoint, read_checkpoint_header, save_checkpoint
+from .io import load_checkpoint, save_checkpoint
 from .lm import AttentionRnnLm, LmExample, RnnLm, TopicAttentionRnnLm
 from .seq2seq import Seq2Seq, Seq2SeqExample, seq2seq_pair
 
 MODEL_KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
 
 
-def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, params=None,
+def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, flat=None,
                theta_provider=None):
     """Construct any model variant by its kind string."""
     if kind == "rnn":
-        return RnnLm(d, d_e, vocab_size, seed=seed, params=params)
+        return RnnLm(d, d_e, vocab_size, seed=seed, flat=flat)
     if kind == "arnn":
-        return AttentionRnnLm(d, d_e, vocab_size, seed=seed, params=params)
+        return AttentionRnnLm(d, d_e, vocab_size, seed=seed, flat=flat)
     if kind == "tarnn":
         if n_topics is None:
             raise DataError("tarnn requires a topic count")
         return TopicAttentionRnnLm(
-            d, d_e, vocab_size, n_topics, seed=seed, params=params,
+            d, d_e, vocab_size, n_topics, seed=seed, flat=flat,
             theta_provider=theta_provider,
         )
     if kind == "seq2seq":
-        return Seq2Seq(d, d_e, vocab_size, use_attention=False, seed=seed, params=params)
+        return Seq2Seq(d, d_e, vocab_size, use_attention=False, seed=seed, flat=flat)
     if kind == "seq2seq_attn":
-        return Seq2Seq(d, d_e, vocab_size, use_attention=True, seed=seed, params=params)
+        return Seq2Seq(d, d_e, vocab_size, use_attention=True, seed=seed, flat=flat)
     raise DataError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
@@ -45,7 +45,6 @@ __all__ = [
     "TopicAttentionRnnLm",
     "load_checkpoint",
     "make_model",
-    "read_checkpoint_header",
     "save_checkpoint",
     "seq2seq_pair",
 ]

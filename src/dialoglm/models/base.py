@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError
-from ..numeric import uniform_init
+from ..numeric import INIT_HALF_WIDTH, Arena
 
 
 @dataclass
@@ -105,7 +105,9 @@ class Model:
     """Parameters and dimensions shared by every model kind.
 
     Subclasses list their parameter arrays in ``param_shapes``; that order
-    is the checkpoint order and the order fresh parameters are drawn in.
+    is the layout of the arena ``params``, the checkpoint order and the
+    order fresh parameters are drawn in. ``flat``, when given, holds the
+    values of every array in that order, and ``params`` gets a copy.
 
     Stepwise decoding works on a batch of B hypotheses, with one code path
     for every B. ``begin(prefix[, theta])`` returns a state of one
@@ -119,27 +121,17 @@ class Model:
     other rows of the batch hold and however many there are.
     """
 
-    def __init__(self, d, d_e, vocab_size, seed=0, params=None):
+    def __init__(self, d, d_e, vocab_size, seed=0, flat=None):
         self.d = d
         self.d_e = d_e
         self.V = vocab_size
         for name, value in self.dims().items():
             if not value > 0:
                 raise DataError(f"model dimension {name} must be positive, got {value}")
-        expected = self.param_shapes()
-        if params is None:
-            rng = np.random.default_rng(seed)
-            params = {name: uniform_init(shape, rng) for name, shape in expected.items()}
-        if set(params) != set(expected):
-            raise DataError(
-                f"parameter names {sorted(params)} != expected {sorted(expected)}"
-            )
-        for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise DataError(
-                    f"parameter {name} has shape {params[name].shape}, expected {shape}"
-                )
-        self.params = params
+        self.params = Arena(self.param_shapes(), flat)
+        if flat is None:
+            self.params.flat[:] = np.random.default_rng(seed).uniform(
+                -INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=self.params.flat.size)
 
     def dims(self):
         return {"d": self.d, "d_e": self.d_e, "V": self.V}

@@ -4,7 +4,8 @@ Format (documented bit-exactly in docs/FORMATS.md): a single UTF-8 JSON
 header line terminated by "\\n" carrying the format version, model kind,
 dimensions, the sha256 of the bound vocabulary, and the ordered list of
 (array name, shape); followed by each parameter array's raw bytes as
-little-endian float64 in row-major order.
+little-endian float64 in row-major order, which is the model's parameter
+arena (``params.flat``) as one block.
 """
 
 import json
@@ -20,18 +21,15 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path, model, vocab_sha256):
-    arrays = [[name, list(arr.shape)] for name, arr in model.params.items()]
     header = {
         "format": FORMAT_VERSION,
         "kind": model.kind,
         "dims": model.dims(),
         "vocab_sha256": vocab_sha256,
-        "arrays": arrays,
+        "arrays": [[name, list(arr.shape)] for name, arr in model.params.items()],
     }
-    blob = bytearray(json.dumps(header).encode("utf-8") + b"\n")
-    for _, arr in model.params.items():
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    write_bytes_atomic(path, bytes(blob))
+    payload = model.params.flat.astype("<f8", copy=False).tobytes()
+    write_bytes_atomic(path, json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
 def _is_array_entry(entry):
@@ -40,56 +38,42 @@ def _is_array_entry(entry):
             and type(entry[1]) is list and all(map(is_int(0), entry[1])))
 
 
-def _read_header(f, path):
-    header = read_json_header(f, path)
-    if header.get("format") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint format {header.get('format')}")
-    check_fields(header, path, {
-        "kind": is_str,
-        "dims": lambda dims: type(dims) is dict,
-        "vocab_sha256": is_str,
-        "arrays": lambda arrays: type(arrays) is list and all(map(_is_array_entry, arrays)),
-    })
-    dims = header["dims"]
-    check_fields(dims, path, {"d": is_int(1), "d_e": is_int(1), "V": is_int(1)})
-    if dims.get("K") is not None:
-        check_fields(dims, path, {"K": is_int(1)})
-    return header
-
-
-def read_checkpoint_header(path):
-    """The checkpoint's header, every field it documents checked."""
-    with open(path, "rb") as f:
-        return _read_header(f, path)
-
-
 def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None, expect_vocab_size=None):
     """Reconstruct a model from a checkpoint; verifies the vocabulary hash and size."""
     from . import make_model
 
     with open(path, "rb") as f:
-        header = _read_header(f, path)
+        header = read_json_header(f, path)
+        if header.get("format") != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint format {header.get('format')}")
+        check_fields(header, path, {
+            "kind": is_str,
+            "dims": lambda dims: type(dims) is dict,
+            "vocab_sha256": is_str,
+            "arrays": lambda arrays: type(arrays) is list and all(map(_is_array_entry, arrays)),
+        })
+        dims = header["dims"]
+        check_fields(dims, path, {"d": is_int(1), "d_e": is_int(1), "V": is_int(1)})
+        if dims.get("K") is not None:
+            check_fields(dims, path, {"K": is_int(1)})
         if expect_vocab_sha256 is not None and header["vocab_sha256"] != expect_vocab_sha256:
             raise DataError(
                 f"{path}: checkpoint was trained against a different vocabulary "
                 f"(hash {header['vocab_sha256'][:12]}.. != {expect_vocab_sha256[:12]}..)"
             )
-        if expect_vocab_size not in (None, V := header["dims"]["V"]):
+        if expect_vocab_size not in (None, V := dims["V"]):
             raise DataError(f"{path}: checkpoint has V={V}, not {expect_vocab_size}")
-        params = {}
-        for name, shape in header["arrays"]:
-            raw = read_exact(f, math.prod(shape) * 8, path,
-                             f"checkpoint while reading {name}")
-            params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        n = sum(math.prod(shape) for _, shape in header["arrays"])
+        raw = read_exact(f, n * 8, path, "checkpoint parameters")
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after the declared arrays")
-    dims = header["dims"]
-    return make_model(
-        header["kind"],
-        d=dims["d"],
-        d_e=dims["d_e"],
-        vocab_size=dims["V"],
-        n_topics=dims.get("K"),
-        params=params,
-        theta_provider=theta_provider,
-    )
+    try:
+        model = make_model(header["kind"], d=dims["d"], d_e=dims["d_e"], vocab_size=dims["V"],
+                           n_topics=dims.get("K"), flat=np.frombuffer(raw, dtype="<f8"),
+                           theta_provider=theta_provider)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
+    layout = [[name, list(p.shape)] for name, p in model.params.items()]
+    if header["arrays"] != layout:
+        raise DataError(f"{path}: header arrays are not the {model.kind} layout {layout}")
+    return model

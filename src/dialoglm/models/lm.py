@@ -289,10 +289,10 @@ class TopicAttentionRnnLm(AttentionRnnLm):
 
     kind = "tarnn"
 
-    def __init__(self, d, d_e, vocab_size, n_topics, seed=0, params=None,
+    def __init__(self, d, d_e, vocab_size, n_topics, seed=0, flat=None,
                  theta_provider=None):
         self.K = n_topics
-        super().__init__(d, d_e, vocab_size, seed=seed, params=params)
+        super().__init__(d, d_e, vocab_size, seed=seed, flat=flat)
         self.theta_provider = theta_provider or (lambda dialogue: np.full(self.K, 1.0 / self.K))
 
     def param_shapes(self):

@@ -43,9 +43,9 @@ def seq2seq_pair(dialogue):
 class Seq2Seq(Model):
     """RNN encoder-decoder, optionally with fixed-scope attention."""
 
-    def __init__(self, d, d_e, vocab_size, use_attention=False, seed=0, params=None):
+    def __init__(self, d, d_e, vocab_size, use_attention=False, seed=0, flat=None):
         self.use_attention = use_attention
-        super().__init__(d, d_e, vocab_size, seed=seed, params=params)
+        super().__init__(d, d_e, vocab_size, seed=seed, flat=flat)
 
     @property
     def kind(self):

@@ -1,15 +1,19 @@
 """Dense numeric kernel shared by every model.
 
 All arrays are float64 numpy arrays: matrices are 2-d row-major, vectors
-are 1-d. Gradients travel in plain dicts keyed by parameter name, with one
-buffer per parameter array; a fresh dict from :func:`zero_grads` plays the
-role of a gradient tape for a single training step.
+are 1-d. A model's parameters, and the gradients of a training step, live
+in an :class:`Arena`: one vector holding every array back to back, with a
+named view per array. A fresh arena from :func:`zero_grads` plays the role
+of a gradient tape for a single training step.
 """
+
+import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
+# Fresh parameters are drawn uniformly from [-INIT_HALF_WIDTH, INIT_HALF_WIDTH].
 INIT_HALF_WIDTH = 0.08
 # Version of the rounding contract (docs/FORMATS.md, "Numerics"); run
 # manifests record it. Version 2 forms every gradient sum over positions
@@ -215,32 +219,47 @@ def nll_backward(logps, targets):
     return loss, dlogits
 
 
-def uniform_init(shape, rng):
-    """Uniform init in [-0.08, 0.08], the toolkit-wide parameter scheme."""
-    return rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=shape)
+class Arena(dict):
+    """Named views, in the order of ``shapes`` (name -> shape), into one
+    float64 vector ``flat`` that starts on a 64-byte boundary and holds a copy
+    of ``flat`` or zeros. ``a[name] op= x`` stores the same view back; any
+    other assignment to an entry is an error."""
+
+    def __init__(self, shapes, flat=None):
+        n = sum(math.prod(shape) for shape in shapes.values())
+        buf = np.zeros(n + 8)
+        start = -buf.ctypes.data % 64 // 8
+        self.flat = buf[start:start + n]
+        if flat is not None:
+            if flat.size != n:
+                raise DataError(f"{flat.size} parameters, expected {n}")
+            self.flat[:] = flat
+        end = 0
+        for name, shape in shapes.items():
+            start, end = end, end + math.prod(shape)
+            super().__setitem__(name, self.flat[start:end].reshape(shape))
+
+    def __setitem__(self, name, value):
+        if name not in self or value is not self[name]:
+            raise TypeError(f"arena entry {name!r} cannot be rebound")
 
 
 def zero_grads(params):
-    """One zeroed gradient buffer per parameter array, same shapes."""
-    return {name: np.zeros_like(p) for name, p in params.items()}
-
-
-def global_norm(grads):
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    return np.sqrt(total)
+    """A new zeroed arena laid out like ``params``."""
+    return Arena({name: p.shape for name, p in params.items()})
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale all gradients in place so the global norm is at most ``max_norm``.
+    """Scale the arena ``grads`` in place so the global norm is at most ``max_norm``.
 
     Only the magnitude changes; the direction is preserved. Returns the
-    pre-clip norm.
+    pre-clip norm, summed array by array in arena order: one sum over
+    ``grads.flat`` would round differently.
     """
-    norm = global_norm(grads)
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / norm
     return norm

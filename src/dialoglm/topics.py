@@ -348,7 +348,7 @@ def _zscore(values):
 
 def _combine(sims, llz, lam):
     """Combined scores and the candidate order they give; ties keep index order."""
-    combined = [lam * s + (1.0 - lam) * z for s, z in zip(sims, llz)]
+    combined = [lam * s + (1.0 - lam) * z for s, z in zip(sims, llz.tolist())]
     return combined, sorted(range(len(combined)), key=lambda i: (-combined[i], i))
 
 

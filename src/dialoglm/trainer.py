@@ -7,14 +7,13 @@ size 1), shuffled each epoch under the configured seed, so runs are
 bit-reproducible.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import Tally
-from .numeric import clip_global_norm
+from .numeric import clip_global_norm, zero_grads
 
 
 @dataclass
@@ -34,47 +33,50 @@ class TrainConfig:
             raise DataError("learning rate must be finite and >= 0, and clip > 0")
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Entries per adam_update block: the two scratch rows of one block stay in
+# cache, where full-length rows would cost memory traffic and resident size.
+ADAM_BLOCK = 32768
+
+
 class AdamState:
-    """First/second moment buffers, the shared step counter, and two scratch
-    rows as long as the largest parameter, so that a step allocates no
+    """First/second moment arenas laid out like the parameters, the step
+    counter, and two scratch rows of one block, so that a step allocates no
     arrays."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.scratch = np.empty((2, max((v.size for v in params.values()), default=0)))
+        self.m, self.v = zero_grads(params), zero_grads(params)
+        self.scratch = np.empty((2, min(ADAM_BLOCK, self.m.flat.size)))
 
 
 def adam_update(state, params, grads):
-    """One bias-corrected Adam step, applied in place.
+    """One bias-corrected Adam step over the arena ``params``, in place.
 
     Every operation rounds like the textbook expressions
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    p -= lr m_hat / (sqrt(v_hat) + eps), in that order.
+    p -= lr m_hat / (sqrt(v_hat) + eps), in that order; they are elementwise,
+    so running them block by block over the flat vectors changes no bit.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for parameter '{name}'")
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    for name, p in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        step, denom = (row[:p.size].reshape(p.shape) for row in state.scratch)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=step)
-        v *= b2
+    for a in range(0, params.flat.size, ADAM_BLOCK):
+        blk = slice(a, a + ADAM_BLOCK)
+        p, g, m, v = params.flat[blk], grads.flat[blk], state.m.flat[blk], state.v.flat[blk]
+        step, denom = state.scratch[:, :p.size]
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=step)
+        v *= BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - b2
+        step *= 1.0 - BETA2
         v += step
-        np.divide(m, 1.0 - b1 ** state.t, out=step)  # m_hat
-        np.divide(v, 1.0 - b2 ** state.t, out=denom)  # v_hat
+        np.divide(m, 1.0 - BETA1 ** state.t, out=step)  # m_hat
+        np.divide(v, 1.0 - BETA2 ** state.t, out=denom)  # v_hat
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         step *= state.lr
         step /= denom
         p -= step
@@ -125,7 +127,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
     shuffle_rng = np.random.default_rng([config.seed, 1])
     log = []
     best_ppl = np.inf
-    best_params = None
+    best_flat = None
     evals_since_best = 0
     seen = 0
     for epoch in range(1, config.max_epochs + 1):
@@ -152,7 +154,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
         improved = dev_ppl < best_ppl
         if improved:
             best_ppl = dev_ppl
-            best_params = copy.deepcopy(model.params)
+            best_flat = model.params.flat.copy()
             evals_since_best = 0
         else:
             evals_since_best += 1
@@ -162,9 +164,8 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
             log_lines.append(entry.format_line())
         if evals_since_best >= config.patience:
             break
-    if best_params is not None:
-        for name in model.params:
-            model.params[name][...] = best_params[name]
+    if best_flat is not None:
+        model.params.flat[:] = best_flat
     return TrainResult(model=model, log=log)
 
 

@@ -2,14 +2,18 @@
 separate from the package implementations they check, a shape-checked
 form of the recurrence, single-query attention over a list of token
 representations, the per-query attention backward pass that the per-row
-reference models use, and the central-difference gradient check."""
+reference models use, the central-difference gradient check, the inverse
+of ``corpus.flatten``, arenas filled with given values, and checkpoints
+whose header misstates the parameter layout."""
 
+import json
 import math
 
 import numpy as np
 
+from dialoglm.corpus import EOD_ID, EOU_ID, SPEAKER_A_ID, SPEAKER_B_ID, Dialogue
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.numeric import attention, recur
+from dialoglm.numeric import Arena, attention, recur
 
 EPS_MACH = np.finfo(np.float64).eps
 
@@ -136,3 +140,64 @@ def grad_check(loss_fn, params, analytic, eps=1e-5, samples_per_array=24, rng=No
             rel = abs(g[i] - numeric) / max(floor, abs(g[i]) + abs(numeric))
             worst = max(worst, rel)
     return worst
+
+
+def unflatten(ids):
+    """Invert :func:`flatten`; raises DataError on malformed sequences."""
+    ids = list(ids)
+    if not ids or ids[-1] != EOD_ID:
+        raise DataError("flattened dialogue must end with the </d> marker")
+    turns = []
+    i = 0
+    while i < len(ids) - 1:
+        marker = ids[i]
+        if marker not in (SPEAKER_A_ID, SPEAKER_B_ID):
+            raise DataError(f"expected a speaker marker at position {i}, got id {marker}")
+        i += 1
+        tokens = []
+        while i < len(ids) - 1 and ids[i] != EOU_ID:
+            if ids[i] == EOD_ID:
+                raise DataError(f"unexpected </d> inside a turn at position {i}")
+            tokens.append(ids[i])
+            i += 1
+        if i >= len(ids) - 1:
+            raise DataError("turn not closed by </u>")
+        i += 1  # consume </u>
+        turns.append((marker - SPEAKER_A_ID, tuple(tokens)))
+    if not turns:
+        raise DataError("flattened dialogue contains no turns")
+    return Dialogue(tuple(turns))
+
+
+def arena(**arrays):
+    """An :class:`Arena` holding copies of ``arrays``, in argument order."""
+    out = Arena({name: np.shape(value) for name, value in arrays.items()})
+    for name, value in arrays.items():
+        out[name][...] = value
+    return out
+
+
+def with_params(model, arrays):
+    """``model`` with ``arrays`` (name -> values) copied into its parameters."""
+    for name, value in arrays.items():
+        model.params[name][...] = value
+    return model
+
+
+def misstate_layout(blob, edit):
+    """Checkpoint bytes ``blob`` with the header's ``arrays`` list edited:
+    "duplicate" lists O twice and appends a block for it, "swap" exchanges
+    the H and O entries (the payload keeps its order), "rename" renames H."""
+    head, payload = blob.split(b"\n", 1)
+    header = json.loads(head)
+    arrays = header["arrays"]
+    names = [name for name, _ in arrays]
+    h, o = names.index("H"), names.index("O")
+    if edit == "duplicate":
+        arrays.append(arrays[o])
+        payload += bytes(8 * math.prod(arrays[o][1]))
+    elif edit == "swap":
+        arrays[h], arrays[o] = arrays[o], arrays[h]
+    else:
+        arrays[h][0] = "Hx"
+    return json.dumps(header).encode() + b"\n" + payload

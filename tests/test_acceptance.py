@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bleu_oracle, grad_check
+from conftest import bleu_oracle, grad_check, with_params
 
 from dialoglm import corpus, generator, metrics, synthetic, topics, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words
@@ -134,8 +134,7 @@ def test_criterion_04_ablation_equivalence():
     arnn = AttentionRnnLm(8, 6, V, seed=7)
     arnn.params["Oz"][:] = 0.0
     arnn.params["Oh"][:] = np.eye(8)
-    rnn = RnnLm(8, 6, V, seed=7, params={k: arnn.params[k]
-                                         for k in ("H", "P", "E", "O")})
+    rnn = with_params(RnnLm(8, 6, V, seed=7), {k: arnn.params[k] for k in ("H", "P", "E", "O")})
     worst = 0.0
     for _ in range(100):
         tokens = [int(t) for t in rng.integers(0, V, size=rng.integers(1, 12))]

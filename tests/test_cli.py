@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import misstate_layout
 
 from dialoglm import corpus, synthetic, topics
 from dialoglm.cli import (KIND_FLAGS, _parse_candidate_file, build_parser, main,
@@ -119,6 +120,28 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 2  # flag beats config file
         assert manifest["config"]["d"] == 10
+
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+    def test_config_file_any_spelling(self, workspace, tmp_path, spelling):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr=0\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", *[s.format(cfg) for s in spelling],
+                     "--train", str(workspace["prep"] / "train.txt"),
+                     "--dev", str(workspace["prep"] / "dev.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(out),
+                     "--kind", "rnn", "--d", "4", "--epochs", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["lr"] == 0.0
+
+    def test_config_file_gives_required_flags(self, workspace, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "run"
+        cfg.write_text(f"train={workspace['prep'] / 'train.txt'}\n"
+                       f"dev={workspace['prep'] / 'dev.txt'}\n"
+                       f"vocab={workspace['vocab']}\nout={out}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--kind", "rnn", "--d", "4",
+                     "--epochs", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["out"] == str(out)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):
@@ -239,6 +262,11 @@ class TestGenerateRerankTune:
         top1 = (out / "rerank_top1.txt").read_text().splitlines()
         gen_top1 = (generated / "generations.txt").read_text().splitlines()
         assert top1 == gen_top1
+        # rank SP combined SP similarity SP loglik_zscore TAB text, as plain numbers
+        for path in sorted(out.glob("reranked_*.txt")):
+            for line in path.read_text().splitlines():
+                fields = line.partition("\t")[0].split(" ")
+                assert len(fields) == 4 and all(np.isfinite(float(x)) for x in fields), line
 
     def test_tune_grid(self, workspace, generated, lda_model, tmp_path):
         out = tmp_path / "tune"
@@ -366,6 +394,30 @@ class TestBadInput:
         dump.write_text("1 -0.5 -1.0\ts0\n1 0.5\thello\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"candidates_0000\.txt: line 2"):
             _parse_candidate_file(str(dump), vocab)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "+inf"])
+    def test_non_finite_candidate_score(self, workspace, tmp_path, score):
+        vocab = corpus.Vocabulary.load(workspace["vocab"])
+        dump = tmp_path / "candidates_0000.txt"
+        dump.write_text(f"1 -0.5 -1.0\ts0\n1 {score} {score}\thello\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"candidates_0000\.txt: line 2: .*inf"):
+            _parse_candidate_file(str(dump), vocab)
+
+    def test_underflowed_candidate_score_is_accepted(self, workspace, tmp_path):
+        vocab = corpus.Vocabulary.load(workspace["vocab"])
+        dump = tmp_path / "candidates_0000.txt"
+        dump.write_text("1 -inf -inf\thello\n", encoding="utf-8")
+        assert _parse_candidate_file(str(dump), vocab)[0].loglik == -np.inf
+
+    @pytest.mark.parametrize("edit", ["duplicate", "swap", "rename"])
+    def test_checkpoint_layout_exit_code(self, workspace, tmp_path, capsys, edit):
+        bad = tmp_path / "model.ckpt"
+        bad.write_bytes(misstate_layout(workspace["ckpt"].read_bytes(), edit))
+        assert main(["eval", "--checkpoint", str(bad), "--vocab", str(workspace["vocab"]),
+                     "--corpus", str(workspace["prep"] / "test.txt"),
+                     "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and len(err.strip().splitlines()) == 1
 
     def test_corrupt_binary_headers(self, workspace, lda_model, tmp_path):
         for good, load in ((workspace["ckpt"], load_checkpoint),

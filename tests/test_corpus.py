@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import unflatten
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from dialoglm.corpus import (Dialogue, Vocabulary, build_vocab,
                              continuation_prefix, dialogue_from_words, flatten,
                              format_dialogue_line, last_utterance_span, load_corpus,
                              parse_dialogue_line, sample_candidates,
-                             split_corpus, unflatten, write_corpus_words)
+                             split_corpus, write_corpus_words)
 from dialoglm.errors import DataError
 
 

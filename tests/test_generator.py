@@ -203,7 +203,7 @@ class TestTopicFeature:
 
         m = TopicAttentionRnnLm(6, 4, V, 3, seed=11, theta_provider=provider)
         m.params["Otheta"] *= 30.0  # make theta move the scores visibly
-        uniform = TopicAttentionRnnLm(6, 4, V, 3, params=m.params)
+        uniform = TopicAttentionRnnLm(6, 4, V, 3, flat=m.params.flat)
         return m, uniform
 
     def _under_theta(self, m, tokens):

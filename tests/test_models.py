@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import attend, grad_check
+from conftest import attend, grad_check, misstate_layout, with_params
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,7 +125,7 @@ class TestArnnNextDist:
         m.params["Oz"][:] = 0.0
         h = rng.normal(size=D)
         z = rng.normal(size=m.d_z)
-        composed = RnnLm(D, DE, V, seed=10, params={
+        composed = with_params(RnnLm(D, DE, V, seed=10), {
             "H": m.params["H"], "P": m.params["P"], "E": m.params["E"],
             "O": m.params["Oh"].T @ m.params["O"],
         })
@@ -149,9 +149,8 @@ class TestTarnnNextDist:
         rng = np.random.default_rng(5)
         m = TopicAttentionRnnLm(D, DE, V, K, seed=12)
         m.params["Otheta"][:] = 0.0
-        base = AttentionRnnLm(D, DE, V, seed=12,
-                              params={k: v for k, v in m.params.items()
-                                      if k != "Otheta"})
+        base = with_params(AttentionRnnLm(D, DE, V, seed=12),
+                           {k: v for k, v in m.params.items() if k != "Otheta"})
         h = rng.normal(size=D)
         z = rng.normal(size=m.d_z)
         theta = rng.dirichlet(np.ones(K))
@@ -301,9 +300,8 @@ class TestAblationEquivalence:
         arnn = AttentionRnnLm(D, DE, V, seed=25)
         arnn.params["Oz"][:] = 0.0
         arnn.params["Oh"][:] = np.eye(D)
-        rnn = RnnLm(D, DE, V, seed=25, params={
-            k: arnn.params[k] for k in ("H", "P", "E", "O")
-        })
+        rnn = with_params(RnnLm(D, DE, V, seed=25),
+                          {k: arnn.params[k] for k in ("H", "P", "E", "O")})
         for _ in range(100):
             tokens = random_tokens(rng, int(rng.integers(1, 10)))
             sa = arnn.score_sequence(tokens)
@@ -578,6 +576,14 @@ class TestCheckpointDamage:
         else:
             with pytest.raises(DataError):
                 load_checkpoint(path, **binding)
+
+    @pytest.mark.parametrize("edit", ["duplicate", "swap", "rename"])
+    def test_header_arrays_must_be_the_kind_layout(self, checkpoint_file, edit):
+        blob, path, binding = checkpoint_file
+        path.write_bytes(misstate_layout(blob, edit))
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path, **binding)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestForwardFinite:

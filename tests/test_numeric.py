@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import affine_tanh, attention_backward, grad_check
+from conftest import affine_tanh, arena, attention_backward, grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialoglm.errors import NumericalError
 from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
-from dialoglm.numeric import (ATTENTION_BLOCK, attention, clip_global_norm, columns, global_norm,
+from dialoglm.numeric import (ATTENTION_BLOCK, Arena, attention, clip_global_norm, columns,
                               log_softmax, matvecs, nll_backward, recur, scoped_attention,
                               scoped_attention_backward, softmax, unroll, zero_grads)
 
@@ -125,32 +125,62 @@ class TestGradCheck:
             grad_check(loss, params, {"p": np.array([2.0])})
 
 
+def _norm(grads):
+    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
 class TestClipping:
     def test_direction_preserved(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            grads = {"a": rng.normal(size=(3, 3)) * 10, "b": rng.normal(size=4) * 10}
+            grads = arena(a=rng.normal(size=(3, 3)) * 10, b=rng.normal(size=4) * 10)
             before = {k: v.copy() for k, v in grads.items()}
-            norm0 = global_norm(grads)
-            clip_global_norm(grads, 1.0)
-            assert global_norm(grads) <= 1.0 + 1e-12
+            norm0 = _norm(grads)
+            assert clip_global_norm(grads, 1.0) == norm0
+            assert _norm(grads) <= 1.0 + 1e-12
             for k in grads:
                 np.testing.assert_allclose(grads[k] * norm0, before[k] * 1.0, rtol=1e-9)
 
     def test_no_op_below_threshold(self):
-        grads = {"a": np.array([0.1, 0.1])}
+        grads = arena(a=np.array([0.1, 0.1]))
         before = grads["a"].copy()
         clip_global_norm(grads, 5.0)
         np.testing.assert_array_equal(grads["a"], before)
 
 
 def test_zero_grads_shapes():
-    params = {"a": np.ones((2, 3)), "b": np.ones(4)}
+    params = arena(a=np.ones((2, 3)), b=np.ones(4))
     g = zero_grads(params)
-    assert set(g) == {"a", "b"}
+    assert list(g) == ["a", "b"]
     for k in params:
         assert g[k].shape == params[k].shape
         assert not g[k].any()
+
+
+class TestArena:
+    def test_zero_grads_is_fresh_on_every_call(self):
+        params = arena(a=np.ones((2, 3)))
+        first, second = zero_grads(params), zero_grads(params)
+        first["a"] += 1.0
+        assert not second.flat.any()
+        assert not np.shares_memory(first.flat, second.flat)
+
+    def test_views_share_one_aligned_vector(self):
+        a = Arena({"x": (2, 3), "y": (5,)}, np.arange(11.0))
+        assert a.flat.ctypes.data % 64 == 0
+        assert np.shares_memory(a["y"], a.flat)
+        np.testing.assert_array_equal(a["x"], [[0, 1, 2], [3, 4, 5]])
+        a["y"] *= 2.0  # an in-place update stores the same view back
+        np.testing.assert_array_equal(a.flat[6:], [12, 14, 16, 18, 20])
+
+    def test_rebinding_an_entry_is_refused(self):
+        a = Arena({"x": (2,)})
+        with pytest.raises(TypeError, match="rebound"):
+            a["x"] = np.ones(2)
+        for value in (np.ones(2), None):
+            with pytest.raises(TypeError, match="rebound"):
+                a["z"] = value
+        assert list(a) == ["x"] and not a.flat.any()
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +445,12 @@ def _scaled_model(kind, seed, scale):
 
 def _rows_reference(model):
     """The per-row reference model over a copy of ``model``'s parameters."""
-    params = {k: v.copy() for k, v in model.params.items()}
+    flat = model.params.flat
     if model.kind.startswith("seq2seq"):
-        return _RowsSeq2Seq(D, DE, V, use_attention=model.use_attention, params=params)
+        return _RowsSeq2Seq(D, DE, V, use_attention=model.use_attention, flat=flat)
     if model.kind == "tarnn":
-        return _RowsTarnn(D, DE, V, K, params=params)
-    return {"rnn": _RowsRnnLm, "arnn": _RowsArnn}[model.kind](D, DE, V, params=params)
+        return _RowsTarnn(D, DE, V, K, flat=flat)
+    return {"rnn": _RowsRnnLm, "arnn": _RowsArnn}[model.kind](D, DE, V, flat=flat)
 
 
 def _loss_and_grads(model, tokens, source, theta):

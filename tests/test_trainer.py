@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import arena
 
-from dialoglm import cli, metrics, synthetic
+from dialoglm import cli, metrics, synthetic, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
 from dialoglm.errors import DataError, NumericalError
 from dialoglm.models import load_checkpoint, make_model, save_checkpoint
-from dialoglm.trainer import (AdamState, TrainConfig, adam_update,
+from dialoglm.trainer import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_update,
                               pretrain_finetune, train)
 
 
@@ -24,58 +25,58 @@ class TestAdam:
 
     def test_zero_gradient_leaves_params(self):
         rng = np.random.default_rng(0)
-        params = {"w": rng.normal(size=(3, 3))}
+        params = arena(w=rng.normal(size=(3, 3)))
         before = params["w"].copy()
         state = self._state(params)
-        adam_update(state, params, {"w": np.zeros((3, 3))})
+        adam_update(state, params, arena(w=np.zeros((3, 3))))
         np.testing.assert_array_equal(params["w"], before)
         # after a real step, zero gradients decay the moments toward zero
-        adam_update(state, params, {"w": np.ones((3, 3))})
+        adam_update(state, params, arena(w=np.ones((3, 3))))
         m1 = np.abs(state.m["w"]).max()
         v1 = state.v["w"].max()
-        adam_update(state, params, {"w": np.zeros((3, 3))})
+        adam_update(state, params, arena(w=np.zeros((3, 3))))
         assert np.abs(state.m["w"]).max() < m1
         assert state.v["w"].max() < v1
 
     def test_single_step_hand_trace(self):
-        params = {"w": np.array([1.0, -2.0])}
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
+        params = arena(w=np.array([1.0, -2.0]))
         g = np.array([0.3, -0.7])
-        state = AdamState(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        adam_update(state, params, {"w": g.copy()})
+        state = AdamState(params, lr=0.01)
+        adam_update(state, params, arena(w=g))
         # first step: m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
         assert state.t == 1
 
     def test_constant_gradient_magnitude_approaches_lr(self):
-        params = {"w": np.array([0.0])}
-        g = {"w": np.array([3.7])}
+        params = arena(w=np.array([0.0]))
         state = AdamState(params, lr=0.05)
         prev = params["w"].copy()
         for _ in range(300):
             prev = params["w"].copy()
-            adam_update(state, params, {"w": g["w"].copy()})
+            adam_update(state, params, arena(w=np.array([3.7])))
         assert abs(abs(params["w"][0] - prev[0]) - 0.05) < 1e-4
 
     def test_non_finite_gradient_rejected(self):
-        params = {"w": np.array([1.0])}
+        params = arena(v=np.array([1.0]), w=np.array([1.0]))
         state = AdamState(params)
-        with pytest.raises(NumericalError):
-            adam_update(state, params, {"w": np.array([np.nan])})
+        with pytest.raises(NumericalError, match="'w'"):
+            adam_update(state, params, arena(v=np.array([0.5]), w=np.array([np.nan])))
 
     @pytest.mark.parametrize("kind", ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"])
     def test_in_place_update_is_bit_exact(self, kind):
         # the textbook formula, one fresh array per operation
         def reference(state, params, grads):
             state.t += 1
-            b1, b2 = state.beta1, state.beta2
+            b1, b2 = BETA1, BETA2
             for name, p in params.items():
                 g = grads[name]
-                state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-                state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+                state.m[name][...] = b1 * state.m[name] + (1.0 - b1) * g
+                state.v[name][...] = b2 * state.v[name] + (1.0 - b2) * (g * g)
                 m_hat = state.m[name] / (1.0 - b1 ** state.t)
                 v_hat = state.v[name] / (1.0 - b2 ** state.t)
-                p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+                p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
         rng = np.random.default_rng(3)
         model = make_model(kind, 6, 5, 17, n_topics=3, seed=4)
@@ -92,11 +93,26 @@ class TestAdam:
                 assert state.m[name].tobytes() == ref_state.m[name].tobytes()
                 assert state.v[name].tobytes() == ref_state.v[name].tobytes()
 
+    def test_blocks_change_no_bit(self, monkeypatch):
+        # one block over the whole vector, and blocks that split arrays
+        rng = np.random.default_rng(5)
+        models = [make_model("arnn", 6, 5, 17, seed=4) for _ in range(2)]
+        states = [AdamState(models[0].params, lr=0.01)]
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 7)
+        states.append(AdamState(models[1].params, lr=0.01))
+        for _ in range(3):
+            _, grads = models[0].loss_and_grads([int(t) for t in rng.integers(0, 17, size=9)])
+            for block, model, state in zip((10**9, 7), models, states):
+                monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+                adam_update(state, model.params, grads)
+        assert models[0].params.flat.tobytes() == models[1].params.flat.tobytes()
+        assert states[0].v.flat.tobytes() == states[1].v.flat.tobytes()
+
     def test_step_counter_increments(self):
-        params = {"w": np.zeros(2)}
+        params = arena(w=np.zeros(2))
         state = AdamState(params)
         for i in range(1, 4):
-            adam_update(state, params, {"w": np.ones(2)})
+            adam_update(state, params, arena(w=np.ones(2)))
             assert state.t == i
 
 
