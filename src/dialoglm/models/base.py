@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError
-from ..numeric import INIT_HALF_WIDTH, Arena
+from ..numeric import INIT_HALF_WIDTH, Arena, log_softmax, nll_backward
 
 
 @dataclass
@@ -119,6 +119,11 @@ class Model:
     reuse the buffers of the state it consumes, so that state must not be
     used again. Row b of every result is bitwise the same whatever the
     other rows of the batch hold and however many there are.
+
+    A teacher-forced pass keeps its (n, V) output rows, and a training step
+    its (d, V) output-matrix gradient product, in buffers the model reuses
+    (the rows grow to the longest sequence seen). They hold only until the
+    next pass, so nothing a model returns may alias them.
     """
 
     def __init__(self, d, d_e, vocab_size, seed=0, flat=None):
@@ -132,9 +137,29 @@ class Model:
         if flat is None:
             self.params.flat[:] = np.random.default_rng(seed).uniform(
                 -INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=self.params.flat.size)
+        self._rows = np.empty((2, 0, self.V))  # log-probabilities, exp scratch
+        self._dV = None
 
     def dims(self):
         return {"d": self.d, "d_e": self.d_e, "V": self.V}
+
+    def _log_probs(self, X, Om):
+        """log_softmax(X @ Om), one row per teacher-forced position, in the
+        reused rows."""
+        if self._rows.shape[1] < len(X):
+            self._rows = np.empty((2, len(X), self.V))
+        logps, scratch = self._rows[:, :len(X)]
+        return log_softmax(np.matmul(X, Om, out=logps), out=logps, scratch=scratch)
+
+    def _nll_backward(self, logps, targets):
+        """nll_backward of :meth:`_log_probs` rows, dlogits in their exp scratch."""
+        return nll_backward(logps, targets, out=self._rows[1, :len(targets)])
+
+    def _output_grad(self, X, dlogits):
+        """X^T dlogits, the gradient of the output matrix, in the reused buffer."""
+        if self._dV is None:
+            self._dV = np.empty((X.shape[1], self.V))
+        return np.matmul(X.T, dlogits, out=self._dV)
 
     def start(self, history):
         """Decode state that has consumed the continuation prefix of ``history``."""

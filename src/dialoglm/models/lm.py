@@ -25,8 +25,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, readout,
-                       readout_backward, recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, bptt, columns, matvecs, readout, readout_backward, recur,
+                       softmax, unroll, zero_grads)
 from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
 
 
@@ -85,19 +85,20 @@ class RnnLm(Model):
 
     def _forward(self, tokens, theta=None):
         states = self._states(tokens)
-        return {"states": states, "logps": log_softmax(states @ self.params["O"])}
+        return {"states": states, "logps": self._log_probs(states, self.params["O"])}
 
     # ------------------------------------------------------------------
     # backward
 
-    def loss_and_grads(self, tokens, theta=None):
-        """Negative log-likelihood and hand-derived gradients for one sequence."""
+    def loss_and_grads(self, tokens, theta=None, grads=None):
+        """Negative log-likelihood and hand-derived gradients for one sequence,
+        in the arena ``grads`` (zero-filled first) when given, else a new one."""
         tokens = list(tokens)
         fw = self._forward(tokens, theta)
         p = self.params
-        grads = zero_grads(p)
+        grads = zero_grads(p, grads)
         dstates = np.zeros((len(tokens), self.d))
-        loss, dlogits = nll_backward(fw["logps"], tokens)
+        loss, dlogits = self._nll_backward(fw["logps"], tokens)
         self._backward_outputs(tokens, fw, dlogits, grads, dstates, theta)
         bptt(p["H"], p["P"], p["E"], tokens[:-1], fw["states"], dstates,
              grads["H"], grads["P"], grads["E"])
@@ -109,7 +110,7 @@ class RnnLm(Model):
         """Backward from the logits to the states, through everything but the
         recurrence; adds dL/dstates into ``dstates``."""
         dstates += dlogits @ self.params["O"].T
-        grads["O"] += fw["states"].T @ dlogits
+        grads["O"] += self._output_grad(fw["states"], dlogits)
 
     # ------------------------------------------------------------------
     # stepwise decoding
@@ -149,8 +150,8 @@ class RnnLm(Model):
     def make_example(self, dialogue):
         return LmExample(tokens=corpus.flatten(dialogue))
 
-    def example_loss_and_grads(self, ex):
-        return self.loss_and_grads(ex.tokens, ex.theta)
+    def example_loss_and_grads(self, ex, grads=None):
+        return self.loss_and_grads(ex.tokens, ex.theta, grads)
 
     def example_score(self, ex):
         return self.score_sequence(ex.tokens, ex.theta)
@@ -224,7 +225,7 @@ class AttentionRnnLm(RnnLm):
         outs = self._add_topic(outs, theta)
         return {"states": states, "R": R, "tape": tape, "outs": outs,
                 "alphas": [None] + [A[t - 1, :t] for t in range(1, n)],
-                "logps": log_softmax(outs @ p["O"])}
+                "logps": self._log_probs(outs, p["O"])}
 
     # ------------------------------------------------------------------
     # backward
@@ -233,7 +234,7 @@ class AttentionRnnLm(RnnLm):
         p = self.params
         douts = dlogits @ p["O"].T
         drep = readout_backward(p, fw["tape"], douts, dstates, grads)
-        grads["O"] += fw["outs"].T @ dlogits
+        grads["O"] += self._output_grad(fw["outs"], dlogits)
         if theta is not None:
             grads["Otheta"] += np.outer(douts.sum(axis=0), theta)
         # scatter representation gradients back to embeddings and states
@@ -327,8 +328,8 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     def score_sequence(self, tokens, theta=None):
         return super().score_sequence(tokens, self._theta_or_uniform(theta))
 
-    def loss_and_grads(self, tokens, theta=None):
-        return super().loss_and_grads(tokens, self._theta_or_uniform(theta))
+    def loss_and_grads(self, tokens, theta=None, grads=None):
+        return super().loss_and_grads(tokens, self._theta_or_uniform(theta), grads)
 
     def begin(self, prefix, theta=None):
         # theta rides along in the decode state; step_dist passes it through

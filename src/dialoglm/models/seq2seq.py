@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, bptt, columns, log_softmax, matvecs, nll_backward, readout,
-                       readout_backward, recur, softmax, unroll, zero_grads)
+from ..numeric import (attention, bptt, columns, matvecs, readout, readout_backward, recur,
+                       softmax, unroll, zero_grads)
 from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
 
 
@@ -90,10 +90,7 @@ class Seq2Seq(Model):
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
             outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)))
             fw.update({"tape": tape, "alphas": list(A), "outs": outs})
-            logits = outs @ p["Od"]
-        else:
-            logits = dec @ p["Od"]
-        fw["logps"] = log_softmax(logits)
+        fw["logps"] = self._log_probs(fw["outs"] if self.use_attention else dec, p["Od"])
         return fw
 
     def score_pair(self, source, target):
@@ -104,21 +101,23 @@ class Seq2Seq(Model):
     # ------------------------------------------------------------------
     # backward
 
-    def loss_and_grads(self, source, target):
+    def loss_and_grads(self, source, target, grads=None):
+        """Negative log-likelihood and hand-derived gradients for one pair,
+        in the arena ``grads`` (zero-filled first) when given, else a new one."""
         fw = self._forward(source, target)
         p = self.params
-        grads = zero_grads(p)
+        grads = zero_grads(p, grads)
         ddec = np.zeros_like(fw["dec"])
         denc0 = np.zeros_like(fw["enc0"])
         denc = denc0[1:]
-        loss, dlogits = nll_backward(fw["logps"], target)
+        loss, dlogits = self._nll_backward(fw["logps"], target)
         if self.use_attention:
             douts = dlogits @ p["Od"].T
             denc += readout_backward(p, fw["tape"], douts, ddec, grads)
-            grads["Od"] += fw["outs"].T @ dlogits
+            grads["Od"] += self._output_grad(fw["outs"], dlogits)
         else:
             ddec += dlogits @ p["Od"].T
-            grads["Od"] += fw["dec"].T @ dlogits
+            grads["Od"] += self._output_grad(fw["dec"], dlogits)
         bptt(p["Hd"], p["Pd"], p["Ed"], target[:-1], fw["dec"], ddec,
              grads["Hd"], grads["Pd"], grads["Ed"])
         # the decoder is initialized from the last encoder state
@@ -168,8 +167,8 @@ class Seq2Seq(Model):
         source, target = seq2seq_pair(dialogue)
         return Seq2SeqExample(source=source, target=target)
 
-    def example_loss_and_grads(self, ex):
-        return self.loss_and_grads(ex.source, ex.target)
+    def example_loss_and_grads(self, ex, grads=None):
+        return self.loss_and_grads(ex.source, ex.target, grads)
 
     def example_score(self, ex):
         return self.score_pair(ex.source, ex.target)

@@ -3,8 +3,11 @@
 All arrays are float64 numpy arrays: matrices are 2-d row-major, vectors
 are 1-d. A model's parameters, and the gradients of a training step, live
 in an :class:`Arena`: one vector holding every array back to back, with a
-named view per array. A fresh arena from :func:`zero_grads` plays the role
-of a gradient tape for a single training step.
+named view per array. A training run zero-fills one gradient arena per
+step (:func:`zero_grads`) instead of allocating a new one, and a model's
+teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
+glibc hands freed blocks of that size back to the kernel, so fresh ones
+would be faulted in again on every step.
 """
 
 import math
@@ -46,18 +49,20 @@ def _normalize(e):
     return e
 
 
-def log_softmax(scores):
+def log_softmax(scores, out=None, scratch=None):
     """log(softmax(scores)) without forming small intermediate probabilities.
 
-    A matrix is normalized row by row.
+    A matrix is normalized row by row. The result goes to ``out`` (which may
+    be ``scores``) and the exponentials to ``scratch`` when they are given.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:
         raise NumericalError("log_softmax of an empty score vector")
     if not np.isfinite(s).all():
         raise NumericalError("log_softmax input contains non-finite entries")
-    shifted = s - s.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = np.subtract(s, s.max(axis=-1, keepdims=True), out=out)
+    shifted -= np.log(np.exp(shifted, out=scratch).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def matvecs(A, X):
@@ -206,15 +211,15 @@ def readout_backward(p, tape, douts, dH, grads):
     return dR
 
 
-def nll_backward(logps, targets):
+def nll_backward(logps, targets, out=None):
     """Summed negative log-likelihood of ``targets`` under per-position
     log-distributions (the rows of ``logps``), and its gradient wrt the
-    logits, one row per position."""
+    logits, one row per position (into ``out`` when given)."""
     rows = np.arange(len(targets))
     loss = 0.0
     for lp in logps[rows, targets].tolist():
         loss -= lp
-    dlogits = np.exp(logps)
+    dlogits = np.exp(logps, out=out)
     dlogits[rows, targets] -= 1.0
     return loss, dlogits
 
@@ -223,16 +228,19 @@ class Arena(dict):
     """Named views, in the order of ``shapes`` (name -> shape), into one
     float64 vector ``flat`` that starts on a 64-byte boundary and holds a copy
     of ``flat`` or zeros. ``a[name] op= x`` stores the same view back; any
-    other assignment to an entry is an error."""
+    other assignment to an entry, or removal of one, is an error."""
 
     def __init__(self, shapes, flat=None):
         n = sum(math.prod(shape) for shape in shapes.values())
-        buf = np.zeros(n + 8)
+        if flat is not None and flat.size != n:
+            raise DataError(f"{flat.size} parameters, expected {n}")
+        try:
+            buf = np.zeros(n + 8)
+        except MemoryError as e:
+            raise DataError(f"{n} parameters do not fit in memory") from e
         start = -buf.ctypes.data % 64 // 8
         self.flat = buf[start:start + n]
         if flat is not None:
-            if flat.size != n:
-                raise DataError(f"{flat.size} parameters, expected {n}")
             self.flat[:] = flat
         end = 0
         for name, shape in shapes.items():
@@ -243,10 +251,19 @@ class Arena(dict):
         if name not in self or value is not self[name]:
             raise TypeError(f"arena entry {name!r} cannot be rebound")
 
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("arena entries cannot be rebound or removed")
 
-def zero_grads(params):
-    """A new zeroed arena laid out like ``params``."""
-    return Arena({name: p.shape for name, p in params.items()})
+    __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+def zero_grads(params, grads=None):
+    """A new zeroed arena laid out like ``params``; given ``grads``, such an
+    arena, zero-fills and returns it instead."""
+    if grads is None:
+        return Arena({name: p.shape for name, p in params.items()})
+    grads.flat.fill(0.0)
+    return grads
 
 
 def clip_global_norm(grads, max_norm):

@@ -124,6 +124,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
     dev_examples = [model.make_example(dlg) for dlg in dev_dialogues]
 
     adam = AdamState(model.params, lr=config.lr)
+    grads = zero_grads(model.params)  # one arena for the run, zero-filled every step
     shuffle_rng = np.random.default_rng([config.seed, 1])
     log = []
     best_ppl = np.inf
@@ -135,7 +136,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
         epoch_loss = 0.0
         for idx in order:
             try:
-                loss, grads = model.example_loss_and_grads(train_examples[idx])
+                loss, _ = model.example_loss_and_grads(train_examples[idx], grads)
             except NumericalError as e:
                 raise NumericalError(
                     f"epoch {epoch}, train sequence {idx}: {e}"

@@ -419,6 +419,31 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and len(err.strip().splitlines()) == 1
 
+    def test_checkpoint_dims_disagreeing_with_payload(self, workspace, tmp_path, capsys):
+        # only d changes; the model's arena was allocated (a MemoryError
+        # traceback) before its size was compared with the payload's
+        head, payload = workspace["ckpt"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["dims"]["d"] = 100000000
+        bad = tmp_path / "model.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert main(["eval", "--checkpoint", str(bad), "--vocab", str(workspace["vocab"]),
+                     "--corpus", str(workspace["prep"] / "test.txt"),
+                     "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "parameters, expected" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_model_too_large_to_allocate(self, workspace, tmp_path, capsys):
+        # 10^16 parameters: an allocation that fails at once, not lazily
+        prep = workspace["prep"]
+        assert main(["train", "--train", str(prep / "train.txt"), "--dev", str(prep / "dev.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(tmp_path / "tr"),
+                     "--kind", "arnn", "--d", "100000000", "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "do not fit in memory" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_corrupt_binary_headers(self, workspace, lda_model, tmp_path):
         for good, load in ((workspace["ckpt"], load_checkpoint),
                            (lda_model, topics.TopicModel.load)):

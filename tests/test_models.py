@@ -12,7 +12,7 @@ from dialoglm.errors import DataError, NumericalError
 from dialoglm.models import (AttentionRnnLm, RnnLm, Seq2Seq,
                              TopicAttentionRnnLm, lm, load_checkpoint, make_model,
                              save_checkpoint, seq2seq_pair)
-from dialoglm.numeric import ATTENTION_BLOCK, softmax
+from dialoglm.numeric import ATTENTION_BLOCK, softmax, zero_grads
 
 D, DE, V, K = 8, 6, 20, 4
 
@@ -504,8 +504,63 @@ class TestGradients:
             assert err > 1e-4, name
 
 
+KINDS = ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"]
+
+
+def _snapshot(score):
+    """The fields of a score, arrays (also inside lists) as their bytes."""
+    def value(v):
+        if isinstance(v, list):
+            return [value(x) for x in v]
+        return v.tobytes() if isinstance(v, np.ndarray) else v
+    return {name: value(v) for name, v in vars(score).items()}
+
+
+class TestReusedBuffers:
+    """A training run passes one gradient arena to every step, and the
+    teacher-forced output layer writes into buffers each model reuses: the
+    results are the bytes of fresh ones, and nothing returned aliases them."""
+
+    @staticmethod
+    def _args(kind, rng, n):
+        if kind.startswith("seq2seq"):
+            return random_tokens(rng, 5), random_tokens(rng, n)
+        return random_tokens(rng, n), rng.dirichlet(np.ones(K)) if kind == "tarnn" else None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_arena_gives_the_bytes_of_fresh_ones(self, kind):
+        rng = np.random.default_rng(40)
+        m = make_model(kind, D, DE, V, n_topics=K, seed=41)
+        for k in m.params:
+            m.params[k] *= 5.0
+        grads = zero_grads(m.params)
+        for n in (9, 23, 4):  # the buffers grow, then a shorter pass reuses them
+            args = self._args(kind, rng, n)
+            twin = make_model(kind, D, DE, V, n_topics=K, flat=m.params.flat)
+            ref_loss, ref = twin.loss_and_grads(*args)
+            loss, got = m.loss_and_grads(*args, grads=grads)
+            assert got is grads
+            assert loss == ref_loss
+            assert list(got) == list(ref) and got.flat.tobytes() == ref.flat.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scores_survive_later_passes(self, kind):
+        rng = np.random.default_rng(42)
+        m = make_model(kind, D, DE, V, n_topics=K, seed=43)
+        dialogue = lambda n: Dialogue(((0, random_tokens(rng, n, lo=6)),
+                                       (1, random_tokens(rng, n, lo=6))))
+        first = m.make_example(dialogue(7))
+        scores = [m.example_score(first), m.score_dialogue(dialogue(7))]
+        kept = [_snapshot(s) for s in scores]
+        for n in (25, 2):  # longer, so the buffers grow, then shorter
+            later = m.make_example(dialogue(n))
+            m.example_score(later)
+            m.example_loss_and_grads(later)
+        assert [_snapshot(s) for s in scores] == kept
+
+
 class TestCheckpoints:
-    @pytest.mark.parametrize("kind", ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_bitwise(self, tmp_path, kind):
         m = make_model(kind, D, DE, V, n_topics=K, seed=30)
         path = tmp_path / "m.ckpt"

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from conftest import affine_tanh, arena, attention_backward, grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialoglm.errors import NumericalError
+from dialoglm.errors import DataError, NumericalError
 from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
 from dialoglm.numeric import (ATTENTION_BLOCK, Arena, attention, clip_global_norm, columns,
                               log_softmax, matvecs, nll_backward, recur, scoped_attention,
@@ -181,6 +182,43 @@ class TestArena:
             with pytest.raises(TypeError, match="rebound"):
                 a["z"] = value
         assert list(a) == ["x"] and not a.flat.any()
+
+    @pytest.mark.parametrize("method", ["update", "ior", "setdefault", "pop", "popitem",
+                                        "clear", "del"])
+    def test_dict_methods_cannot_rebind_or_remove(self, method):
+        # these bypassed __setitem__: after a.update(x=...), a["x"] += 1 left
+        # a.flat unchanged
+        a = Arena({"x": (2,), "y": (3,)})
+        edit = {
+            "update": lambda: a.update(x=np.ones(2)),
+            "ior": lambda: operator.ior(a, {"x": np.ones(2)}),  # a |= {...}
+            "setdefault": lambda: a.setdefault("z", np.ones(2)),
+            "pop": lambda: a.pop("x"),
+            "popitem": a.popitem,
+            "clear": a.clear,
+            "del": lambda: a.__delitem__("x"),
+        }[method]
+        with pytest.raises(TypeError, match="rebound or removed"):
+            edit()
+        assert list(a) == ["x", "y"]
+        a["x"] += 1.0
+        np.testing.assert_array_equal(a.flat, [1, 1, 0, 0, 0])
+
+    def test_size_is_checked_before_allocating(self):
+        # 10^18 entries would fail to allocate; the payload's size is compared first
+        with pytest.raises(DataError, match="3 parameters, expected 1000000000000000000"):
+            Arena({"x": (10**9, 10**9)}, np.zeros(3))
+
+    def test_too_large_to_allocate_is_a_data_error(self):
+        with pytest.raises(DataError, match="1000000000000000000 parameters do not fit"):
+            Arena({"x": (10**9, 10**9)})
+
+    def test_zero_grads_fills_a_given_arena(self):
+        params = arena(a=np.ones((2, 3)), b=np.ones(4))
+        grads = zero_grads(params)
+        grads.flat[:] = 7.0
+        assert zero_grads(params, grads) is grads
+        assert not grads.flat.any()
 
 
 # ---------------------------------------------------------------------------

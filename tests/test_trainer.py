@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dialoglm import cli, metrics, synthetic, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
 from dialoglm.errors import DataError, NumericalError
 from dialoglm.models import load_checkpoint, make_model, save_checkpoint
+from dialoglm.numeric import clip_global_norm, zero_grads
 from dialoglm.trainer import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_update,
                               pretrain_finetune, train)
 
@@ -114,6 +116,34 @@ class TestAdam:
         for i in range(1, 4):
             adam_update(state, params, arena(w=np.ones(2)))
             assert state.t == i
+
+
+class TestStepAllocations:
+    @pytest.mark.parametrize("kind", ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"])
+    def test_warm_step_allocates_less_than_one_row_block(self, kind):
+        # a step into a given arena, after one warm-up step, at d = 8, V = 2,000:
+        # its peak stays below one (n, V) block of the n scored positions. A
+        # fresh gradient arena, logits, exp and dlogits rows and the (d, V)
+        # product took 1,532 KB for arnn and 843 KB for seq2seq_attn.
+        n_vocab = 2000
+        model = make_model(kind, 8, 8, n_vocab, n_topics=4, seed=1)
+        tokens = [int(t) for t in np.random.default_rng(0).integers(0, n_vocab, 30)]
+        args = (tokens[:20], tokens[20:]) if kind.startswith("seq2seq") else (tokens,)
+        grads, adam = zero_grads(model.params), AdamState(model.params)
+
+        def step():
+            model.loss_and_grads(*args, grads=grads)
+            clip_global_norm(grads, 5.0)
+            adam_update(adam, model.params, grads)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(args[-1]) * n_vocab * 8
 
 
 class TestTrain:
