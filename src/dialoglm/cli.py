@@ -400,13 +400,13 @@ def render_heatmap_pgm(trace, cell_size=12):
 def cmd_attviz(args):
     vocab, stop_ids = _load_vocab(args)
     model = _load_model(args, vocab, stop_ids)
-    if not getattr(model, "attends", False):
+    if not model.attends:
         raise DataError(f"checkpoint kind {model.kind!r} has no attention to visualize")
     histories = corpus.load_corpus(args.history, vocab, min_turns=1)
     if not (0 <= args.history_index < len(histories)):
         raise DataError(f"--history-index {args.history_index} out of range")
     history = histories[args.history_index]
-    if args.continuation:
+    if args.continuation is not None:
         tokens = vocab.encode(args.continuation.split())
         trace = generator.trace_attention(model, history, tokens, vocab)
     else:

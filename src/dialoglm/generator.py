@@ -68,7 +68,7 @@ def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
         raise DataError("need beam_width >= 1, max_len >= 1, 1 <= n_best <= beam_width")
     if not math.isfinite(len_norm):
         raise DataError(f"len_norm must be finite, got {len_norm}")
-    if record_trace and not getattr(model, "attends", False):
+    if record_trace and not model.attends:
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
     state = model.start(history)
     tokens = np.zeros((1, 0), dtype=np.intp)  # row b: hypothesis b's tokens
@@ -159,7 +159,7 @@ def trace_attention(model, history, continuation, vocab):
     The scope at each step covers the full history so far, including the
     continuation tokens already consumed.
     """
-    if not getattr(model, "attends", False):
+    if not model.attends:
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
     if not continuation:
         raise DataError("cannot trace an empty continuation")

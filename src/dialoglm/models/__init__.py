@@ -2,7 +2,7 @@
 attention, the topic-feature variant, and encoder-decoder baselines."""
 
 from ..errors import DataError
-from .base import DialogueScore, LmDecodeState, Seq2SeqDecodeState, SequenceScore
+from .base import DecodeState, DialogueScore, SequenceScore
 from .io import load_checkpoint, save_checkpoint
 from .lm import AttentionRnnLm, LmExample, RnnLm, TopicAttentionRnnLm
 from .seq2seq import Seq2Seq, Seq2SeqExample, seq2seq_pair
@@ -33,13 +33,12 @@ def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, flat=None,
 
 __all__ = [
     "AttentionRnnLm",
+    "DecodeState",
     "DialogueScore",
-    "LmDecodeState",
     "LmExample",
     "MODEL_KINDS",
     "RnnLm",
     "Seq2Seq",
-    "Seq2SeqDecodeState",
     "Seq2SeqExample",
     "SequenceScore",
     "TopicAttentionRnnLm",

@@ -10,13 +10,14 @@ decoding share this convention exactly, so they produce identical
 distributions for identical prefixes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .. import corpus
 from ..errors import DataError
-from ..numeric import INIT_HALF_WIDTH, Arena, log_softmax, nll_backward
+from ..numeric import (INIT_HALF_WIDTH, Arena, attention, columns, log_softmax, matvecs,
+                       nll_backward, readout_backward, recur, softmax)
 
 
 @dataclass
@@ -61,17 +62,21 @@ class DialogueScore:
 
 
 @dataclass
-class LmDecodeState:
-    """Stepwise decoding state of a batch of B hypotheses, language models.
+class DecodeState:
+    """Stepwise decoding state of a batch of B hypotheses, for every kind.
 
     Row b of ``h`` (B, d) scores hypothesis b's next position; ``prev_h``
-    holds the states before the most recent token was consumed (the
-    attention queries), None before the first. The attention models keep
-    the representation r of every consumed token in the arena ``R``
-    (slots, cap, d_e + d) and U r in ``UR`` (slots, cap, d): rows [0:t] of
-    slot b are hypothesis b's scope. Rows [0:t0] hold the prefix the batch
-    started from and are the same in every slot, so reordering the slots
-    copies only rows [t0:t]; the capacity doubles when it runs out.
+    holds the states before the most recent token was consumed, None
+    before the first; ``theta`` is the topic feature (tarnn). ``t`` tokens
+    have been consumed, ``t0`` of them by ``begin``. An attending kind
+    attends over the rows ``R``, their U projections cached in ``UR``.
+    Under a growing scope (arnn, tarnn), R is an arena (slots, cap, d_e + d)
+    of token representations and UR one of (slots, cap, d): rows [0:t] of
+    slot b are hypothesis b's scope, and rows [0:t0], the prefix, are the
+    same in every slot, so reordering the slots copies only rows [t0:t];
+    the capacity doubles when it runs out. Under the fixed scope of
+    seq2seq, R holds the (M+1, d) encoder states and UR their U
+    projection, which every row shares read-only: none is copied.
     """
 
     h: np.ndarray
@@ -83,17 +88,6 @@ class LmDecodeState:
     t0: int = 0
 
 
-@dataclass
-class Seq2SeqDecodeState:
-    """Decoder-side state of a batch of B hypotheses; the encoder pass is
-    shared read-only by every row."""
-
-    enc_states: np.ndarray  # (M+1, d)
-    uenc: np.ndarray  # (M+1, d) cached U @ enc_states[m], attention only
-    h: np.ndarray = None  # (B, d)
-    prev_h: np.ndarray = None  # None until the decoder has consumed a token
-
-
 def check_tokens(tokens, vocab_size, what="token"):
     """DataError unless every token id lies in [0, vocab_size)."""
     for tok in tokens:
@@ -102,29 +96,36 @@ def check_tokens(tokens, vocab_size, what="token"):
 
 
 class Model:
-    """Parameters and dimensions shared by every model kind.
+    """Parameters, dimensions and the one decoding path of every model kind.
 
     Subclasses list their parameter arrays in ``param_shapes``; that order
     is the layout of the arena ``params``, the checkpoint order and the
     order fresh parameters are drawn in. ``flat``, when given, holds the
     values of every array in that order, and ``params`` gets a copy.
 
-    Stepwise decoding works on a batch of B hypotheses, with one code path
-    for every B. ``begin(prefix[, theta])`` returns a state of one
-    hypothesis that has consumed ``prefix``. ``step_dist(state)`` returns
-    the (B, V) next-token probabilities and one attention weight row per
-    hypothesis, or None for a kind without attention. ``advance(state, tokens,
-    parents=None)`` returns the state whose row i is row ``parents[i]``
-    (row i when ``parents`` is None) after consuming ``tokens[i]``. It may
-    reuse the buffers of the state it consumes, so that state must not be
-    used again. Row b of every result is bitwise the same whatever the
-    other rows of the batch hold and however many there are.
+    Stepwise decoding works on a :class:`DecodeState` of B hypotheses, with
+    one code path for every kind and every B. ``begin(prefix[, theta])``
+    returns a state of one hypothesis that has consumed ``prefix``.
+    ``step_dist(state)`` returns the (B, V) next-token probabilities and
+    one attention weight row per hypothesis, or None for a kind without
+    attention. ``advance(state, tokens, parents=None)`` returns the state
+    whose row i is row ``parents[i]`` (row i when ``parents`` is None)
+    after consuming ``tokens[i]``. It may reuse the buffers of the state it
+    consumes, so that state must not be used again. Row b of every result
+    is bitwise the same whatever the other rows of the batch hold and
+    however many there are.
+
+    A kind states only the names of its decoder's H, P, E and O matrices
+    (``decoder``), what a state attends with and over (``_scope``), and how
+    a growing scope takes in a consumed token (``_extend_scope``).
 
     A teacher-forced pass keeps its (n, V) output rows, and a training step
     its (d, V) output-matrix gradient product, in buffers the model reuses
     (the rows grow to the longest sequence seen). They hold only until the
     next pass, so nothing a model returns may alias them.
     """
+
+    attends = False
 
     def __init__(self, d, d_e, vocab_size, seed=0, flat=None):
         self.d = d
@@ -160,6 +161,72 @@ class Model:
         if self._dV is None:
             self._dV = np.empty((X.shape[1], self.V))
         return np.matmul(X.T, dlogits, out=self._dV)
+
+    # ------------------------------------------------------------------
+    # output layer and stepwise decoding, shared by every kind
+
+    def _add_topic(self, out, theta):
+        """Output-layer input(s) ``out`` plus Otheta theta, where the model
+        has Otheta and a theta is given."""
+        if theta is not None and "Otheta" in self.params:
+            out += self.params["Otheta"] @ theta
+        return out
+
+    def _backward_outputs(self, fw, dlogits, grads, dstates, theta):
+        """Backward from the logits through everything but the recurrence: adds
+        dL/dstates (``fw["states"]``) into ``dstates`` and returns dL/dR of
+        the attended rows (None without attention)."""
+        O = self.decoder[3]
+        douts = dlogits @ self.params[O].T
+        grads[O] += self._output_grad(fw["outs"], dlogits)
+        if not self.attends:
+            dstates += douts
+            return None
+        if theta is not None and "Otheta" in grads:
+            grads["Otheta"] += np.outer(douts.sum(axis=0), theta)
+        return readout_backward(self.params, fw["tape"], douts, dstates, grads)
+
+    def step(self, h_prev, tokens):
+        """h_t = tanh(H h_prev + P E[token]) for each row of ``h_prev`` and
+        its token, in the decoder's recurrence."""
+        check_tokens(tokens, self.V)
+        H, P, E, _ = (self.params[name] for name in self.decoder)
+        return recur(H, h_prev, P, columns(E, tokens))
+
+    def next_dist(self, h, z=None, theta=None):
+        """softmax(O^T h), or with attention softmax(O^T (Oh h + Oz z [+ Otheta
+        theta])), row-wise for a batch of states."""
+        p, out = self.params, h
+        if self.attends:
+            out = matvecs(p["Oh"], h)
+            if z is not None:
+                out += matvecs(p["Oz"], z)
+            out = self._add_topic(out, theta)
+        return softmax(matvecs(p[self.decoder[3]].T, out))
+
+    def step_dist(self, state):
+        """(B, V) next-token distributions and attention weights (see Model)."""
+        alpha = z = None
+        scope = self._scope(state)
+        if scope is not None:
+            q, R, UR = scope
+            _, alpha, z = attention(matvecs(self.params["W"], q), self.params["b"], R, UR)
+        return self.next_dist(state.h, z, state.theta), alpha
+
+    def advance(self, state, tokens, parents=None):
+        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model)."""
+        h = state.h if parents is None else state.h[parents]
+        new = replace(state, h=self.step(h, tokens), prev_h=h, t=state.t + 1)
+        self._extend_scope(state, new, tokens, parents)
+        return new
+
+    def _scope(self, state):
+        """(queries, rows, their U projections) that ``state`` attends with
+        and over, or None when it attends to nothing."""
+        return None
+
+    def _extend_scope(self, state, new, tokens, parents):
+        """Attention scope of an advanced state: a fixed one carries over."""
 
     def start(self, history):
         """Decode state that has consumed the continuation prefix of ``history``."""

@@ -25,9 +25,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, bptt, columns, matvecs, readout, readout_backward, recur,
-                       softmax, unroll, zero_grads)
-from .base import DialogueScore, LmDecodeState, Model, SequenceScore, check_tokens
+from ..numeric import bptt, matvecs, readout, unroll, zero_grads
+from .base import DecodeState, DialogueScore, Model, SequenceScore, check_tokens
 
 
 @dataclass
@@ -42,26 +41,11 @@ class RnnLm(Model):
     """Plain recurrent language model."""
 
     kind = "rnn"
-    attends = False
+    decoder = ("H", "P", "E", "O")
 
     def param_shapes(self):
         d, d_e, V = self.d, self.d_e, self.V
         return {"H": (d, d), "P": (d, d_e), "E": (d_e, V), "O": (d, V)}
-
-    # ------------------------------------------------------------------
-    # single-step operations
-
-    def step(self, h_prev, tokens):
-        """h_t = tanh(H h_prev + P E[token]) for each row of ``h_prev`` and
-        its token; the initial h is the zero vector."""
-        check_tokens(tokens, self.V)
-        p = self.params
-        return recur(p["H"], h_prev, p["P"], columns(p["E"], tokens))
-
-    def next_dist(self, h):
-        """Distribution over the vocabulary given the current state (row-wise
-        for a batch of states)."""
-        return softmax(matvecs(self.params["O"].T, h))
 
     # ------------------------------------------------------------------
     # teacher-forced scoring
@@ -85,7 +69,8 @@ class RnnLm(Model):
 
     def _forward(self, tokens, theta=None):
         states = self._states(tokens)
-        return {"states": states, "logps": self._log_probs(states, self.params["O"])}
+        return {"states": states, "outs": states,
+                "logps": self._log_probs(states, self.params["O"])}
 
     # ------------------------------------------------------------------
     # backward
@@ -99,18 +84,15 @@ class RnnLm(Model):
         grads = zero_grads(p, grads)
         dstates = np.zeros((len(tokens), self.d))
         loss, dlogits = self._nll_backward(fw["logps"], tokens)
-        self._backward_outputs(tokens, fw, dlogits, grads, dstates, theta)
+        drep = self._backward_outputs(fw, dlogits, grads, dstates, theta)
+        if drep is not None:  # back from the representations to embeddings and states
+            dstates[1:] += drep[:, self.d_e :]
+            np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])
         bptt(p["H"], p["P"], p["E"], tokens[:-1], fw["states"], dstates,
              grads["H"], grads["P"], grads["E"])
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss in backward pass")
         return float(loss), grads
-
-    def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
-        """Backward from the logits to the states, through everything but the
-        recurrence; adds dL/dstates into ``dstates``."""
-        dstates += dlogits @ self.params["O"].T
-        grads["O"] += self._output_grad(fw["states"], dlogits)
 
     # ------------------------------------------------------------------
     # stepwise decoding
@@ -121,28 +103,13 @@ class RnnLm(Model):
         check_tokens(prefix, self.V)
         p = self.params
         states = unroll(p["H"], p["P"], p["E"], prefix, np.zeros(self.d))
-        state = LmDecodeState(h=states[-1:], prev_h=states[-2:-1] if prefix else None,
-                              theta=theta, t=len(prefix), t0=len(prefix))
+        state = DecodeState(h=states[-1:], prev_h=states[-2:-1] if prefix else None,
+                            theta=theta, t=len(prefix), t0=len(prefix))
         self._start_scope(state, prefix, states[1:])
         return state
 
-    def advance(self, state, tokens, parents=None):
-        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model)."""
-        h = state.h if parents is None else state.h[parents]
-        new = LmDecodeState(h=self.step(h, tokens), prev_h=h, theta=state.theta,
-                            t=state.t + 1, t0=state.t0)
-        self._extend_scope(state, new, tokens, parents)
-        return new
-
     def _start_scope(self, state, prefix, states):
         """Attention scope of a fresh state; none here."""
-
-    def _extend_scope(self, state, new, tokens, parents):
-        """Attention scope of an advanced state; none here."""
-
-    def step_dist(self, state):
-        """(B, V) next-token distributions and attention weights (None here)."""
-        return self.next_dist(state.h), None
 
     # ------------------------------------------------------------------
     # dialogue plumbing
@@ -196,22 +163,6 @@ class AttentionRnnLm(RnnLm):
         return shapes
 
     # ------------------------------------------------------------------
-    # single-step operations
-
-    def next_dist(self, h, z=None, theta=None):
-        """Distribution from the state and the attention context (row-wise
-        for a batch)."""
-        p = self.params
-        out = matvecs(p["Oh"], h)
-        if z is not None:
-            out += matvecs(p["Oz"], z)
-        return softmax(matvecs(p["O"].T, self._add_topic(out, theta)))
-
-    def _add_topic(self, out, theta):
-        """Output-layer input(s) ``out`` plus the topic term; none here."""
-        return out
-
-    # ------------------------------------------------------------------
     # teacher-forced scoring
 
     def _forward(self, tokens, theta=None):
@@ -223,23 +174,9 @@ class AttentionRnnLm(RnnLm):
         # position t >= 1 queries with states[t-1] over R[:t]; position 0 attends to nothing
         outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n))
         outs = self._add_topic(outs, theta)
-        return {"states": states, "R": R, "tape": tape, "outs": outs,
+        return {"states": states, "tape": tape, "outs": outs,
                 "alphas": [None] + [A[t - 1, :t] for t in range(1, n)],
                 "logps": self._log_probs(outs, p["O"])}
-
-    # ------------------------------------------------------------------
-    # backward
-
-    def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
-        p = self.params
-        douts = dlogits @ p["O"].T
-        drep = readout_backward(p, fw["tape"], douts, dstates, grads)
-        grads["O"] += self._output_grad(fw["outs"], dlogits)
-        if theta is not None:
-            grads["Otheta"] += np.outer(douts.sum(axis=0), theta)
-        # scatter representation gradients back to embeddings and states
-        dstates[1:] += drep[:, self.d_e :]
-        np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])
 
     # ------------------------------------------------------------------
     # stepwise decoding
@@ -271,13 +208,10 @@ class AttentionRnnLm(RnnLm):
         UR[:B, t] = matvecs(p["U"], R[:B, t])
         new.R, new.UR = R, UR
 
-    def step_dist(self, state):
-        alpha = z = None
-        if state.prev_h is not None:
-            p, B, t = self.params, len(state.h), state.t
-            _, alpha, z = attention(matvecs(p["W"], state.prev_h), p["b"],
-                                    state.R[:B, :t], state.UR[:B, :t])
-        return self.next_dist(state.h, z, state.theta), alpha
+    def _scope(self, state):
+        """Each row's previous state over its own slot's rows, once it has one."""
+        B, t = len(state.h), state.t
+        return None if state.prev_h is None else (state.prev_h, state.R[:B, :t], state.UR[:B, :t])
 
 
 class TopicAttentionRnnLm(AttentionRnnLm):
@@ -316,11 +250,6 @@ class TopicAttentionRnnLm(AttentionRnnLm):
         if theta is not None:
             theta = self._validate_theta(theta)
         return super().next_dist(h, z, theta)
-
-    def _add_topic(self, out, theta):
-        if theta is not None:
-            out += self.params["Otheta"] @ theta
-        return out
 
     def _theta_or_uniform(self, theta):
         return self._validate_theta(np.full(self.K, 1.0 / self.K) if theta is None else theta)

@@ -18,9 +18,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (attention, bptt, columns, matvecs, readout, readout_backward, recur,
-                       softmax, unroll, zero_grads)
-from .base import DialogueScore, Model, Seq2SeqDecodeState, SequenceScore, check_tokens
+from ..numeric import bptt, readout, unroll, zero_grads
+from .base import DecodeState, DialogueScore, Model, SequenceScore, check_tokens
 
 
 @dataclass
@@ -42,6 +41,8 @@ def seq2seq_pair(dialogue):
 
 class Seq2Seq(Model):
     """RNN encoder-decoder, optionally with fixed-scope attention."""
+
+    decoder = ("Hd", "Pd", "Ed", "Od")
 
     def __init__(self, d, d_e, vocab_size, use_attention=False, seed=0, flat=None):
         self.use_attention = use_attention
@@ -84,13 +85,13 @@ class Seq2Seq(Model):
         p = self.params
         enc = enc0[1:]
         dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
-        fw = {"enc0": enc0, "dec": dec, "alphas": None}
+        fw = {"enc0": enc0, "states": dec, "outs": dec, "alphas": None}
         if self.use_attention:
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
             outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)))
             fw.update({"tape": tape, "alphas": list(A), "outs": outs})
-        fw["logps"] = self._log_probs(fw["outs"] if self.use_attention else dec, p["Od"])
+        fw["logps"] = self._log_probs(fw["outs"], p["Od"])
         return fw
 
     def score_pair(self, source, target):
@@ -107,21 +108,16 @@ class Seq2Seq(Model):
         fw = self._forward(source, target)
         p = self.params
         grads = zero_grads(p, grads)
-        ddec = np.zeros_like(fw["dec"])
+        ddec = np.zeros_like(fw["states"])
         denc0 = np.zeros_like(fw["enc0"])
-        denc = denc0[1:]
         loss, dlogits = self._nll_backward(fw["logps"], target)
-        if self.use_attention:
-            douts = dlogits @ p["Od"].T
-            denc += readout_backward(p, fw["tape"], douts, ddec, grads)
-            grads["Od"] += self._output_grad(fw["outs"], dlogits)
-        else:
-            ddec += dlogits @ p["Od"].T
-            grads["Od"] += self._output_grad(fw["dec"], dlogits)
-        bptt(p["Hd"], p["Pd"], p["Ed"], target[:-1], fw["dec"], ddec,
+        denc = self._backward_outputs(fw, dlogits, grads, ddec, None)
+        if denc is not None:
+            denc0[1:] += denc
+        bptt(p["Hd"], p["Pd"], p["Ed"], target[:-1], fw["states"], ddec,
              grads["Hd"], grads["Pd"], grads["Ed"])
         # the decoder is initialized from the last encoder state
-        denc[-1] += ddec[0]
+        denc0[-1] += ddec[0]
         bptt(p["He"], p["Pe"], p["Ee"], source, fw["enc0"], denc0,
              grads["He"], grads["Pe"], grads["Ee"])
         if not np.isfinite(loss):
@@ -136,29 +132,15 @@ class Seq2Seq(Model):
         if not prefix:
             raise DataError("seq2seq decoding needs a non-empty source prefix")
         enc = self._encode(prefix)[1:]
-        uenc = enc @ self.params["U"].T if self.use_attention else None
-        return Seq2SeqDecodeState(enc_states=enc, uenc=uenc, h=enc[-1:].copy())
+        UR = enc @ self.params["U"].T if self.use_attention else None
+        return DecodeState(h=enc[-1:].copy(), R=enc, UR=UR)
 
-    def advance(self, state, tokens, parents=None):
-        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model)."""
-        check_tokens(tokens, self.V)
-        p = self.params
-        h = state.h if parents is None else state.h[parents]
-        return Seq2SeqDecodeState(
-            enc_states=state.enc_states,
-            uenc=state.uenc,
-            h=recur(p["Hd"], h, p["Pd"], columns(p["Ed"], tokens)),
-            prev_h=h,
-        )
-
-    def step_dist(self, state):
-        """(B, V) next-token distributions and (B, M+1) attention weights."""
-        p = self.params
-        if not self.use_attention:
-            return softmax(matvecs(p["Od"].T, state.h)), None
-        q = state.h if state.prev_h is None else state.prev_h
-        _, alpha, z = attention(matvecs(p["W"], q), p["b"], state.enc_states, state.uenc)
-        return softmax(matvecs(p["Od"].T, matvecs(p["Oh"], state.h) + matvecs(p["Oz"], z))), alpha
+    def _scope(self, state):
+        """Each row's previous decoder state, or at first the initial one,
+        over all the encoder states."""
+        if self.use_attention:
+            return (state.h if state.prev_h is None else state.prev_h), state.R, state.UR
+        return None
 
     # ------------------------------------------------------------------
     # dialogue plumbing

@@ -321,6 +321,18 @@ class TestAttviz:
                      "--out", str(tmp_path / "v")])
         assert code == 2
 
+    @pytest.mark.parametrize("continuation", ["", "  "])
+    def test_empty_continuation_rejected(self, workspace, tmp_path, capsys, continuation):
+        # an empty --continuation is a continuation to trace, not "decode one"
+        out = tmp_path / "v"
+        code = main(["attviz", "--checkpoint", str(workspace["ckpt"]),
+                     "--vocab", str(workspace["vocab"]),
+                     "--history", str(workspace["prep"] / "test.txt"),
+                     "--out", str(out), "--continuation", continuation])
+        assert code == 2
+        assert "cannot trace an empty continuation" in capsys.readouterr().err
+        assert not (out / "trace.txt").exists()
+
     def test_pgm_structure(self):
         trace = AttentionTrace(
             rows=[np.array([0.25, 0.75]), np.array([0.1, 0.2, 0.7])],

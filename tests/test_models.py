@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dialoglm import corpus
 from dialoglm.corpus import Dialogue
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import (AttentionRnnLm, RnnLm, Seq2Seq,
+from dialoglm.models import (AttentionRnnLm, DecodeState, RnnLm, Seq2Seq,
                              TopicAttentionRnnLm, lm, load_checkpoint, make_model,
                              save_checkpoint, seq2seq_pair)
 from dialoglm.numeric import ATTENTION_BLOCK, softmax, zero_grads
@@ -426,6 +426,34 @@ class TestBatchedDecode:
                             or alpha[row].tobytes() == a1[0].tobytes())
 
 
+class TestDecodeState:
+    """Every kind decodes through one state class; a fixed scope is shared by
+    every row and every step, never copied."""
+
+    STEPS = (([7], None), ([8, 9, 10], [0, 0, 0]), ([11, 12], [2, 0]),
+             ([13, 14, 15, 16], [1, 0, 1, 0]))  # the parents reorder, the batch grows
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_steps_decode_states(self, kind):
+        m = make_model(kind, D, DE, V, n_topics=K, seed=44)
+        state = m.begin([3, 4, 5])
+        assert type(state) is DecodeState
+        for tokens, parents in self.STEPS:
+            state = m.advance(state, tokens, parents)
+            assert type(state) is DecodeState and len(state.h) == len(tokens)
+
+    @pytest.mark.parametrize("kind", ["seq2seq", "seq2seq_attn"])
+    def test_fixed_scope_is_never_copied(self, kind):
+        m = make_model(kind, D, DE, V, seed=45)
+        state = m.begin([3, 4, 5, 6])
+        R, UR = state.R, state.UR
+        assert R.shape == (4, D) and (UR is None) == (kind == "seq2seq")
+        for tokens, parents in self.STEPS:
+            m.step_dist(state)
+            state = m.advance(state, tokens, parents)
+            assert state.R is R and state.UR is UR
+
+
 class TestGradients:
     """Quick per-variant checks; the 20-seed battery lives in the acceptance suite."""
 
@@ -456,6 +484,17 @@ class TestGradients:
                          eps=3e-4, samples_per_array=8,
                          rng=np.random.default_rng(0))
         assert err < 1e-4
+
+    @pytest.mark.parametrize("kind", ["rnn", "arnn"])
+    def test_theta_is_ignored_without_a_topic_feature(self, kind):
+        # only tarnn has Otheta; another LM trains as if no theta were given
+        rng = np.random.default_rng(46)
+        m = make_model(kind, D, DE, V, seed=47)
+        tokens, theta = random_tokens(rng, 9), rng.dirichlet(np.ones(K))
+        loss, grads = m.loss_and_grads(tokens)
+        loss_theta, grads_theta = m.loss_and_grads(tokens, theta)
+        assert loss_theta == loss
+        assert grads_theta.flat.tobytes() == grads.flat.tobytes()
 
 
     @staticmethod
