@@ -62,8 +62,18 @@ def _load_model(args, vocab, stopword_ids):
     if model.kind == "tarnn":
         if args.topic_model is None:
             raise DataError("a tarnn checkpoint needs --topic-model for topic features")
-        _, model.theta_provider = _theta_provider(args.topic_model, vocab, stopword_ids)
+        tm, model.theta_provider = _theta_provider(args.topic_model, vocab, stopword_ids)
+        if tm.n_topics != model.K:
+            raise DataError(f"{args.topic_model}: topic model has K={tm.n_topics}, "
+                            f"but the tarnn checkpoint {args.checkpoint} has K={model.K}")
     return model
+
+
+def _write(args, name, text):
+    """``text`` written atomically as ``name`` in the output directory; its path."""
+    path = os.path.join(args.out, name)
+    fileio.write_text_atomic(path, text)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +141,9 @@ def cmd_train(args):
                                        log_lines=log_lines)
     ckpt = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt, result.model, vocab.sha256())
-    fileio.write_text_atomic(os.path.join(args.out, "train_log.txt"),
-                             "".join(line + "\n" for line in log_lines))
+    log = _write(args, "train_log.txt", "".join(line + "\n" for line in log_lines))
     print(f"best dev ppl {result.best_dev_ppl:.4f} after {len(result.log)} evaluations")
-    return {"checkpoint": ckpt, "log": os.path.join(args.out, "train_log.txt")}
+    return {"checkpoint": ckpt, "log": log}
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +161,13 @@ def cmd_generate(args):
             model, history, vocab, beam_width=args.beam_width, max_len=args.max_len,
             n_best=args.n_best, len_norm=args.len_norm, record_trace=args.trace,
         )
-        path = os.path.join(args.out, f"candidates_{i:04d}.txt")
-        fileio.write_text_atomic(path, generator.format_candidates(cands, vocab))
-        outputs.append(path)
+        outputs.append(_write(args, f"candidates_{i:04d}.txt",
+                              generator.format_candidates(cands, vocab)))
         top_lines.append(cands[0].text(vocab))
         if args.trace:
-            tpath = os.path.join(args.out, f"trace_{i:04d}.txt")
-            fileio.write_text_atomic(tpath, generator.format_trace(cands[0].trace))
-            outputs.append(tpath)
-    gen_path = os.path.join(args.out, "generations.txt")
-    fileio.write_text_atomic(gen_path, "".join(line + "\n" for line in top_lines))
+            outputs.append(_write(args, f"trace_{i:04d}.txt",
+                                  generator.format_trace(cands[0].trace)))
+    gen_path = _write(args, "generations.txt", "".join(line + "\n" for line in top_lines))
     return {"generations": gen_path, "candidates": outputs}
 
 
@@ -226,10 +232,10 @@ def cmd_eval(args):
             report.values[f"recall_at_{args.recall_n}"] = metrics.recall_at_n(
                 model, sets, args.recall_n, len_norm=args.len_norm)
             report.counts["candidate_sets"] = len(sets)
-    fileio.write_text_atomic(os.path.join(args.out, "report.tsv"), report.to_tsv())
-    fileio.write_text_atomic(os.path.join(args.out, "report.json"), report.to_json())
+    tsv = _write(args, "report.tsv", report.to_tsv())
+    _write(args, "report.json", report.to_json())
     print(report.to_tsv(), end="")
-    return {"report": os.path.join(args.out, "report.tsv")}
+    return {"report": tsv}
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +254,10 @@ def cmd_lda(args):
     path = os.path.join(args.out, "topics.bin")
     tm.save(path, vocab_sha256=vocab.sha256())
     top = tm.top_words(10, vocab)
-    fileio.write_text_atomic(
-        os.path.join(args.out, "topwords.txt"),
-        "".join(f"topic {k}: " + " ".join(ws) + "\n" for k, ws in enumerate(top)),
-    )
-    log_path = os.path.join(args.out, "lda_log.txt")
-    fileio.write_text_atomic(log_path, topics.format_lda_log(tm))
-    return {"topic_model": path, "top_words": os.path.join(args.out, "topwords.txt"),
-            "log": log_path}
+    top_path = _write(args, "topwords.txt",
+                      "".join(f"topic {k}: " + " ".join(ws) + "\n" for k, ws in enumerate(top)))
+    log_path = _write(args, "lda_log.txt", topics.format_lda_log(tm))
+    return {"topic_model": path, "top_words": top_path, "log": log_path}
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +288,9 @@ def cmd_rerank(args):
             lines.append(
                 f"{rank} {rc.combined!r} {rc.similarity!r} {rc.ll_z!r}\t{text}"
             )
-        fileio.write_text_atomic(os.path.join(args.out, f"reranked_{i:04d}.txt"),
-                                 "\n".join(lines) + "\n")
+        _write(args, f"reranked_{i:04d}.txt", "\n".join(lines) + "\n")
         top_lines.append(ranked[0].candidate.text(vocab))
-    top_path = os.path.join(args.out, "rerank_top1.txt")
-    fileio.write_text_atomic(top_path, "".join(line + "\n" for line in top_lines))
-    return {"top1": top_path}
+    return {"top1": _write(args, "rerank_top1.txt", "".join(line + "\n" for line in top_lines))}
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +359,8 @@ def cmd_tune(args):
         items, topic_models, lambdas=lambdas, objective=args.objective,
         recall_n=args.recall_n, metric=args.metric, stopword_ids=stop_ids,
     )
-    grid, best = os.path.join(args.out, "grid.tsv"), os.path.join(args.out, "best.json")
-    fileio.write_text_atomic(grid, topics.format_grid(table))
+    grid = _write(args, "grid.tsv", topics.format_grid(table))
+    best = os.path.join(args.out, "best.json")
     fileio.write_json_atomic(best, {"K": best_k, "lambda": best_lam})
     print(f"best K={best_k} lambda={best_lam}")
     return {"grid": grid, "best": best}
@@ -416,11 +415,8 @@ def cmd_attviz(args):
         )
         trace = cands[0].trace
     heatmap = render_heatmap_pgm(trace, args.cell_size)
-    trace_path = os.path.join(args.out, "trace.txt")
-    fileio.write_text_atomic(trace_path, generator.format_trace(trace))
-    pgm_path = os.path.join(args.out, "heatmap.pgm")
-    fileio.write_text_atomic(pgm_path, heatmap)
-    return {"trace": trace_path, "heatmap": pgm_path}
+    return {"trace": _write(args, "trace.txt", generator.format_trace(trace)),
+            "heatmap": _write(args, "heatmap.pgm", heatmap)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Atomic file writes, run manifests, and the header line of binary files.
+"""Atomic file writes, run manifests, and the binary container of checkpoints
+and topic models.
 
 Every artifact is written to a temporary file in the target directory and
 renamed into place, so interrupted runs never leave truncated outputs.
@@ -8,6 +9,8 @@ import json
 import math
 import os
 import tempfile
+
+import numpy as np
 
 from .errors import DataError
 from .numeric import NUMERICS
@@ -31,39 +34,50 @@ def write_text_atomic(path, text):
     _atomic(path, text, "w")
 
 
-def write_bytes_atomic(path, blob):
-    _atomic(path, blob, "wb")
-
-
 def write_json_atomic(path, obj):
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json_header(f, path):
-    """The JSON object on the first line of the open binary file ``f``.
+def write_binary(path, header, values):
+    """A binary file: ``header`` as one JSON line, then ``values`` as <f8 bytes."""
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    _atomic(path, json.dumps(header).encode("utf-8") + b"\n" + payload, "wb")
 
-    Checkpoints and topic models both start this way; anything else on that
-    line is a DataError naming ``path``.
+
+def read_binary(path, what, version, expect_vocab_sha256=None):
+    """The header dict and raw payload of a binary file written by write_binary.
+
+    A header that is not a JSON object, a ``format`` that is not the integer
+    ``version``, or a file bound to a vocabulary other than the one hashed
+    ``expect_vocab_sha256`` is a DataError naming ``path``; ``what`` names
+    the file's kind in the messages.
     """
-    line = f.readline()
+    with open(path, "rb") as f:
+        line, payload = f.readline(), f.read()
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"{path}: unreadable header: not a JSON object")
-    return header
+    fmt = header.get("format")
+    if type(fmt) is not int or fmt != version:
+        raise DataError(f"{path}: unsupported {what} format {fmt!r}, expected {version}")
+    bound = header.get("vocab_sha256")
+    if expect_vocab_sha256 is not None and bound != expect_vocab_sha256:
+        raise DataError(f"{path}: {what} is bound to another vocabulary "
+                        f"(hash {str(bound)[:12]}.. != {expect_vocab_sha256[:12]}..)")
+    return header, payload
 
 
-def read_exact(f, n, path, what):
-    """Exactly ``n`` bytes from the open binary file ``f``.
-
-    A header can declare any size, so the file's length is checked before
-    anything is read; a short file is a DataError naming ``path``.
-    """
-    if n > os.fstat(f.fileno()).st_size - f.tell():
+def float64s(payload, n, path, what):
+    """The ``n`` float64 values of ``payload``; a DataError naming ``path``
+    unless it holds exactly ``n * 8`` bytes."""
+    if len(payload) < n * 8:
         raise DataError(f"{path}: truncated {what}")
-    return f.read(n)
+    if len(payload) > n * 8:
+        raise DataError(f"{path}: trailing bytes after {what}")
+    return np.frombuffer(payload, dtype="<f8")
 
 
 def check_fields(fields, path, tests):

@@ -236,7 +236,7 @@ class Arena(dict):
             raise DataError(f"{flat.size} parameters, expected {n}")
         try:
             buf = np.zeros(n + 8)
-        except MemoryError as e:
+        except (MemoryError, ValueError) as e:  # ValueError: more than numpy can index
             raise DataError(f"{n} parameters do not fit in memory") from e
         start = -buf.ctypes.data % 64 // 8
         self.flat = buf[start:start + n]

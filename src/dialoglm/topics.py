@@ -11,7 +11,6 @@ conditional log-likelihood the generator ranks by, so lambda = 0 reproduces
 the generation order exactly.
 """
 
-import json
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -23,8 +22,7 @@ import numpy as np
 
 from . import corpus
 from .errors import DataError
-from .fileio import (check_fields, is_int, is_positive, read_exact, read_json_header,
-                     write_bytes_atomic)
+from .fileio import check_fields, float64s, is_int, is_positive, read_binary, write_binary
 from .metrics import corpus_bleu
 
 log = logging.getLogger(__name__)
@@ -73,35 +71,25 @@ class TopicModel:
             "infer_sweeps": self.infer_sweeps,
             "vocab_sha256": vocab_sha256,
         }
-        blob = json.dumps(header).encode("utf-8") + b"\n"
-        blob += np.ascontiguousarray(self.phi, dtype="<f8").tobytes()
-        write_bytes_atomic(path, blob)
+        write_binary(path, header, self.phi)
 
     @classmethod
     def load(cls, path, expect_vocab_sha256=None, expect_vocab_size=None):
         """Read ``topics.bin``; a caller that passes a vocabulary's hash and
         size gets a DataError unless the file is bound to that vocabulary."""
-        with open(path, "rb") as f:
-            header = read_json_header(f, path)
-            if header.get("format") != TOPIC_FORMAT_VERSION:
-                raise DataError(f"{path}: unsupported topic model format")
-            if (expect_vocab_sha256 is not None
-                    and header.get("vocab_sha256") != expect_vocab_sha256):
-                raise DataError(f"{path}: topic model not bound to this vocabulary")
-            check_fields(header, path, {
-                "K": is_int(1), "V": is_int(1), "eta": is_positive, "seed": is_int(0),
-                "train_sweeps": is_int(0), "infer_sweeps": is_int(0),
-                "xi": lambda xi: type(xi) is list and all(map(is_positive, xi)),
-            })
-            K, V = header["K"], header["V"]
-            if expect_vocab_size not in (None, V):
-                raise DataError(f"{path}: topic model has V={V}, not {expect_vocab_size}")
-            if len(header["xi"]) != K:
-                raise DataError(f"{path}: header field 'xi' must hold K={K} values")
-            raw = read_exact(f, K * V * 8, path, "topic model")
-            if f.read(1):
-                raise DataError(f"{path}: trailing bytes after phi")
-            phi = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(K, V)
+        header, payload = read_binary(path, "topic model", TOPIC_FORMAT_VERSION,
+                                      expect_vocab_sha256)
+        check_fields(header, path, {
+            "K": is_int(1), "V": is_int(1), "eta": is_positive, "seed": is_int(0),
+            "train_sweeps": is_int(0), "infer_sweeps": is_int(0),
+            "xi": lambda xi: type(xi) is list and all(map(is_positive, xi)),
+        })
+        K, V = header["K"], header["V"]
+        if expect_vocab_size not in (None, V):
+            raise DataError(f"{path}: topic model has V={V}, not {expect_vocab_size}")
+        if len(header["xi"]) != K:
+            raise DataError(f"{path}: header field 'xi' must hold K={K} values")
+        phi = float64s(payload, K * V, path, "phi").astype(np.float64).reshape(K, V)
         # NaN fails > 0, and an inf entry makes its row's sum miss 1
         if not (np.all(phi > 0) and np.all(np.abs(phi.sum(axis=1) - 1.0) <= 1e-9)):
             raise DataError(f"{path}: phi must hold finite positive rows that sum to 1")
@@ -281,7 +269,11 @@ def _chain_start(seed, K, n, sweeps):
     rng = np.random.default_rng([seed, 0x7EA])
     z = rng.integers(0, K, size=n)
     mk = np.bincount(z, minlength=K).astype(np.float64)
-    return tuple(z.tolist()), tuple(mk.tolist()), rng.random(sweeps * n).tobytes()
+    try:
+        us = rng.random(sweeps * n).tobytes()
+    except (MemoryError, ValueError) as e:  # ValueError: more than numpy can index
+        raise DataError(f"{sweeps} inference sweeps over {n} tokens do not fit in memory") from e
+    return tuple(z.tolist()), tuple(mk.tolist()), us
 
 
 def dialogue_bow(dialogue, stopword_ids=frozenset()):

@@ -12,7 +12,7 @@ from dialoglm.cli import (KIND_FLAGS, _parse_candidate_file, build_parser, main,
                           render_heatmap_pgm)
 from dialoglm.errors import DataError
 from dialoglm.generator import AttentionTrace, continuation_log_likelihood
-from dialoglm.models import RnnLm, load_checkpoint, save_checkpoint
+from dialoglm.models import RnnLm, load_checkpoint, make_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +456,16 @@ class TestBadInput:
         assert err.startswith("error: ") and "do not fit in memory" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_model_beyond_numpy_size_limit(self, workspace, tmp_path, capsys):
+        # 10^20 parameters: numpy refuses the shape (ValueError) before allocating
+        prep = workspace["prep"]
+        assert main(["train", "--train", str(prep / "train.txt"), "--dev", str(prep / "dev.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(tmp_path / "tr"),
+                     "--kind", "arnn", "--d", "10000000000", "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "do not fit in memory" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_corrupt_binary_headers(self, workspace, lda_model, tmp_path):
         for good, load in ((workspace["ckpt"], load_checkpoint),
                            (lda_model, topics.TopicModel.load)):
@@ -507,6 +517,57 @@ class TestBadInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", [2, "1", True, 1.0], ids=["two", "string", "true", "float"])
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_format_must_be_the_integer_one(self, workspace, generated, lda_model, tmp_path,
+                                            capsys, command, fmt):
+        # true and 1.0 equal 1 in Python, and both loaders once took them for format 1
+        good = workspace["ckpt"] if command == "eval" else lda_model
+        head, body = good.read_bytes().split(b"\n", 1)
+        bad = tmp_path / good.name
+        bad.write_bytes(json.dumps({**json.loads(head), "format": fmt}).encode() + b"\n" + body)
+        vocab, test = str(workspace["vocab"]), str(workspace["prep"] / "test.txt")
+        argv = {
+            "eval": ["--checkpoint", str(bad), "--vocab", vocab, "--corpus", test],
+            "rerank": ["--histories", test, "--candidates-dir", str(generated),
+                       "--topic-model", str(bad), "--vocab", vocab],
+        }[command]
+        assert main([command, "--out", str(tmp_path / command), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and len(err.strip().splitlines()) == 1
+        assert f"format {fmt!r}" in err
+
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    def test_topic_model_K_differs_from_tarnn(self, workspace, lda_model, tmp_path, capsys,
+                                              command):
+        # the mismatch once surfaced mid-run as a numerical error naming neither file
+        vocab = corpus.Vocabulary.load(workspace["vocab"])
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, make_model("tarnn", 4, 3, len(vocab), n_topics=3, seed=1),
+                        vocab.sha256())
+        test = str(workspace["prep"] / "test.txt")
+        argv = {"generate": ["--histories", test], "eval": ["--corpus", test]}[command]
+        assert main([command, "--checkpoint", str(ckpt), "--vocab", str(workspace["vocab"]),
+                     "--topic-model", str(lda_model), "--out", str(tmp_path / command),
+                     *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lda_model}: ") and len(err.strip().splitlines()) == 1
+        assert "K=2" in err and "K=3" in err and str(ckpt) in err
+
+    def test_infer_sweeps_too_many_to_allocate(self, workspace, generated, tmp_path, capsys):
+        # lda writes the count; its uniforms are drawn in one allocation, which
+        # fails at once at this size (8 * 10^15 bytes per token)
+        vocab, test = str(workspace["vocab"]), str(workspace["prep"] / "test.txt")
+        assert main(["lda", "--corpus", str(workspace["prep"] / "train.txt"), "--vocab", vocab,
+                     "--out", str(tmp_path / "lda"), "--topics-k", "2", "--sweeps", "1",
+                     "--infer-sweeps", str(10 ** 15)]) == 0
+        assert main(["rerank", "--histories", test, "--candidates-dir", str(generated),
+                     "--topic-model", str(tmp_path / "lda" / "topics.bin"), "--vocab", vocab,
+                     "--out", str(tmp_path / "rr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "do not fit in memory" in err
 
     @pytest.mark.parametrize("delta", [-1, 1])
     @pytest.mark.parametrize("command", ["eval", "rerank"])
