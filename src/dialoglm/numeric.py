@@ -21,9 +21,10 @@ INIT_HALF_WIDTH = 0.08
 # Version of the rounding contract (docs/FORMATS.md, "Numerics"); run
 # manifests record it. Version 2 forms every gradient sum over positions
 # and every per-position product of a teacher-forced pass as one gemm,
-# version 3 its attention by blocks of queries; decoding keeps one gemv
-# per row.
-NUMERICS = 3
+# version 3 its attention by blocks of queries, version 4 the attention
+# backward by contractions with pre^2 and Adam with one divide; decoding
+# keeps one gemv per row.
+NUMERICS = 4
 # Queries per scoped_attention block: a larger block wastes tanh work past
 # its narrower scopes, a smaller one pays more per-block overhead.
 ATTENTION_BLOCK = 16
@@ -164,9 +165,15 @@ def scoped_attention(WQ, b, R, UR, scope):
 
 def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
     """Backward pass of :func:`scoped_attention` given dL/dZ: adds into ``gU``
-    and ``gb``, returns (dWQ, dR). Summed over queries j, dpre_j^T R[:scope[j]]
-    is S^T R and dpre_j U is S U, S[i] summing dpre_j[i] over the j that see
-    row i: two products with U in all, not two per query."""
+    and ``gb``, returns (dWQ, dR), and squares the blocks of ``pres`` in place
+    (the tape has no later reader).
+
+    With dpre_j[i] = (1 - pre_j[i]^2) dbeta[j, i] b, dWQ[j] sums dpre_j[i]
+    over i and row i of S sums it over the queries j that see row i; each sum
+    is b times (the sum of dbeta minus a contraction of dbeta with pre^2), so
+    no (k, T, d) dpre is formed. Summed over queries, dpre_j^T R[:scope[j]]
+    is S^T R and dpre_j U is S U: two products with U in all, not two per
+    query."""
     dWQ, S = np.empty((len(dZ), len(b))), np.zeros((len(R), len(b)))
     for j, pre in zip(range(0, len(dZ), ATTENTION_BLOCK), pres):
         blk, T = slice(j, j + ATTENTION_BLOCK), pre.shape[1]
@@ -174,10 +181,10 @@ def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
         dalpha = dZ[blk] @ R[:T].T
         dbeta = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
         gb += np.tensordot(dbeta, pre, axes=2)
-        dpre = 1.0 - pre * pre
-        dpre *= dbeta[..., None] * b
-        dWQ[blk] = dpre.sum(axis=1)
-        S[:T] += dpre.sum(axis=0)
+        sq = np.square(pre, out=pre)
+        dWQ[blk] = b * (dbeta.sum(axis=1)[:, None] - np.matmul(dbeta[:, None], sq)[:, 0])
+        S[:T] += b * (dbeta.sum(axis=0)[:, None]
+                      - np.matmul(dbeta.T[:, None], sq.transpose(1, 0, 2))[:, 0])
     gU += S.T @ R
     return dWQ, A.T @ dZ + S @ Um
 
@@ -266,16 +273,21 @@ def zero_grads(params, grads=None):
     return grads
 
 
-def clip_global_norm(grads, max_norm):
+def clip_global_norm(grads, max_norm, scratch=None):
     """Scale the arena ``grads`` in place so the global norm is at most ``max_norm``.
 
     Only the magnitude changes; the direction is preserved. Returns the
     pre-clip norm, summed array by array in arena order: one sum over
-    ``grads.flat`` would round differently.
+    ``grads.flat`` would round differently. Each array's squares go to
+    ``scratch``, a vector at least as long as the largest array (a new
+    one when it is not given).
     """
+    if scratch is None:
+        scratch = np.empty(max(g.size for g in grads.values()))
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        sq = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))
+        total += float(np.sum(sq))
     norm = np.sqrt(total)
     if norm > max_norm and norm > 0.0:
         grads.flat *= max_norm / norm

@@ -148,6 +148,7 @@ def lda_train(docs, n_topics, vocab_size, eta=0.01, xi=None, sweeps=100, seed=0,
         raise DataError("Dirichlet hyperparameters must be finite and positive")
     if sweeps < 0 or infer_sweeps < 0:
         raise DataError("sweep counts must not be negative")
+    _uniforms(infer_sweeps, 1)  # refuse a count that no inference chain can allocate
 
     kept = []
     skipped = 0
@@ -269,11 +270,17 @@ def _chain_start(seed, K, n, sweeps):
     rng = np.random.default_rng([seed, 0x7EA])
     z = rng.integers(0, K, size=n)
     mk = np.bincount(z, minlength=K).astype(np.float64)
+    return tuple(z.tolist()), tuple(mk.tolist()), rng.random(out=_uniforms(sweeps, n)).tobytes()
+
+
+def _uniforms(sweeps, n):
+    """An unfilled vector for the uniforms of ``sweeps`` inference sweeps over
+    n tokens; np.empty touches no page, so a count that fits costs nothing."""
     try:
-        us = rng.random(sweeps * n).tobytes()
+        return np.empty(sweeps * n)
     except (MemoryError, ValueError) as e:  # ValueError: more than numpy can index
-        raise DataError(f"{sweeps} inference sweeps over {n} tokens do not fit in memory") from e
-    return tuple(z.tolist()), tuple(mk.tolist()), us
+        raise DataError(f"{sweeps} inference sweeps over {n} token{'s' * (n != 1)} "
+                        "do not fit in memory") from e
 
 
 def dialogue_bow(dialogue, stopword_ids=frozenset()):

@@ -7,6 +7,7 @@ size 1), shuffled each epoch under the configured seed, so runs are
 bit-reproducible.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,15 +55,19 @@ class AdamState:
 def adam_update(state, params, grads):
     """One bias-corrected Adam step over the arena ``params``, in place.
 
-    Every operation rounds like the textbook expressions
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    p -= lr m_hat / (sqrt(v_hat) + eps), in that order; they are elementwise,
-    so running them block by block over the flat vectors changes no bit.
+    The moments round like m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    in that order. The step folds the bias corrections into two scalars
+    (Kingma & Ba, section 2): p -= lr_t m / (sqrt(v) + eps_t), with
+    lr_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps sqrt(1 - b2^t),
+    one divide and one sqrt per entry. Every operation is elementwise, so
+    running them block by block over the flat vectors changes no bit.
     """
     if not np.isfinite(grads.flat).all():
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
         raise NumericalError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
+    root = math.sqrt(1.0 - BETA2 ** state.t)
+    lr_t, eps_t = state.lr * root / (1.0 - BETA1 ** state.t), EPS * root
     for a in range(0, params.flat.size, ADAM_BLOCK):
         blk = slice(a, a + ADAM_BLOCK)
         p, g, m, v = params.flat[blk], grads.flat[blk], state.m.flat[blk], state.v.flat[blk]
@@ -73,11 +78,9 @@ def adam_update(state, params, grads):
         np.multiply(g, g, out=step)
         step *= 1.0 - BETA2
         v += step
-        np.divide(m, 1.0 - BETA1 ** state.t, out=step)  # m_hat
-        np.divide(v, 1.0 - BETA2 ** state.t, out=denom)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        step *= state.lr
+        np.sqrt(v, out=denom)
+        denom += eps_t
+        np.multiply(m, lr_t, out=step)
         step /= denom
         p -= step
     return params
@@ -125,6 +128,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
 
     adam = AdamState(model.params, lr=config.lr)
     grads = zero_grads(model.params)  # one arena for the run, zero-filled every step
+    clip_scratch = np.empty(max(g.size for g in grads.values()))
     shuffle_rng = np.random.default_rng([config.seed, 1])
     log = []
     best_ppl = np.inf
@@ -145,7 +149,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, train sequence {idx}"
                 )
-            clip_global_norm(grads, config.clip)
+            clip_global_norm(grads, config.clip, clip_scratch)
             adam_update(adam, model.params, grads)
             epoch_loss += loss
             seen += 1

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import time
 
 import numpy as np
@@ -47,7 +48,7 @@ class TestPrepare:
         assert manifest["subcommand"] == "prepare"
         assert manifest["seed"] == 5
         assert manifest["config"]["vocab_size"] == 100
-        assert manifest["numerics"] == 3
+        assert manifest["numerics"] == 4
         assert manifest["started"] <= manifest["ended"]
 
     def test_split_arithmetic(self, workspace):
@@ -555,19 +556,40 @@ class TestBadInput:
         assert err.startswith(f"error: {lda_model}: ") and len(err.strip().splitlines()) == 1
         assert "K=2" in err and "K=3" in err and str(ckpt) in err
 
-    def test_infer_sweeps_too_many_to_allocate(self, workspace, generated, tmp_path, capsys):
-        # lda writes the count; its uniforms are drawn in one allocation, which
-        # fails at once at this size (8 * 10^15 bytes per token)
+    def test_infer_sweeps_too_many_to_allocate(self, workspace, generated, lda_model, tmp_path,
+                                               capsys):
+        # an inference chain's uniforms are one allocation, which fails at once
+        # at this size (8 * 10^15 bytes per token): lda refuses the count before
+        # it writes anything, and rerank refuses a header that carries it
         vocab, test = str(workspace["vocab"]), str(workspace["prep"] / "test.txt")
+        out = tmp_path / "lda"
         assert main(["lda", "--corpus", str(workspace["prep"] / "train.txt"), "--vocab", vocab,
-                     "--out", str(tmp_path / "lda"), "--topics-k", "2", "--sweeps", "1",
-                     "--infer-sweeps", str(10 ** 15)]) == 0
+                     "--out", str(out), "--topics-k", "2", "--sweeps", "1",
+                     "--infer-sweeps", str(10 ** 15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "do not fit in memory" in err
+        assert not out.exists() or not any(out.iterdir())
+        head, body = lda_model.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "topics.bin"
+        bad.write_bytes(json.dumps({**json.loads(head), "infer_sweeps": 10 ** 15}).encode()
+                        + b"\n" + body)
         assert main(["rerank", "--histories", test, "--candidates-dir", str(generated),
-                     "--topic-model", str(tmp_path / "lda" / "topics.bin"), "--vocab", vocab,
+                     "--topic-model", str(bad), "--vocab", vocab,
                      "--out", str(tmp_path / "rr")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "do not fit in memory" in err
+
+    def test_infer_sweeps_check_fills_nothing(self, workspace, tmp_path):
+        # 10^8 sweeps are 800 MB of uniforms per token: lda's check must not
+        # draw or fill them (it exits 0 where the allocation fits, else 2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert main(["lda", "--corpus", str(workspace["prep"] / "train.txt"),
+                     "--vocab", str(workspace["vocab"]), "--out", str(tmp_path / "lda"),
+                     "--topics-k", "2", "--sweeps", "1",
+                     "--infer-sweeps", str(10 ** 8)]) in (0, 2)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 128 * 1024  # KB
 
     @pytest.mark.parametrize("delta", [-1, 1])
     @pytest.mark.parametrize("command", ["eval", "rerank"])
@@ -956,4 +978,4 @@ def test_pipeline_is_bit_reproducible(tmp_path):
     assert differ == []
     manifests = list(tmp_path.rglob("manifest.json"))
     assert len(manifests) == 64
-    assert all(json.loads(p.read_text())["numerics"] == 3 for p in manifests)
+    assert all(json.loads(p.read_text())["numerics"] == 4 for p in manifests)

@@ -21,6 +21,15 @@ def tiny_corpus(n, seed, **kw):
     return [dialogue_from_words(d, vocab) for d in tc.dialogues], vocab
 
 
+KINDS = ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"]
+
+
+def _loss_and_grads(model, kind, rng):
+    tokens = [int(t) for t in rng.integers(0, 17, size=9)]
+    return (model.loss_and_grads(tokens[:4], tokens[4:]) if kind.startswith("seq2seq")
+            else model.loss_and_grads(tokens))
+
+
 class TestAdam:
     def _state(self, params, lr=0.1):
         return AdamState(params, lr=lr)
@@ -66,34 +75,54 @@ class TestAdam:
         with pytest.raises(NumericalError, match="'w'"):
             adam_update(state, params, arena(v=np.array([0.5]), w=np.array([np.nan])))
 
-    @pytest.mark.parametrize("kind", ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_in_place_update_is_bit_exact(self, kind):
-        # the textbook formula, one fresh array per operation
+        # the one-divide form, one fresh array per operation
         def reference(state, params, grads):
             state.t += 1
             b1, b2 = BETA1, BETA2
+            root = math.sqrt(1.0 - b2 ** state.t)
+            lr_t, eps_t = state.lr * root / (1.0 - b1 ** state.t), EPS * root
             for name, p in params.items():
                 g = grads[name]
                 state.m[name][...] = b1 * state.m[name] + (1.0 - b1) * g
                 state.v[name][...] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-                m_hat = state.m[name] / (1.0 - b1 ** state.t)
-                v_hat = state.v[name] / (1.0 - b2 ** state.t)
-                p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+                p -= lr_t * state.m[name] / (np.sqrt(state.v[name]) + eps_t)
 
         rng = np.random.default_rng(3)
         model = make_model(kind, 6, 5, 17, n_topics=3, seed=4)
         ref = {k: v.copy() for k, v in model.params.items()}
         state, ref_state = AdamState(model.params, lr=0.01), AdamState(ref, lr=0.01)
         for _ in range(5):
-            tokens = [int(t) for t in rng.integers(0, 17, size=9)]
-            _, grads = (model.loss_and_grads(tokens[:4], tokens[4:]) if kind.startswith("seq2seq")
-                        else model.loss_and_grads(tokens))
+            _, grads = _loss_and_grads(model, kind, rng)
             adam_update(state, model.params, grads)
             reference(ref_state, ref, grads)
             for name in ref:
                 assert model.params[name].tobytes() == ref[name].tobytes()
                 assert state.m[name].tobytes() == ref_state.m[name].tobytes()
                 assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_divide_form_matches_textbook(self, kind):
+        # 200 steps on one gradient sequence: each step of the one-divide form
+        # against the textbook lr m_hat / (sqrt(v_hat) + eps), taken from the
+        # same moments, within 1e-12 relative entry by entry
+        rng = np.random.default_rng(8)
+        model = make_model(kind, 6, 5, 17, n_topics=3, seed=2)
+        state = AdamState(model.params, lr=0.01)
+        m = v = np.zeros(model.params.flat.size)
+        for t in range(1, 201):
+            _, grads = _loss_and_grads(model, kind, rng)
+            g = grads.flat
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * (g * g)
+            m_hat, v_hat = m / (1.0 - BETA1 ** t), v / (1.0 - BETA2 ** t)
+            step = zero_grads(model.params)  # 0 - step is exact: the arena ends as -step
+            adam_update(state, step, grads)
+            np.testing.assert_allclose(-step.flat, 0.01 * m_hat / (np.sqrt(v_hat) + EPS),
+                                       rtol=1e-12, atol=0)
+            model.params.flat += step.flat
+        assert state.m.flat.tobytes() == m.tobytes() and state.v.flat.tobytes() == v.tobytes()
 
     def test_blocks_change_no_bit(self, monkeypatch):
         # one block over the whole vector, and blocks that split arrays
@@ -130,10 +159,11 @@ class TestStepAllocations:
         tokens = [int(t) for t in np.random.default_rng(0).integers(0, n_vocab, 30)]
         args = (tokens[:20], tokens[20:]) if kind.startswith("seq2seq") else (tokens,)
         grads, adam = zero_grads(model.params), AdamState(model.params)
+        scratch = np.empty(max(g.size for g in grads.values()))
 
         def step():
             model.loss_and_grads(*args, grads=grads)
-            clip_global_norm(grads, 5.0)
+            clip_global_norm(grads, 5.0, scratch)
             adam_update(adam, model.params, grads)
 
         step()
@@ -144,6 +174,25 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
         assert peak < len(args[-1]) * n_vocab * 8
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_clip_with_a_scratch_allocates_no_array(self, kind):
+        # at the benchmark's d = 64, V = 2,000 the squares of the (d, V)
+        # output and embedding gradients took 1,001 KB before they went
+        # to a scratch; the norm keeps its bits
+        model = make_model(kind, 64, 64, 2000, n_topics=4, seed=1)
+        grads = zero_grads(model.params)
+        grads.flat[:] = np.random.default_rng(0).normal(size=grads.flat.size)
+        scratch = np.empty(max(g.size for g in grads.values()))
+        expected = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        tracemalloc.start()
+        try:
+            norm = clip_global_norm(grads, 1e9, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == expected
+        assert peak < 4096
 
 
 class TestTrain:
