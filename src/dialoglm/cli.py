@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from . import corpus, fileio, generator, metrics, topics, trainer
 from .errors import DataError, ToolkitError
-from .models import load_checkpoint, make_model, save_checkpoint
+from .models import MODEL_KINDS, load_checkpoint, make_model, save_checkpoint
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,19 +41,18 @@ def _load_vocab(args):
     return vocab, frozenset(vocab.id_of(w) for w in words if w in vocab)
 
 
+def _load_topics(path, vocab):
+    """The topic model at ``path``; DataError unless it was trained on ``vocab``."""
+    return topics.TopicModel.load(path, expect_vocab_sha256=vocab.sha256(),
+                                  expect_vocab_size=len(vocab))
+
+
 def _theta_provider(topic_model_path, vocab, stopword_ids):
     if topic_model_path is None:
         return None, None
-    tm = topics.TopicModel.load(topic_model_path, expect_vocab_sha256=vocab.sha256(),
-                                expect_vocab_size=len(vocab))
-    cache = {}
-
-    def provider(dialogue):
-        if dialogue not in cache:
-            cache[dialogue] = topics.infer_theta(tm, topics.dialogue_bow(dialogue, stopword_ids))
-        return cache[dialogue]
-
-    return tm, provider
+    tm = _load_topics(topic_model_path, vocab)
+    return tm, lambda dialogue: topics.infer_theta(
+        tm, topics.dialogue_bow(dialogue, stopword_ids))
 
 
 def _load_model(args, vocab, stopword_ids):
@@ -106,13 +105,7 @@ def cmd_prepare(args):
 # train
 
 
-KIND_FLAGS = {
-    "rnn": "rnn",
-    "arnn": "arnn",
-    "tarnn": "tarnn",
-    "seq2seq": "seq2seq",
-    "seq2seq-attn": "seq2seq_attn",
-}
+KIND_FLAGS = {k.replace("_", "-"): k for k in MODEL_KINDS}
 
 
 def cmd_train(args):
@@ -273,15 +266,14 @@ def _iter_candidate_files(cand_dir, n):
 
 
 def cmd_rerank(args):
+    topics.check_lambdas([args.lam])
     vocab, stop_ids = _load_vocab(args)
-    tm = topics.TopicModel.load(args.topic_model, expect_vocab_sha256=vocab.sha256(),
-                                expect_vocab_size=len(vocab))
+    tm = _load_topics(args.topic_model, vocab)
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
-    config = topics.RerankConfig(lam=args.lam, metric=args.metric)
     top_lines = []
     for i, path in _iter_candidate_files(args.candidates_dir, len(histories)):
         cands = _parse_candidate_file(path, vocab)
-        ranked = topics.rerank(histories[i], cands, tm, config, stop_ids)
+        ranked = topics.rerank(histories[i], cands, tm, args.lam, args.metric, stop_ids)
         lines = []
         for rank, rc in enumerate(ranked, start=1):
             text = rc.candidate.text(vocab)
@@ -327,8 +319,7 @@ def cmd_tune(args):
     dev = corpus.load_corpus(args.histories, vocab, min_turns=2)
     topic_models = {}
     for path in args.topic_models.split(","):
-        tm = topics.TopicModel.load(path, expect_vocab_sha256=vocab.sha256(),
-                                    expect_vocab_size=len(vocab))
+        tm = _load_topics(path, vocab)
         if tm.n_topics in topic_models:
             raise DataError(f"--topic-models: two models with K={tm.n_topics}")
         topic_models[tm.n_topics] = tm

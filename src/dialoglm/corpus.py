@@ -149,11 +149,6 @@ def flatten(dialogue):
     return out
 
 
-def flatten_history(dialogue):
-    """Flattened form without the trailing </d>, for continuation prefixes."""
-    return flatten(dialogue)[:-1]
-
-
 def continuation_prefix(dialogue, next_speaker=None):
     """Conditioning prefix for generating the next utterance.
 
@@ -164,7 +159,7 @@ def continuation_prefix(dialogue, next_speaker=None):
         raise DataError("cannot build a continuation prefix from an empty history")
     if next_speaker is None:
         next_speaker = 1 - dialogue.turns[-1][0]
-    return flatten_history(dialogue) + [speaker_marker(next_speaker)]
+    return flatten(dialogue)[:-1] + [speaker_marker(next_speaker)]
 
 
 def last_utterance_span(dialogue):

@@ -313,15 +313,6 @@ def topic_similarity(a, b, metric="cosine"):
     raise DataError(f"unknown similarity metric {metric!r}")
 
 
-@dataclass
-class RerankConfig:
-    lam: float = 0.45
-    metric: str = "cosine"
-
-    def __post_init__(self):
-        check_lambdas([self.lam])
-
-
 def check_lambdas(lambdas):
     """DataError unless ``lambdas`` is a non-empty list of values in [0, 1]."""
     if not lambdas or not all(0.0 <= lam <= 1.0 for lam in lambdas):
@@ -351,14 +342,6 @@ def _combine(sims, llz, lam):
     return combined, sorted(range(len(combined)), key=lambda i: (-combined[i], i))
 
 
-def rerank_scored(history_theta, cand_thetas, llviews, lam, metric="cosine"):
-    """Core mixing rule on precomputed topic vectors and log-likelihoods."""
-    sims = [topic_similarity(history_theta, th, metric) for th in cand_thetas]
-    llz = _zscore(llviews)
-    combined, order = _combine(sims, llz, lam)
-    return order, sims, llz, combined
-
-
 def _content_bows(history, candidates, stopword_ids):
     """Content-token bags of a history and of each candidate, history first."""
     return [dialogue_bow(history, stopword_ids)] + [
@@ -375,21 +358,28 @@ def _warn_empty(bows):
                     "as topic proportions", n)
 
 
-def rerank(history, candidates, model, config, stopword_ids=frozenset()):
+def _scores(model, bows, candidates, metric):
+    """Each candidate's topic similarity to the history and the z-scores of
+    the candidates' ``norm_score``s; ``bows`` as ``_content_bows`` gives them."""
+    h_theta, *thetas = [infer_theta(model, bow) for bow in bows]
+    sims = [topic_similarity(h_theta, th, metric) for th in thetas]
+    return sims, _zscore([c.norm_score for c in candidates])
+
+
+def rerank(history, candidates, model, lam, metric="cosine", stopword_ids=frozenset()):
     """Reorder generated candidates by the weighted topic/likelihood score.
 
     Candidates carry their length-normalized conditional log-likelihoods
-    (``norm_score``); ties in the combined score keep the original order.
+    (``norm_score``); ``lam`` in [0, 1] weighs the topic similarity against
+    their z-scores, and ties in the combined score keep the original order.
     """
+    check_lambdas([lam])
     if not candidates:
         raise DataError("empty candidate list")
     bows = _content_bows(history, candidates, stopword_ids)
     _warn_empty(bows)
-    h_theta, *cand_thetas = [infer_theta(model, bow) for bow in bows]
-    lls = [c.norm_score for c in candidates]
-    order, sims, llz, combined = rerank_scored(
-        h_theta, cand_thetas, lls, config.lam, config.metric
-    )
+    sims, llz = _scores(model, bows, candidates, metric)
+    combined, order = _combine(sims, llz, lam)
     return [
         RerankedCandidate(
             candidate=candidates[i],
@@ -447,12 +437,8 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
     table = []
     best = None
     for k in sorted(topic_models):
-        tm = topic_models[k]
-        per_item = []
-        for item, bows in zip(items, item_bows):
-            h_theta, *thetas = [infer_theta(tm, bow) for bow in bows]
-            sims = [topic_similarity(h_theta, th, metric) for th in thetas]
-            per_item.append((sims, _zscore([c.norm_score for c in item.candidates])))
+        per_item = [_scores(topic_models[k], bows, item.candidates, metric)
+                    for item, bows in zip(items, item_bows)]
         for lam in lambdas:
             orders = [_combine(sims, llz, lam)[1] for sims, llz in per_item]
             if objective == "bleu":

@@ -145,10 +145,6 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
                 raise NumericalError(
                     f"epoch {epoch}, train sequence {idx}: {e}"
                 ) from e
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, train sequence {idx}"
-                )
             clip_global_norm(grads, config.clip, clip_scratch)
             adam_update(adam, model.params, grads)
             epoch_loss += loss

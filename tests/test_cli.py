@@ -629,6 +629,25 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("lam", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["histories", "no_histories"])
+    def test_rerank_on_bad_lambda(self, workspace, generated, lda_model, tmp_path, capsys,
+                                  lam, empty):
+        # with no histories topics.rerank never runs: only the command's own
+        # check can refuse the weight, and a valid one then succeeds
+        histories = workspace["prep"] / "test.txt"
+        if empty:
+            histories = tmp_path / "none.txt"
+            histories.write_text("", encoding="utf-8")
+        argv = ["rerank", "--histories", str(histories), "--candidates-dir", str(generated),
+                "--topic-model", str(lda_model), "--vocab", str(workspace["vocab"])]
+        out = tmp_path / "rr"
+        assert main(argv + ["--out", str(out), f"--lambda={lam}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "lambda" in err and not (out / "rerank_top1.txt").exists()
+        assert main(argv + ["--out", str(tmp_path / "ok"), "--lambda=0.5"]) == 0
+
     def test_train_nonpositive_dimension(self, workspace, tmp_path, capsys):
         code = main(["train", "--train", str(workspace["prep"] / "train.txt"),
                      "--dev", str(workspace["prep"] / "dev.txt"),

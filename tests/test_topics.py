@@ -12,10 +12,9 @@ from dialoglm import topics as topics_module
 from dialoglm.corpus import Dialogue, build_vocab
 from dialoglm.errors import DataError
 from dialoglm.generator import Candidate
-from dialoglm.topics import (RerankConfig, RerankItem, TopicModel,
+from dialoglm.topics import (RerankItem, TopicModel, _combine, _zscore,
                              dialogue_bow, format_grid, infer_theta,
-                             lda_train, rerank, rerank_scored,
-                             topic_similarity, tune_rerank)
+                             lda_train, rerank, topic_similarity, tune_rerank)
 
 
 def _reference_lda_train(docs, K, V, eta, xi, sweeps, seed, weights_log=None):
@@ -312,7 +311,7 @@ class TestRerank:
         _, _, docs, model, _ = separable
         history = Dialogue(((0, tuple(docs[0][:5])), (1, tuple(docs[0][5:8]))))
         cands = self._candidates([-1.0, -3.0, -0.5, -2.0])
-        ranked = rerank(history, cands, model, RerankConfig(lam=0.0))
+        ranked = rerank(history, cands, model, 0.0)
         assert [r.original_index for r in ranked] == [2, 0, 3, 1]
 
     def test_lambda_one_keeps_similarity_order(self, separable):
@@ -323,7 +322,7 @@ class TestRerank:
             Candidate(tokens=list(docs[1][:6]) if td.topic_of[1] != td.topic_of[0]
                       else list(docs[2][:6]), loglik=-1.0, norm_score=-1.0),
         ]
-        ranked = rerank(history, cands, model, RerankConfig(lam=1.0))
+        ranked = rerank(history, cands, model, 1.0)
         h_theta = infer_theta(model, dialogue_bow(history))
         sims = [topic_similarity(h_theta, infer_theta(model, c.tokens))
                 for c in cands]
@@ -336,7 +335,8 @@ class TestRerank:
                   np.array([0.5, 0.5])]
         lls = [-4.0, -1.0, -2.5]
         lam = 0.6
-        order, sims, llz, combined = rerank_scored(h, thetas, lls, lam)
+        sims = [topic_similarity(h, th) for th in thetas]
+        combined, order = _combine(sims, _zscore(lls), lam)
         z = (np.array(lls) - np.mean(lls)) / np.std(lls)
         expected = [lam * s + (1 - lam) * zz
                     for s, zz in zip([1.0, 0.0, 1 / math.sqrt(2)], z)]
@@ -346,7 +346,8 @@ class TestRerank:
     def test_ties_keep_original_order(self):
         h = np.array([1.0, 0.0])
         thetas = [np.array([1.0, 0.0])] * 3
-        order, _, _, _ = rerank_scored(h, thetas, [-1.0, -1.0, -1.0], 0.5)
+        sims = [topic_similarity(h, th) for th in thetas]
+        _, order = _combine(sims, _zscore([-1.0, -1.0, -1.0]), 0.5)
         assert order == [0, 1, 2]
 
     def test_empty_documents_warned_once_with_count(self, separable, caplog):
@@ -356,7 +357,7 @@ class TestRerank:
                  Candidate(tokens=list(docs[1][:3]), loglik=-2.0, norm_score=-2.0),
                  Candidate(tokens=[], loglik=-3.0, norm_score=-3.0)]
         with caplog.at_level(logging.DEBUG, logger="dialoglm.topics"):
-            rerank(history, cands, model, RerankConfig(lam=0.5))
+            rerank(history, cands, model, 0.5)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno >= logging.WARNING]
         assert len(warnings) == 1 and warnings[0].startswith("2 document(s) ")
@@ -365,14 +366,17 @@ class TestRerank:
         _, _, docs, model, _ = separable
         history = Dialogue(((0, tuple(docs[0][:4])),))
         with pytest.raises(DataError):
-            rerank(history, [], model, RerankConfig(lam=0.5))
+            rerank(history, [], model, 0.5)
 
-    def test_lambda_bounds(self):
-        with pytest.raises(DataError):
-            RerankConfig(lam=1.5)
-        # the operating point used in the experiments is a valid config
-        cfg = RerankConfig(lam=0.45)
-        assert cfg.lam == 0.45
+    def test_lambda_bounds(self, separable):
+        _, _, docs, model, _ = separable
+        history = Dialogue(((0, tuple(docs[0][:4])),))
+        cands = self._candidates([-1.0, -2.0])
+        for lam in (1.5, -0.1, float("nan")):
+            with pytest.raises(DataError, match="lambda"):
+                rerank(history, cands, model, lam)
+        # the operating point used in the experiments is a valid weight
+        assert len(rerank(history, cands, model, 0.45)) == 2
 
 
 class TestTuneRerank:
@@ -413,8 +417,7 @@ class TestTuneRerank:
         for k, lam, value in table:
             tops = []
             for item in items:
-                ranked = rerank(item.history, item.candidates, model,
-                                RerankConfig(lam=lam))
+                ranked = rerank(item.history, item.candidates, model, lam)
                 tops.append(ranked[0].original_index)
             hyps = [corpus.strip_reserved(items[i].candidates[t].tokens)
                     for i, t in enumerate(tops)]
