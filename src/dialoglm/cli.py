@@ -266,7 +266,7 @@ def _iter_candidate_files(cand_dir, n):
 
 
 def cmd_rerank(args):
-    topics.check_lambdas([args.lam])
+    topics.check_lambdas([args.lam], "--lambda")
     vocab, stop_ids = _load_vocab(args)
     tm = _load_topics(args.topic_model, vocab)
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
@@ -361,6 +361,11 @@ def cmd_tune(args):
 # attviz
 
 
+# A heatmap raster with more pixels is refused before it is built; the
+# default cell of 12 over 31 rows and 2,000 positions fits.
+MAX_HEATMAP_PIXELS = 10_000_000
+
+
 def render_heatmap_pgm(trace, cell_size=12):
     """Grayscale PGM raster of an attention trace.
 
@@ -372,6 +377,9 @@ def render_heatmap_pgm(trace, cell_size=12):
         raise DataError(f"cell size {cell_size} must be at least 1")
     n_rows = len(trace.rows)
     width = max(len(row) for row in trace.rows)
+    if n_rows * width * cell_size**2 > MAX_HEATMAP_PIXELS:
+        raise DataError(f"--cell-size {cell_size}: a {n_rows}x{width} trace would need more "
+                        f"than the limit of {MAX_HEATMAP_PIXELS} pixels")
     lines = [f"# row {i}: " + " ".join(repr(float(w)) for w in row)
              for i, row in enumerate(trace.rows)]
     pixels = []

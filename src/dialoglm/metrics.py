@@ -44,12 +44,11 @@ class Tally:
     tokens: int = 0
     errors: int = 0
 
-    def add(self, per_token, argmax=None, refs=None):
-        """Count scored positions; ``argmax``/``refs`` also count errors."""
+    def add(self, per_token, argmax, refs):
+        """Count scored positions and those whose ``argmax`` misses ``refs``."""
         self.logp += float(per_token.sum())
         self.tokens += len(per_token)
-        if argmax is not None:
-            self.errors += int(np.sum(argmax != refs))
+        self.errors += int(np.sum(argmax != refs))
 
     def rates(self):
         """(perplexity, word error rate): exp(-sum log P / tokens), errors / tokens."""
@@ -58,22 +57,23 @@ class Tally:
         return float(np.exp(-self.logp / self.tokens)), self.errors / self.tokens
 
 
-def _tallies(model, dialogues):
-    """(full-dialogue, last-utterance) tallies from one scoring pass."""
-    if not dialogues:
-        raise DataError("empty evaluation set")
+def tallies(model, examples):
+    """(full, last-utterance) tallies from one scoring pass over ``examples``
+    (``model.make_example`` of each dialogue): over each whole target, and
+    over its ``last`` span."""
     full, last = Tally(), Tally()
-    for d in dialogues:
-        s = model.score_dialogue(d)
-        full.add(s.per_token, s.argmax, s.refs)
-        sl = s.last_slice
-        last.add(s.per_token[sl], s.argmax[sl], s.refs[sl])
+    for ex in examples:
+        s, refs = model.example_score(ex), np.asarray(ex.target)
+        full.add(s.per_token, s.argmax, refs)
+        last.add(s.per_token[ex.last], s.argmax[ex.last], refs[ex.last])
     return full, last
 
 
 def evaluate(model, dialogues):
     """PPL, PPL@L, WER and WER@L in one pass over the dialogues."""
-    full, last = _tallies(model, dialogues)
+    if not dialogues:
+        raise DataError("empty evaluation set")
+    full, last = tallies(model, [model.make_example(d) for d in dialogues])
     (ppl, wer), (ppl_at_l, wer_at_l) = full.rates(), last.rates()
     return EvalReport(
         values={"ppl": ppl, "ppl_at_l": ppl_at_l, "wer": wer, "wer_at_l": wer_at_l},

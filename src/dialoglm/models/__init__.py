@@ -2,10 +2,10 @@
 attention, the topic-feature variant, and encoder-decoder baselines."""
 
 from ..errors import DataError
-from .base import DecodeState, DialogueScore, SequenceScore
+from .base import DecodeState, Example, SequenceScore
 from .io import load_checkpoint, save_checkpoint
-from .lm import AttentionRnnLm, LmExample, RnnLm, TopicAttentionRnnLm
-from .seq2seq import Seq2Seq, Seq2SeqExample, seq2seq_pair
+from .lm import AttentionRnnLm, RnnLm, TopicAttentionRnnLm
+from .seq2seq import Seq2Seq, seq2seq_pair
 
 MODEL_KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
 
@@ -34,12 +34,10 @@ def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, flat=None,
 __all__ = [
     "AttentionRnnLm",
     "DecodeState",
-    "DialogueScore",
-    "LmExample",
+    "Example",
     "MODEL_KINDS",
     "RnnLm",
     "Seq2Seq",
-    "Seq2SeqExample",
     "SequenceScore",
     "TopicAttentionRnnLm",
     "load_checkpoint",

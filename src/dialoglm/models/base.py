@@ -28,7 +28,6 @@ class SequenceScore:
     position (None at positions scored without attention).
     """
 
-    logp: float
     per_token: np.ndarray
     argmax: np.ndarray
     alphas: list | None = None
@@ -36,29 +35,19 @@ class SequenceScore:
     @classmethod
     def from_logps(cls, logps, targets, alphas=None):
         """Score of ``targets`` given one log-distribution per position (row)."""
-        per_token = logps[np.arange(len(targets)), targets]
-        return cls(
-            logp=float(per_token.sum()),
-            per_token=per_token,
-            argmax=logps.argmax(axis=1),
-            alphas=alphas,
-        )
+        return cls(logps[np.arange(len(targets)), targets], logps.argmax(axis=1), alphas)
 
 
 @dataclass
-class DialogueScore:
-    """What a model can say about one dialogue, for the metric suite.
+class Example:
+    """What a kind scores of one dialogue: the ``target`` tokens (after the
+    encoded ``source`` for seq2seq, under the topic feature ``theta`` for
+    tarnn), and the final utterance's span ``last`` (a slice) within them."""
 
-    ``per_token`` / ``argmax`` / ``refs`` cover exactly the positions this
-    model scores (the whole flattened dialogue for language models, the
-    final utterance for seq2seq); ``last_slice`` marks the final-utterance
-    span within those positions.
-    """
-
-    per_token: np.ndarray
-    argmax: np.ndarray
-    refs: np.ndarray
-    last_slice: slice
+    target: list
+    last: slice
+    source: list = None
+    theta: np.ndarray = None
 
 
 @dataclass
@@ -114,6 +103,10 @@ class Model:
     consumes, so that state must not be used again. Row b of every result
     is bitwise the same whatever the other rows of the batch hold and
     however many there are.
+
+    A kind's ``make_example`` states what it scores of a dialogue (an
+    :class:`Example`); ``example_score`` scores one and
+    ``example_loss_and_grads`` trains on one.
 
     A kind states only the names of its decoder's H, P, E and O matrices
     (``decoder``), what a state attends with and over (``_scope``), and how
@@ -231,3 +224,7 @@ class Model:
     def start(self, history):
         """Decode state that has consumed the continuation prefix of ``history``."""
         return self.begin(corpus.continuation_prefix(history))
+
+    def score_dialogue(self, dialogue):
+        """The teacher-forced score of what this kind scores of ``dialogue``."""
+        return self.example_score(self.make_example(dialogue))

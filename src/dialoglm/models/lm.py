@@ -19,22 +19,14 @@ Gradients are hand-derived backward passes validated against central
 finite differences (see tests); no autodiff framework is involved.
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
 from ..numeric import bptt, matvecs, readout, unroll, zero_grads
-from .base import DecodeState, DialogueScore, Model, SequenceScore, check_tokens
-
-
-@dataclass
-class LmExample:
-    """One training/eval item: a flattened dialogue, plus its topic feature."""
-
-    tokens: list
-    theta: np.ndarray = None
+from .base import DecodeState, Example, Model, SequenceScore, check_tokens
 
 
 class RnnLm(Model):
@@ -65,7 +57,9 @@ class RnnLm(Model):
         """
         tokens = list(tokens)
         fw = self._forward(tokens, theta)
-        return SequenceScore.from_logps(fw["logps"], tokens, fw.get("alphas"))
+        A = fw.get("A")  # position t >= 1 attended over the first t tokens
+        alphas = None if A is None else [None] + [A[t - 1, :t] for t in range(1, len(tokens))]
+        return SequenceScore.from_logps(fw["logps"], tokens, alphas)
 
     def _forward(self, tokens, theta=None):
         states = self._states(tokens)
@@ -115,24 +109,14 @@ class RnnLm(Model):
     # dialogue plumbing
 
     def make_example(self, dialogue):
-        return LmExample(tokens=corpus.flatten(dialogue))
+        """The flattened dialogue, its final utterance at last_utterance_span."""
+        return Example(corpus.flatten(dialogue), slice(*corpus.last_utterance_span(dialogue)))
 
     def example_loss_and_grads(self, ex, grads=None):
-        return self.loss_and_grads(ex.tokens, ex.theta, grads)
+        return self.loss_and_grads(ex.target, ex.theta, grads)
 
     def example_score(self, ex):
-        return self.score_sequence(ex.tokens, ex.theta)
-
-    def score_dialogue(self, dialogue):
-        ex = self.make_example(dialogue)
-        s = self.example_score(ex)
-        start, stop = corpus.last_utterance_span(dialogue)
-        return DialogueScore(
-            per_token=s.per_token,
-            argmax=s.argmax,
-            refs=np.array(ex.tokens),
-            last_slice=slice(start, stop),
-        )
+        return self.score_sequence(ex.target, ex.theta)
 
 
 def _arena(a, rows, t, t0, slots, cap):
@@ -174,8 +158,7 @@ class AttentionRnnLm(RnnLm):
         # position t >= 1 queries with states[t-1] over R[:t]; position 0 attends to nothing
         outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n))
         outs = self._add_topic(outs, theta)
-        return {"states": states, "tape": tape, "outs": outs,
-                "alphas": [None] + [A[t - 1, :t] for t in range(1, n)],
+        return {"states": states, "tape": tape, "outs": outs, "A": A,
                 "logps": self._log_probs(outs, p["O"])}
 
     # ------------------------------------------------------------------
@@ -269,4 +252,4 @@ class TopicAttentionRnnLm(AttentionRnnLm):
 
     def make_example(self, dialogue):
         theta = self._validate_theta(self.theta_provider(dialogue))
-        return LmExample(tokens=corpus.flatten(dialogue), theta=theta)
+        return replace(super().make_example(dialogue), theta=theta)

@@ -12,20 +12,12 @@ is the previous decoder state; for l = 0 it is the initial decoder state.
 Encoder and decoder keep separate embedding tables.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
 from ..numeric import bptt, readout, unroll, zero_grads
-from .base import DecodeState, DialogueScore, Model, SequenceScore, check_tokens
-
-
-@dataclass
-class Seq2SeqExample:
-    source: list
-    target: list
+from .base import DecodeState, Example, Model, SequenceScore, check_tokens
 
 
 def seq2seq_pair(dialogue):
@@ -85,19 +77,20 @@ class Seq2Seq(Model):
         p = self.params
         enc = enc0[1:]
         dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
-        fw = {"enc0": enc0, "states": dec, "outs": dec, "alphas": None}
+        fw = {"enc0": enc0, "states": dec, "outs": dec}
         if self.use_attention:
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
             outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)))
-            fw.update({"tape": tape, "alphas": list(A), "outs": outs})
+            fw.update({"tape": tape, "A": A, "outs": outs})
         fw["logps"] = self._log_probs(fw["outs"], p["Od"])
         return fw
 
     def score_pair(self, source, target):
         """Per-position log-likelihood of the target given the source."""
         fw = self._forward(source, target)
-        return SequenceScore.from_logps(fw["logps"], target, fw["alphas"])
+        alphas = list(fw["A"]) if self.use_attention else None
+        return SequenceScore.from_logps(fw["logps"], target, alphas)
 
     # ------------------------------------------------------------------
     # backward
@@ -146,22 +139,13 @@ class Seq2Seq(Model):
     # dialogue plumbing
 
     def make_example(self, dialogue):
+        """The reply plus </u> after the encoded history: all of it is the
+        final utterance, so PPL and PPL@L coincide."""
         source, target = seq2seq_pair(dialogue)
-        return Seq2SeqExample(source=source, target=target)
+        return Example(target, slice(0, len(target)), source=source)
 
     def example_loss_and_grads(self, ex, grads=None):
         return self.loss_and_grads(ex.source, ex.target, grads)
 
     def example_score(self, ex):
         return self.score_pair(ex.source, ex.target)
-
-    def score_dialogue(self, dialogue):
-        """Seq2seq scores only the final utterance, so PPL and PPL@L coincide."""
-        ex = self.make_example(dialogue)
-        s = self.example_score(ex)
-        return DialogueScore(
-            per_token=s.per_token,
-            argmax=s.argmax,
-            refs=np.array(ex.target),
-            last_slice=slice(0, len(ex.target)),
-        )

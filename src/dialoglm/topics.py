@@ -313,10 +313,12 @@ def topic_similarity(a, b, metric="cosine"):
     raise DataError(f"unknown similarity metric {metric!r}")
 
 
-def check_lambdas(lambdas):
-    """DataError unless ``lambdas`` is a non-empty list of values in [0, 1]."""
+def check_lambdas(lambdas, name=None):
+    """DataError unless ``lambdas`` is a non-empty list of values in [0, 1];
+    ``name``, when given, is what the message calls its one weight."""
     if not lambdas or not all(0.0 <= lam <= 1.0 for lam in lambdas):
-        raise DataError(f"lambda values must form a non-empty list in [0, 1], got {lambdas}")
+        raise DataError(f"{name} must lie in [0, 1], got {lambdas[0]}" if name else
+                        f"lambda values must form a non-empty list in [0, 1], got {lambdas}")
 
 
 @dataclass
@@ -373,7 +375,7 @@ def rerank(history, candidates, model, lam, metric="cosine", stopword_ids=frozen
     (``norm_score``); ``lam`` in [0, 1] weighs the topic similarity against
     their z-scores, and ties in the combined score keep the original order.
     """
-    check_lambdas([lam])
+    check_lambdas([lam], "lambda")
     if not candidates:
         raise DataError("empty candidate list")
     bows = _content_bows(history, candidates, stopword_ids)
@@ -409,7 +411,7 @@ def _bleu_of_tops(tops, items):
     return corpus_bleu(hyps, refs)
 
 
-def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
+def tune_rerank(items, topic_models, lambdas, objective="bleu", recall_n=1,
                 metric="cosine", stopword_ids=frozenset()):
     """Exhaustive (K, lambda) grid search against the dev objective.
 
@@ -420,8 +422,6 @@ def tune_rerank(items, topic_models, lambdas=None, objective="bleu", recall_n=1,
     """
     if not items:
         raise DataError("empty dev set for tuning")
-    if lambdas is None:
-        lambdas = [round(0.05 * i, 2) for i in range(21)]
     check_lambdas(lambdas)
     if objective not in ("bleu", "recall"):
         raise DataError(f"unknown tuning objective {objective!r}")

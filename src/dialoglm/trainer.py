@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .metrics import Tally
+from .metrics import tallies
 from .numeric import clip_global_norm, zero_grads
 
 
@@ -108,13 +108,6 @@ class TrainResult:
         return min(e.dev_ppl for e in self.log)
 
 
-def _dev_ppl(model, examples):
-    tally = Tally()
-    for ex in examples:
-        tally.add(model.example_score(ex).per_token)
-    return tally.rates()[0]
-
-
 def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
     """Train ``model`` in place; its parameters end at the best-dev checkpoint.
 
@@ -151,7 +144,7 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
             seen += 1
         if epoch % config.eval_interval != 0 and epoch != config.max_epochs:
             continue
-        dev_ppl = _dev_ppl(model, dev_examples)
+        dev_ppl = tallies(model, dev_examples)[0].rates()[0]
         improved = dev_ppl < best_ppl
         if improved:
             best_ppl = dev_ppl

@@ -15,7 +15,7 @@ from conftest import bleu_oracle, grad_check, with_params
 from dialoglm import corpus, generator, metrics, synthetic, topics, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words
 from dialoglm.models import AttentionRnnLm, RnnLm, make_model
-from dialoglm.models.base import DialogueScore
+from dialoglm.models.base import Example, SequenceScore
 
 
 def report(num, message):
@@ -302,15 +302,13 @@ def test_criterion_08_metric_oracles():
         def __init__(self, shift):
             self.shift = shift
 
-        def score_dialogue(self, dialogue):
-            refs = np.array(corpus.flatten(dialogue))
-            start, stop = corpus.last_utterance_span(dialogue)
-            return DialogueScore(
-                per_token=np.full(len(refs), -1.0),
-                argmax=(refs + self.shift) % V,
-                refs=refs,
-                last_slice=slice(start, stop),
-            )
+        def make_example(self, dialogue):
+            return Example(corpus.flatten(dialogue),
+                           slice(*corpus.last_utterance_span(dialogue)))
+
+        def example_score(self, ex):
+            refs = np.array(ex.target)
+            return SequenceScore(np.full(len(refs), -1.0), (refs + self.shift) % V)
 
     assert metrics.evaluate(_Stub(0), dialogues).values["wer"] == 0.0
     assert metrics.evaluate(_Stub(1), dialogues).values["wer"] == 1.0
@@ -438,7 +436,8 @@ def test_criterion_11_reranker_benefit():
                                            candidates=cands,
                                            reference=list(d.last_utterance())))
         best_k, best_lam, table = topics.tune_rerank(
-            items, tms, objective="bleu", stopword_ids=stop_ids)
+            items, tms, [round(0.05 * i, 2) for i in range(21)], objective="bleu",
+            stopword_ids=stop_ids)
         lam0 = max(v for k, lam, v in table if lam == 0.0)
         best_val = max(v for _, _, v in table)
         wins += best_val > lam0

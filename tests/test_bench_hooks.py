@@ -11,6 +11,7 @@ import pytest
 
 from dialoglm import corpus, synthetic
 from dialoglm.cli import main
+from dialoglm.models import make_model, seq2seq_pair
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -119,3 +120,13 @@ def test_every_traced_layer_is_called(traced_pipeline):
     assert traced_pipeline["topics.infer_theta"]["token_updates"] > 0
     # the counter reads ``sweeps=`` from cmd_lda's keyword arguments
     assert traced_pipeline["topics.lda_train"]["token_updates"] > 0
+
+
+@pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
+def test_example_token_counts(kind):
+    # models.*.example_score.us_per_tok divides by these counts: every token
+    # of the flattened dialogue for an LM, the reply plus </u> for seq2seq
+    d = corpus.Dialogue(((0, (6, 7, 8)), (1, (9, 10)), (0, (11,))))
+    m = make_model(kind, 4, 3, 12, seed=0)
+    want = len(corpus.flatten(d)) if kind == "arnn" else len(seq2seq_pair(d)[1])
+    assert pipeline._example_tokens(None, (m, m.make_example(d)), {}) == {"tokens": want}

@@ -645,7 +645,9 @@ class TestBadInput:
         assert main(argv + ["--out", str(out), f"--lambda={lam}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-        assert "lambda" in err and not (out / "rerank_top1.txt").exists()
+        # the one weight, named by its flag and given without list brackets
+        assert err == f"error: --lambda must lie in [0, 1], got {float(lam)}\n"
+        assert not (out / "rerank_top1.txt").exists()
         assert main(argv + ["--out", str(tmp_path / "ok"), "--lambda=0.5"]) == 0
 
     def test_train_nonpositive_dimension(self, workspace, tmp_path, capsys):
@@ -794,14 +796,15 @@ class TestBadInput:
         ("train", "--clip", "nan"), ("train", "--lr", "nan"), ("train", "--lr", "inf"),
         ("eval", "--max-n", "0"), ("eval", "--max-n", "-2"),
         ("attviz", "--cell-size", "-1"), ("attviz", "--cell-size", "0"),
+        ("attviz", "--cell-size", "1000000"),
         ("tune", "--recall-n", "0"),
     ])
     def test_number_out_of_range(self, workspace, generated, lda_model, tmp_path, capsys,
                                  command, flag, value):
         # these ended in a traceback (ratios), turned clipping off (clip), failed
         # only inside the first epoch (lr), reported the brevity penalty as BLEU
-        # (max-n), wrote an image with a negative or zero size (cell-size), or
-        # scored every grid point 0.0 (recall-n)
+        # (max-n), wrote an image with a negative or zero size or built one of
+        # terabytes in memory (cell-size), or scored every grid point 0.0 (recall-n)
         prep, vocab = workspace["prep"], str(workspace["vocab"])
         test = str(prep / "test.txt")
         argv = {

@@ -9,7 +9,7 @@ from dialoglm.corpus import Dialogue, sample_candidates
 from dialoglm.errors import DataError
 from dialoglm.generator import continuation_log_likelihood
 from dialoglm.metrics import corpus_bleu, distinct_1, evaluate, recall_at_n
-from dialoglm.models import AttentionRnnLm, RnnLm
+from dialoglm.models import AttentionRnnLm, Example, RnnLm, SequenceScore
 
 V = 20
 
@@ -37,18 +37,16 @@ class _FixedDistModel:
         self.dist = np.asarray(dist, dtype=np.float64)
         self.argmax_of = argmax_of  # optional per-reference argmax rule
 
-    def score_dialogue(self, dialogue):
-        refs = np.array(corpus.flatten(dialogue))
-        per_token = np.log(self.dist[refs])
+    def make_example(self, dialogue):
+        return Example(corpus.flatten(dialogue), slice(*corpus.last_utterance_span(dialogue)))
+
+    def example_score(self, ex):
+        refs = np.array(ex.target)
         if self.argmax_of is None:
             argmax = np.full(len(refs), int(np.argmax(self.dist)))
         else:
             argmax = np.array([self.argmax_of(r) for r in refs])
-        start, stop = corpus.last_utterance_span(dialogue)
-        from dialoglm.models.base import DialogueScore
-
-        return DialogueScore(per_token=per_token, argmax=argmax, refs=refs,
-                             last_slice=slice(start, stop))
+        return SequenceScore(np.log(self.dist[refs]), argmax)
 
 
 class TestPerplexity:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from conftest import arena
 
-from dialoglm import cli, metrics, synthetic, trainer
+from dialoglm import cli, corpus, metrics, synthetic, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import load_checkpoint, make_model, save_checkpoint
+from dialoglm.models import load_checkpoint, make_model, save_checkpoint, seq2seq_pair
 from dialoglm.numeric import clip_global_norm, zero_grads
 from dialoglm.trainer import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_update,
                               pretrain_finetune, train)
@@ -272,6 +272,41 @@ class TestTrain:
         assert len(fields) == 5
         int(fields[0]); int(fields[1]); float(fields[2]); float(fields[3])
         assert fields[4] in ("0", "1")
+
+    def test_eval_interval_skips_epochs(self):
+        # dev evaluations every second epoch and after the last one
+        dlgs, vocab = tiny_corpus(8, seed=7)
+        cfg = TrainConfig(max_epochs=5, patience=5, eval_interval=2, seed=0)
+        res = train(make_model("rnn", 8, 6, vocab.size), dlgs[:6], dlgs[6:], cfg)
+        assert [e.epoch for e in res.log] == [2, 4, 5]
+        assert [e.seen for e in res.log] == [12, 24, 30]
+
+
+def _score_fields(s):
+    """A SequenceScore's arrays (also its weight rows) as their bytes."""
+    rows = None if s.alphas is None else [a if a is None else a.tobytes() for a in s.alphas]
+    return s.per_token.tobytes(), s.argmax.tobytes(), rows
+
+
+class TestOneScoringPath:
+    """score_dialogue, evaluation and the trainer's dev pass all score what a
+    kind's make_example says it scores of a dialogue."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_score_paths_agree(self, kind):
+        dlgs, vocab = tiny_corpus(8, seed=13)
+        model = make_model(kind, 8, 6, vocab.size, n_topics=3, seed=2)
+        for d in dlgs:
+            ex = model.make_example(d)
+            if kind.startswith("seq2seq"):
+                assert (ex.source, ex.target) == seq2seq_pair(d)
+                assert ex.last == slice(0, len(ex.target))
+            else:
+                assert ex.source is None and ex.target == corpus.flatten(d)
+                assert ex.last == slice(*corpus.last_utterance_span(d))
+            assert _score_fields(model.score_dialogue(d)) == _score_fields(model.example_score(ex))
+        res = train(model, dlgs[:6], dlgs[6:], TrainConfig(max_epochs=1, seed=2))
+        assert res.log[0].dev_ppl == metrics.evaluate(model, dlgs[6:]).values["ppl"]
 
 
 class TestPretrainFinetune:
