@@ -47,25 +47,27 @@ def _load_topics(path, vocab):
                                   expect_vocab_size=len(vocab))
 
 
-def _theta_provider(topic_model_path, vocab, stopword_ids):
-    if topic_model_path is None:
-        return None, None
-    tm = _load_topics(topic_model_path, vocab)
-    return tm, lambda dialogue: topics.infer_theta(
+def _with_topics(args, vocab, stopword_ids, kind, model_of_K):
+    """``model_of_K(K)``, a new or loaded model of ``kind``; a tarnn gets K and its
+    theta_provider from --topic-model, and DataError without one or on another K."""
+    if kind != "tarnn":
+        return model_of_K(None)
+    if args.topic_model is None:
+        raise DataError("a tarnn model needs --topic-model for its topic features")
+    tm = _load_topics(args.topic_model, vocab)
+    model = model_of_K(tm.n_topics)
+    if tm.n_topics != model.K:
+        raise DataError(f"{args.topic_model}: topic model has K={tm.n_topics}, "
+                        f"but the tarnn checkpoint {args.checkpoint} has K={model.K}")
+    model.theta_provider = lambda dialogue: topics.infer_theta(
         tm, topics.dialogue_bow(dialogue, stopword_ids))
+    return model
 
 
 def _load_model(args, vocab, stopword_ids):
     model = load_checkpoint(args.checkpoint, expect_vocab_sha256=vocab.sha256(),
                             expect_vocab_size=len(vocab))
-    if model.kind == "tarnn":
-        if args.topic_model is None:
-            raise DataError("a tarnn checkpoint needs --topic-model for topic features")
-        tm, model.theta_provider = _theta_provider(args.topic_model, vocab, stopword_ids)
-        if tm.n_topics != model.K:
-            raise DataError(f"{args.topic_model}: topic model has K={tm.n_topics}, "
-                            f"but the tarnn checkpoint {args.checkpoint} has K={model.K}")
-    return model
+    return _with_topics(args, vocab, stopword_ids, model.kind, lambda K: model)
 
 
 def _write(args, name, text):
@@ -111,16 +113,13 @@ KIND_FLAGS = {k.replace("_", "-"): k for k in MODEL_KINDS}
 def cmd_train(args):
     vocab, stop_ids = _load_vocab(args)
     kind = KIND_FLAGS[args.kind]
-    tm, provider = _theta_provider(args.topic_model, vocab, stop_ids)
-    if kind == "tarnn" and tm is None:
-        raise DataError("training a tarnn model needs --topic-model")
     config = trainer.TrainConfig(
         lr=args.lr, max_epochs=args.epochs, patience=args.patience, clip=args.clip,
         seed=args.seed, eval_interval=args.eval_interval,
     )
-    model = make_model(kind, args.d, args.d if args.d_e is None else args.d_e, vocab.size,
-                       n_topics=tm.n_topics if tm else None, seed=args.seed,
-                       theta_provider=provider)
+    model = _with_topics(args, vocab, stop_ids, kind, lambda K: make_model(
+        kind, args.d, args.d if args.d_e is None else args.d_e, vocab.size, n_topics=K,
+        seed=args.seed))
     train_dlg = corpus.load_corpus(args.train, vocab, min_turns=2)
     dev_dlg = corpus.load_corpus(args.dev, vocab, min_turns=2)
     log_lines = []

@@ -10,8 +10,7 @@ from .seq2seq import Seq2Seq, seq2seq_pair
 MODEL_KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
 
 
-def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, flat=None,
-               theta_provider=None):
+def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, flat=None):
     """Construct any model variant by its kind string."""
     if kind == "rnn":
         return RnnLm(d, d_e, vocab_size, seed=seed, flat=flat)
@@ -20,10 +19,7 @@ def make_model(kind, d, d_e, vocab_size, n_topics=None, seed=0, flat=None,
     if kind == "tarnn":
         if n_topics is None:
             raise DataError("tarnn requires a topic count")
-        return TopicAttentionRnnLm(
-            d, d_e, vocab_size, n_topics, seed=seed, flat=flat,
-            theta_provider=theta_provider,
-        )
+        return TopicAttentionRnnLm(d, d_e, vocab_size, n_topics, seed=seed, flat=flat)
     if kind == "seq2seq":
         return Seq2Seq(d, d_e, vocab_size, use_attention=False, seed=seed, flat=flat)
     if kind == "seq2seq_attn":

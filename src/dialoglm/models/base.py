@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import corpus
-from ..errors import DataError
+from ..errors import DataError, NumericalError
 from ..numeric import (INIT_HALF_WIDTH, Arena, attention, columns, log_softmax, matvecs,
                        nll_backward, readout_backward, recur, softmax)
 
@@ -147,7 +147,10 @@ class Model:
 
     def _nll_backward(self, logps, targets):
         """nll_backward of :meth:`_log_probs` rows, dlogits in their exp scratch."""
-        return nll_backward(logps, targets, out=self._rows[1, :len(targets)])
+        loss, dlogits = nll_backward(logps, targets, out=self._rows[1, :len(targets)])
+        if not np.isfinite(loss):
+            raise NumericalError("non-finite loss in backward pass")
+        return loss, dlogits
 
     def _output_grad(self, X, dlogits):
         """X^T dlogits, the gradient of the output matrix, in the reused buffer."""
@@ -165,18 +168,18 @@ class Model:
             out += self.params["Otheta"] @ theta
         return out
 
-    def _backward_outputs(self, fw, dlogits, grads, dstates, theta):
+    def _backward_outputs(self, fw, dlogits, grads, dstates):
         """Backward from the logits through everything but the recurrence: adds
         dL/dstates (``fw["states"]``) into ``dstates`` and returns dL/dR of
-        the attended rows (None without attention)."""
+        the attended rows (None without attention); a tarnn's theta is in fw."""
         O = self.decoder[3]
         douts = dlogits @ self.params[O].T
         grads[O] += self._output_grad(fw["outs"], dlogits)
         if not self.attends:
             dstates += douts
             return None
-        if theta is not None and "Otheta" in grads:
-            grads["Otheta"] += np.outer(douts.sum(axis=0), theta)
+        if "Otheta" in grads:
+            grads["Otheta"] += np.outer(douts.sum(axis=0), fw["theta"])
         return readout_backward(self.params, fw["tape"], douts, dstates, grads)
 
     def step(self, h_prev, tokens):

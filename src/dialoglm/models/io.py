@@ -32,7 +32,7 @@ def _is_array_entry(entry):
             and type(entry[1]) is list and all(map(is_int(0), entry[1])))
 
 
-def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None, expect_vocab_size=None):
+def load_checkpoint(path, expect_vocab_sha256=None, expect_vocab_size=None):
     """Reconstruct a model from a checkpoint; verifies the vocabulary hash and size."""
     from . import make_model
 
@@ -53,7 +53,7 @@ def load_checkpoint(path, expect_vocab_sha256=None, theta_provider=None, expect_
     flat = float64s(payload, n, path, "checkpoint parameters")
     try:
         model = make_model(header["kind"], d=dims["d"], d_e=dims["d_e"], vocab_size=dims["V"],
-                           n_topics=dims.get("K"), flat=flat, theta_provider=theta_provider)
+                           n_topics=dims.get("K"), flat=flat)
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
     layout = [[name, list(p.shape)] for name, p in model.params.items()]

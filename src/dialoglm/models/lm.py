@@ -78,14 +78,12 @@ class RnnLm(Model):
         grads = zero_grads(p, grads)
         dstates = np.zeros((len(tokens), self.d))
         loss, dlogits = self._nll_backward(fw["logps"], tokens)
-        drep = self._backward_outputs(fw, dlogits, grads, dstates, theta)
+        drep = self._backward_outputs(fw, dlogits, grads, dstates)
         if drep is not None:  # back from the representations to embeddings and states
             dstates[1:] += drep[:, self.d_e :]
             np.add.at(grads["E"].T, np.asarray(tokens[:-1], dtype=np.intp), drep[:, : self.d_e])
         bptt(p["H"], p["P"], p["E"], tokens[:-1], fw["states"], dstates,
              grads["H"], grads["P"], grads["E"])
-        if not np.isfinite(loss):
-            raise NumericalError("non-finite loss in backward pass")
         return float(loss), grads
 
     # ------------------------------------------------------------------
@@ -158,7 +156,7 @@ class AttentionRnnLm(RnnLm):
         # position t >= 1 queries with states[t-1] over R[:t]; position 0 attends to nothing
         outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n))
         outs = self._add_topic(outs, theta)
-        return {"states": states, "tape": tape, "outs": outs, "A": A,
+        return {"states": states, "tape": tape, "outs": outs, "A": A, "theta": theta,
                 "logps": self._log_probs(outs, p["O"])}
 
     # ------------------------------------------------------------------
@@ -201,17 +199,16 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     """Attention LM with an extra per-dialogue topic-proportion feature.
 
     ``theta_provider`` maps a Dialogue to its K-dim topic proportions, for
-    training examples and for decoding from a history (``start``). It
-    defaults to the uniform vector, so the model works without topics.
+    training examples and for decoding from a history (``start``). By
+    default it gives None, read as uniform, so the model works without topics.
     """
 
     kind = "tarnn"
 
-    def __init__(self, d, d_e, vocab_size, n_topics, seed=0, flat=None,
-                 theta_provider=None):
+    def __init__(self, d, d_e, vocab_size, n_topics, seed=0, flat=None, theta_provider=None):
         self.K = n_topics
         super().__init__(d, d_e, vocab_size, seed=seed, flat=flat)
-        self.theta_provider = theta_provider or (lambda dialogue: np.full(self.K, 1.0 / self.K))
+        self.theta_provider = theta_provider or (lambda dialogue: None)
 
     def param_shapes(self):
         shapes = super().param_shapes()
@@ -221,35 +218,26 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     def dims(self):
         return {"d": self.d, "d_e": self.d_e, "V": self.V, "K": self.K}
 
-    def _validate_theta(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
+    def _theta(self, theta):
+        """The topic feature as a float64 K-vector, uniform for None; NumericalError
+        unless it is a probability vector. Theta enters a tarnn only through
+        _forward, begin and make_example, which check it here once each."""
+        theta = np.full(self.K, 1 / self.K) if theta is None else np.asarray(theta, np.float64)
         if theta.shape != (self.K,):
             raise NumericalError(f"theta must have length K={self.K}")
         if np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-6:
             raise NumericalError("theta must be a probability vector (sum 1 within 1e-6)")
         return theta
 
-    def next_dist(self, h, z=None, theta=None):
-        if theta is not None:
-            theta = self._validate_theta(theta)
-        return super().next_dist(h, z, theta)
-
-    def _theta_or_uniform(self, theta):
-        return self._validate_theta(np.full(self.K, 1.0 / self.K) if theta is None else theta)
-
-    def score_sequence(self, tokens, theta=None):
-        return super().score_sequence(tokens, self._theta_or_uniform(theta))
-
-    def loss_and_grads(self, tokens, theta=None, grads=None):
-        return super().loss_and_grads(tokens, self._theta_or_uniform(theta), grads)
+    def _forward(self, tokens, theta=None):
+        return super()._forward(tokens, self._theta(theta))
 
     def begin(self, prefix, theta=None):
-        # theta rides along in the decode state; step_dist passes it through
-        return super().begin(prefix, self._theta_or_uniform(theta))
+        return super().begin(prefix, self._theta(theta))
 
     def start(self, history):
         return self.begin(corpus.continuation_prefix(history), self.theta_provider(history))
 
     def make_example(self, dialogue):
-        theta = self._validate_theta(self.theta_provider(dialogue))
+        theta = self._theta(self.theta_provider(dialogue))
         return replace(super().make_example(dialogue), theta=theta)

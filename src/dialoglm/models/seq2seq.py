@@ -15,7 +15,7 @@ Encoder and decoder keep separate embedding tables.
 import numpy as np
 
 from .. import corpus
-from ..errors import DataError, NumericalError
+from ..errors import DataError
 from ..numeric import bptt, readout, unroll, zero_grads
 from .base import DecodeState, Example, Model, SequenceScore, check_tokens
 
@@ -104,7 +104,7 @@ class Seq2Seq(Model):
         ddec = np.zeros_like(fw["states"])
         denc0 = np.zeros_like(fw["enc0"])
         loss, dlogits = self._nll_backward(fw["logps"], target)
-        denc = self._backward_outputs(fw, dlogits, grads, ddec, None)
+        denc = self._backward_outputs(fw, dlogits, grads, ddec)
         if denc is not None:
             denc0[1:] += denc
         bptt(p["Hd"], p["Pd"], p["Ed"], target[:-1], fw["states"], ddec,
@@ -113,8 +113,6 @@ class Seq2Seq(Model):
         denc0[-1] += ddec[0]
         bptt(p["He"], p["Pe"], p["Ee"], source, fw["enc0"], denc0,
              grads["He"], grads["Pe"], grads["Ee"])
-        if not np.isfinite(loss):
-            raise NumericalError("non-finite loss in backward pass")
         return float(loss), grads
 
     # ------------------------------------------------------------------

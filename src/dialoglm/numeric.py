@@ -280,7 +280,8 @@ def clip_global_norm(grads, max_norm, scratch=None):
     pre-clip norm, summed array by array in arena order: one sum over
     ``grads.flat`` would round differently. Each array's squares go to
     ``scratch``, a vector at least as long as the largest array (a new
-    one when it is not given).
+    one when it is not given). A non-finite entry is a NumericalError naming
+    its array; a norm that overflows from finite entries scales them to zero.
     """
     if scratch is None:
         scratch = np.empty(max(g.size for g in grads.values()))
@@ -289,6 +290,10 @@ def clip_global_norm(grads, max_norm, scratch=None):
         sq = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))
         total += float(np.sum(sq))
     norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NumericalError(f"non-finite gradient for parameter '{name}'")
     if norm > max_norm and norm > 0.0:
         grads.flat *= max_norm / norm
     return norm

@@ -61,10 +61,8 @@ def adam_update(state, params, grads):
     lr_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps sqrt(1 - b2^t),
     one divide and one sqrt per entry. Every operation is elementwise, so
     running them block by block over the flat vectors changes no bit.
+    ``grads`` must be finite, as ``clip_global_norm`` leaves them.
     """
-    if not np.isfinite(grads.flat).all():
-        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
-        raise NumericalError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     root = math.sqrt(1.0 - BETA2 ** state.t)
     lr_t, eps_t = state.lr * root / (1.0 - BETA1 ** state.t), EPS * root

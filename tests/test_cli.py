@@ -556,6 +556,32 @@ class TestBadInput:
         assert err.startswith(f"error: {lda_model}: ") and len(err.strip().splitlines()) == 1
         assert "K=2" in err and "K=3" in err and str(ckpt) in err
 
+    @pytest.mark.parametrize("command", ["train", "generate", "eval", "attviz", "tune"])
+    def test_tarnn_without_topic_model(self, workspace, generated, lda_model, tmp_path,
+                                       capsys, command):
+        # every command that builds or loads a tarnn refuses it the same way
+        vocab = corpus.Vocabulary.load(workspace["vocab"])
+        ckpt = tmp_path / "tarnn.ckpt"
+        save_checkpoint(ckpt, make_model("tarnn", 4, 3, len(vocab), n_topics=2, seed=1),
+                        vocab.sha256())
+        prep, test = workspace["prep"], str(workspace["prep"] / "test.txt")
+        loaded = ["--checkpoint", str(ckpt)]
+        argv = {
+            "train": ["--train", str(prep / "train.txt"), "--dev", str(prep / "dev.txt"),
+                      "--kind", "tarnn", "--d", "4", "--epochs", "1"],
+            "generate": ["--histories", test, *loaded],
+            "eval": ["--corpus", test, *loaded],
+            "attviz": ["--history", test, *loaded],
+            "tune": ["--histories", test, "--candidates-dir", str(generated),
+                     "--topic-models", str(lda_model), "--objective", "recall", *loaded],
+        }[command]
+        out = tmp_path / command
+        assert main([command, "--vocab", str(workspace["vocab"]), "--out", str(out),
+                     *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a tarnn model needs --topic-model for its topic features\n"
+        assert list(out.iterdir()) == []
+
     def test_infer_sweeps_too_many_to_allocate(self, workspace, generated, lda_model, tmp_path,
                                                capsys):
         # an inference chain's uniforms are one allocation, which fails at once
@@ -900,8 +926,8 @@ def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_
     vocab = corpus.Vocabulary.load(vocab_path)
     tm = topics.TopicModel.load(lda_model)
     ckpt = tmp_path / "tarnn" / "model.ckpt"
-    model = load_checkpoint(ckpt, theta_provider=lambda history: topics.infer_theta(
-        tm, topics.dialogue_bow(history)))
+    model = load_checkpoint(ckpt)
+    model.theta_provider = lambda history: topics.infer_theta(tm, topics.dialogue_bow(history))
     uniform = load_checkpoint(ckpt)
     dialogues = corpus.load_corpus(histories, vocab, min_turns=2)
     assert len(seen["items"]) == len(dialogues)

@@ -349,8 +349,8 @@ def _decode_models():
     theta = np.array([0.6, 0.3, 0.1])
     for kind in KINDS:
         for scale in (1.0, 300.0):
-            m = make_model(kind, 5, 4, V, n_topics=3, seed=41,
-                           theta_provider=lambda history: theta)
+            m = make_model(kind, 5, 4, V, n_topics=3, seed=41)
+            m.theta_provider = lambda history: theta
             for p in m.params.values():
                 p *= scale
             yield kind, scale, m

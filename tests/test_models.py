@@ -179,10 +179,40 @@ class TestTarnnNextDist:
         np.testing.assert_allclose(m.next_dist(h, z, theta), softmax(logits),
                                    atol=1e-12)
 
-    def test_rejects_unnormalized_theta(self):
-        m = TopicAttentionRnnLm(D, DE, V, K, seed=15)
+
+class TestTarnnTheta:
+    """A tarnn checks theta where it enters: a teacher-forced pass, begin
+    (and so start) and make_example; an omitted theta is the uniform one."""
+
+    DIALOGUE = Dialogue(((0, (6, 7, 8)), (1, (9, 10))))
+    ENTRIES = {
+        "begin": lambda m, bad: m.begin([6, 7], bad),
+        "score_sequence": lambda m, bad: m.score_sequence([6, 7, 8], bad),
+        "loss_and_grads": lambda m, bad: m.loss_and_grads([6, 7, 8], bad),
+        "make_example": lambda m, bad: m.make_example(TestTarnnTheta.DIALOGUE),
+        "start": lambda m, bad: m.start(TestTarnnTheta.DIALOGUE),
+    }
+
+    @pytest.mark.parametrize("bad", [np.full(K + 1, 1.0 / (K + 1)),
+                                     np.array([1.2, -0.2] + [0.0] * (K - 2)),
+                                     np.full(K, 1.1 / K)],
+                             ids=["length", "negative", "sum"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_bad_theta_rejected(self, entry, bad):
+        m = TopicAttentionRnnLm(D, DE, V, K, seed=15, theta_provider=lambda dialogue: bad)
         with pytest.raises(NumericalError):
-            m.next_dist(np.zeros(D), np.zeros(m.d_z), np.full(K, 0.5))
+            self.ENTRIES[entry](m, bad)
+
+    def test_omitted_theta_is_uniform(self):
+        m = TopicAttentionRnnLm(D, DE, V, K, seed=15)
+        tokens, uniform = [6, 7, 8, 9], np.full(K, 1.0 / K)
+        a, b = m.score_sequence(tokens), m.score_sequence(tokens, uniform)
+        assert a.per_token.tobytes() == b.per_token.tobytes()
+        (la, ga), (lb, gb) = (m.loss_and_grads(tokens, theta) for theta in (None, uniform))
+        assert la == lb and ga.flat.tobytes() == gb.flat.tobytes()
+        (pa, wa), (pb, wb) = m.step_dist(m.begin(tokens)), m.step_dist(m.begin(tokens, uniform))
+        assert pa.tobytes() == pb.tobytes() and wa.tobytes() == wb.tobytes()
+        assert m.make_example(self.DIALOGUE).theta.tobytes() == uniform.tobytes()
 
 
 class TestSequenceLogLikelihood:
@@ -351,8 +381,8 @@ class TestStart:
     def test_start_equals_begin_on_prefix(self, kind):
         rng = np.random.default_rng(35)
         theta = rng.dirichlet(np.ones(K))
-        m = make_model(kind, D, DE, V, n_topics=K, seed=35,
-                       theta_provider=lambda history: theta)
+        m = make_model(kind, D, DE, V, n_topics=K, seed=35)
+        m.theta_provider = lambda history: theta
         prefix = corpus.continuation_prefix(self.HISTORY)
         a = m.start(self.HISTORY)
         b = m.begin(prefix, theta) if kind == "tarnn" else m.begin(prefix)
@@ -701,3 +731,23 @@ class TestForwardFinite:
             m.params[k] *= 20.0
         s = m.score_pair(random_tokens(rng, 6), random_tokens(rng, 4))
         assert np.all(np.isfinite(s.per_token))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_loss_refused_before_backward(self, kind):
+        # a log-probability that underflowed to -inf gives an infinite loss:
+        # every kind refuses it in one place, before any gradient is written
+        m = make_model(kind, D, DE, V, n_topics=K, seed=48)
+        forward = m._forward
+
+        def underflowed(*args):
+            fw = forward(*args)
+            fw["logps"][0] = -np.inf
+            return fw
+
+        m._forward = underflowed
+        tokens = random_tokens(np.random.default_rng(48), 9)
+        args = (tokens[:4], tokens[4:]) if kind.startswith("seq2seq") else (tokens,)
+        grads = zero_grads(m.params)
+        with pytest.raises(NumericalError, match="^non-finite loss in backward pass$"):
+            m.loss_and_grads(*args, grads=grads)
+        assert not grads.flat.any()

@@ -70,10 +70,18 @@ class TestAdam:
         assert abs(abs(params["w"][0] - prev[0]) - 0.05) < 1e-4
 
     def test_non_finite_gradient_rejected(self):
-        params = arena(v=np.array([1.0]), w=np.array([1.0]))
-        state = AdamState(params)
-        with pytest.raises(NumericalError, match="'w'"):
-            adam_update(state, params, arena(v=np.array([0.5]), w=np.array([np.nan])))
+        # adam_update takes finite gradients: the clip before it finds a
+        # non-finite one and names the first array that holds it
+        for bad in (np.nan, np.inf, -np.inf):
+            grads = arena(u=np.array([0.5]), v=np.array([1.0, bad]), w=np.array([bad]))
+            with pytest.raises(NumericalError, match="non-finite gradient for parameter 'v'"):
+                clip_global_norm(grads, 5.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_norm_of_finite_gradients_clips_to_zero(self):
+        grads = arena(v=np.array([1e200, 1e200]), w=np.array([1.0]))
+        assert clip_global_norm(grads, 5.0) == np.inf
+        assert not grads.flat.any()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_in_place_update_is_bit_exact(self, kind):
@@ -252,6 +260,20 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(NumericalError, match="sequence"):
             train(bad, dlgs[:4], dlgs[4:], cfg)
+
+    def test_non_finite_gradient_of_a_finite_loss_names_the_array(self):
+        dlgs, vocab = tiny_corpus(6, seed=5)
+        model = make_model("arnn", 8, 6, vocab.size, seed=0)
+        real = model.example_loss_and_grads
+
+        def planted(ex, grads=None):
+            loss, grads = real(ex, grads)
+            grads["Oz"][1, 2] = np.nan
+            return loss, grads
+
+        model.example_loss_and_grads = planted
+        with pytest.raises(NumericalError, match="non-finite gradient for parameter 'Oz'"):
+            train(model, dlgs[:4], dlgs[4:], TrainConfig(max_epochs=1, seed=0))
 
     def test_empty_splits_rejected(self):
         dlgs, vocab = tiny_corpus(4, seed=6)
