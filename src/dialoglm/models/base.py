@@ -16,8 +16,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (INIT_HALF_WIDTH, Arena, attention, columns, log_softmax, matvecs,
-                       nll_backward, readout_backward, recur, softmax)
+from ..numeric import (INIT_HALF_WIDTH, LANE_MIN, Arena, attention, columns, lanes,
+                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax)
 
 
 @dataclass
@@ -152,12 +152,6 @@ class Model:
             raise NumericalError("non-finite loss in backward pass")
         return loss, dlogits
 
-    def _output_grad(self, X, dlogits):
-        """X^T dlogits, the gradient of the output matrix, in the reused buffer."""
-        if self._dV is None:
-            self._dV = np.empty((X.shape[1], self.V))
-        return np.matmul(X.T, dlogits, out=self._dV)
-
     # ------------------------------------------------------------------
     # output layer and stepwise decoding, shared by every kind
 
@@ -171,10 +165,28 @@ class Model:
     def _backward_outputs(self, fw, dlogits, grads, dstates):
         """Backward from the logits through everything but the recurrence: adds
         dL/dstates (``fw["states"]``) into ``dstates`` and returns dL/dR of
-        the attended rows (None without attention); a tarnn's theta is in fw."""
-        O = self.decoder[3]
-        douts = dlogits @ self.params[O].T
-        grads[O] += self._output_grad(fw["outs"], dlogits)
+        the attended rows (None without attention); a tarnn's theta is in fw.
+
+        Its two output-layer products, dL/douts = dlogits O^T and the output
+        matrix's gradient X^T dlogits (formed in the reused buffer), share
+        two lanes (``numeric.lanes``) once O has LANE_MIN entries."""
+        O, X = self.decoder[3], fw["outs"]
+        Om = self.params[O]
+        if self._dV is None:
+            self._dV = np.empty(Om.shape)
+        douts = np.empty((len(dlogits), len(Om)))
+
+        def product(i, lane):
+            if i == 0:
+                np.matmul(dlogits, Om.T, out=douts)
+            else:
+                grads[O] += np.matmul(X.T, dlogits, out=self._dV)
+
+        if Om.size >= LANE_MIN:
+            lanes(product, 2)
+        else:
+            product(0, 0)
+            product(1, 0)
         if not self.attends:
             dstates += douts
             return None

@@ -7,10 +7,14 @@ named view per array. A training run zero-fills one gradient arena per
 step (:func:`zero_grads`) instead of allocating a new one, and a model's
 teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
 glibc hands freed blocks of that size back to the kernel, so fresh ones
-would be faulted in again on every step.
+would be faulted in again on every step. :func:`lanes` shares independent
+pieces of one step between the calling thread and one worker thread.
 """
 
+import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -25,6 +29,9 @@ INIT_HALF_WIDTH = 0.08
 # backward by contractions with pre^2 and Adam with one divide; decoding
 # keeps one gemv per row.
 NUMERICS = 4
+# Entries of work from which two lanes pay (:func:`lanes`): a hand-off to
+# the second lane costs 14 to 21 us, and smaller work takes less than that.
+LANE_MIN = 32768
 # Queries per scoped_attention block: a larger block wastes tanh work past
 # its narrower scopes, a smaller one pays more per-block overhead.
 ATTENTION_BLOCK = 16
@@ -98,12 +105,19 @@ def unroll(Hm, Pm, Em, tokens, h0):
     """Recurrent states over ``tokens``, one row more than there are tokens.
 
     Row 0 is ``h0``; row t is recur(Hm, row t-1, Pm, Em[:, tokens[t-1]]),
-    the state that has consumed tokens 0..t-1.
+    the state that has consumed tokens 0..t-1, to the bit.
+
+    The input projections Pm Em[:, tok] are formed before the loop as one
+    stacked gemv over :func:`columns`, so each gets the bits it gets in
+    :func:`recur`; the loop adds them to Hm @ h, a gemv as in recur too.
     """
     states = np.empty((len(tokens) + 1, h0.shape[0]))
     states[0] = h0
-    for t, tok in enumerate(tokens, start=1):
-        states[t] = recur(Hm, states[t - 1], Pm, Em[:, tok])
+    inputs = matvecs(Pm, columns(Em, tokens))
+    for t, x in enumerate(inputs, start=1):
+        s = Hm @ states[t - 1]
+        s += x
+        np.tanh(s, out=states[t])
     return states
 
 
@@ -297,3 +311,98 @@ def clip_global_norm(grads, max_norm, scratch=None):
     if norm > max_norm and norm > 0.0:
         grads.flat *= max_norm / norm
     return norm
+
+
+def lanes(fn, n):
+    """[fn(0, lane), ..., fn(n - 1, lane)], in index order.
+
+    The calling thread (lane 0) and one worker thread (lane 1) each take the
+    next index from a shared counter until all ``n`` pieces are done, so the
+    pieces must be independent of each other; numpy releases the interpreter
+    lock inside its kernels, so two lanes use two cores. Every piece runs,
+    and the exception of the lowest failing index is raised here. The pieces
+    run inline, on lane 0, when ``n`` is 1, when the process may use one CPU
+    only, or when the worker is already busy (a piece that calls lanes, or
+    a second calling thread).
+    """
+    if n > 1 and _cpus() > 1:
+        worker = _second_lane()
+        if worker.busy.acquire(blocking=False):
+            return worker.share(fn, n)
+    return [fn(i, 0) for i in range(n)]
+
+
+def _cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """The second lane of :func:`lanes`: a daemon thread that runs one job at
+    a time. ``busy`` is held by the caller that owns the current job; ``go``
+    and ``done`` hand the job over and back."""
+
+    def __init__(self):
+        self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = None
+        threading.Thread(target=self._serve, name="dialoglm-lane", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            job, self.job = self.job, None
+            _take(*job, lane=1)
+            # what a finished job referenced (a model, its AdamState) must
+            # not stay alive until the next job
+            del job
+            self.done.release()
+
+    def share(self, fn, n):
+        """Run ``fn``'s pieces on both lanes; the caller holds ``busy``."""
+        counter, results, failed = itertools.count(), [None] * n, []
+        self.job = (fn, n, counter, results, failed)
+        self.go.release()
+        try:
+            _take(fn, n, counter, results, failed, lane=0)
+        finally:
+            self.done.acquire()
+            self.busy.release()
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        return results
+
+
+def _take(fn, n, counter, results, failed, lane):
+    """Run pieces from ``counter`` until it passes ``n``, keeping each result
+    or exception (every piece runs, whatever the others raise)."""
+    while (i := next(counter)) < n:
+        try:
+            results[i] = fn(i, lane)
+        except BaseException as e:  # re-raised by the caller of lanes
+            failed.append((i, e))
+
+
+_worker = None
+
+
+def _second_lane():
+    """The process's worker, started on first use."""
+    global _worker
+    if _worker is None:
+        _worker = _Worker()
+    return _worker
+
+
+def _forget_worker():
+    # a forked child has no worker thread, and its copies of the locks may
+    # be held: it starts its own
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import tallies
-from .numeric import clip_global_norm, zero_grads
+from .numeric import clip_global_norm, lanes, zero_grads
 
 
 @dataclass
@@ -42,14 +42,17 @@ ADAM_BLOCK = 32768
 
 class AdamState:
     """First/second moment arenas laid out like the parameters, the step
-    counter, and two scratch rows of one block, so that a step allocates no
-    arrays."""
+    counter, and a scratch vector, so that a step allocates no arrays: its
+    ``rows`` are two rows of one block per lane (``numeric.lanes``), and the
+    whole vector is long enough to be ``clip_global_norm``'s scratch."""
 
     def __init__(self, params, lr=1e-3):
         self.lr = lr
         self.t = 0
         self.m, self.v = zero_grads(params), zero_grads(params)
-        self.scratch = np.empty((2, min(ADAM_BLOCK, self.m.flat.size)))
+        block = min(ADAM_BLOCK, self.m.flat.size)
+        self.scratch = np.empty(max([4 * block] + [p.size for p in params.values()]))
+        self.rows = self.scratch[:4 * block].reshape(2, 2, block)
 
 
 def adam_update(state, params, grads):
@@ -60,16 +63,18 @@ def adam_update(state, params, grads):
     (Kingma & Ba, section 2): p -= lr_t m / (sqrt(v) + eps_t), with
     lr_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps sqrt(1 - b2^t),
     one divide and one sqrt per entry. Every operation is elementwise, so
-    running them block by block over the flat vectors changes no bit.
+    running them block by block over the flat vectors, the blocks shared
+    between two lanes, changes no bit.
     ``grads`` must be finite, as ``clip_global_norm`` leaves them.
     """
     state.t += 1
     root = math.sqrt(1.0 - BETA2 ** state.t)
     lr_t, eps_t = state.lr * root / (1.0 - BETA1 ** state.t), EPS * root
-    for a in range(0, params.flat.size, ADAM_BLOCK):
-        blk = slice(a, a + ADAM_BLOCK)
+
+    def block(i, lane):
+        blk = slice(i * ADAM_BLOCK, (i + 1) * ADAM_BLOCK)
         p, g, m, v = params.flat[blk], grads.flat[blk], state.m.flat[blk], state.v.flat[blk]
-        step, denom = state.scratch[:, :p.size]
+        step, denom = state.rows[lane, :, :p.size]
         m *= BETA1
         m += np.multiply(g, 1.0 - BETA1, out=step)
         v *= BETA2
@@ -81,6 +86,8 @@ def adam_update(state, params, grads):
         np.multiply(m, lr_t, out=step)
         step /= denom
         p -= step
+
+    lanes(block, -(-params.flat.size // ADAM_BLOCK))
     return params
 
 
@@ -119,7 +126,6 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
 
     adam = AdamState(model.params, lr=config.lr)
     grads = zero_grads(model.params)  # one arena for the run, zero-filled every step
-    clip_scratch = np.empty(max(g.size for g in grads.values()))
     shuffle_rng = np.random.default_rng([config.seed, 1])
     log = []
     best_ppl = np.inf
@@ -132,12 +138,12 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
         for idx in order:
             try:
                 loss, _ = model.example_loss_and_grads(train_examples[idx], grads)
+                clip_global_norm(grads, config.clip, adam.scratch)
+                adam_update(adam, model.params, grads)
             except NumericalError as e:
                 raise NumericalError(
                     f"epoch {epoch}, train sequence {idx}: {e}"
                 ) from e
-            clip_global_norm(grads, config.clip, clip_scratch)
-            adam_update(adam, model.params, grads)
             epoch_loss += loss
             seen += 1
         if epoch % config.eval_interval != 0 and epoch != config.max_epochs:

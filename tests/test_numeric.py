@@ -1,5 +1,8 @@
 import math
 import operator
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from conftest import affine_tanh, arena, attention_backward, grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialoglm import numeric
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
+from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, base, make_model
 from dialoglm.numeric import (ATTENTION_BLOCK, Arena, attention, clip_global_norm, columns,
-                              log_softmax, matvecs, nll_backward, recur, scoped_attention,
-                              scoped_attention_backward, softmax, unroll, zero_grads)
+                              lanes, log_softmax, matvecs, nll_backward, readout_backward,
+                              recur, scoped_attention, scoped_attention_backward, softmax,
+                              unroll, zero_grads)
 
 
 class TestSoftmax:
@@ -274,6 +279,25 @@ class TestDecodeProducts:
                 a1 = softmax(np.tanh(h[i] + np.array(UR[i])) @ b)
                 assert alpha[i].tobytes() == a1.tobytes()
                 assert z[i].tobytes() == (a1 @ np.array(R[i, :t])).tobytes()
+
+
+class TestUnroll:
+    """unroll forms its input projections before its loop; every state keeps
+    the bits of a loop of recur, the step that decoding takes."""
+
+    @pytest.mark.parametrize("d, de, n_vocab, n", [(3, 2, 7, 1), (24, 16, 39, 29),
+                                                   (64, 64, 2000, 78)])
+    def test_states_equal_the_recur_loop(self, d, de, n_vocab, n):
+        rng = np.random.default_rng(d)
+        H, P = rng.uniform(-0.3, 0.3, size=(d, d)), rng.uniform(-0.3, 0.3, size=(d, de))
+        E = rng.uniform(-0.3, 0.3, size=(de, n_vocab))
+        h0 = rng.uniform(-1.0, 1.0, size=d)
+        tokens = [int(t) for t in rng.integers(0, n_vocab, n)]
+        ref = [h0]
+        for tok in tokens:
+            ref.append(recur(H, ref[-1], P, E[:, tok]))
+        assert unroll(H, P, E, tokens, h0).tobytes() == np.array(ref).tobytes()
+        assert unroll(H, P, E, [], h0).tobytes() == h0[None].tobytes()
 
 
 def _assert_close(got, ref, what=""):
@@ -545,3 +569,125 @@ class TestNumericsV2:
             for name, g in ref_grads.items():
                 np.testing.assert_allclose(grads[name], g, rtol=1e-12,
                                            atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# two lanes
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """numeric.lanes uses its worker whatever this host's CPU count."""
+    monkeypatch.setattr(numeric, "_cpus", lambda: 2)
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestLanes:
+    @staticmethod
+    def _both_lanes(piece):
+        """``piece`` wrapped so that each lane holds its first piece until the
+        other lane has taken one; records which lane ran each index."""
+        barrier, ran = threading.Barrier(2, timeout=30), {}
+
+        def held(i, lane):
+            ran[i] = lane
+            if i < 2:
+                barrier.wait()
+            return piece(i, lane)
+
+        return held, ran
+
+    def test_results_come_back_in_index_order(self):
+        held, ran = self._both_lanes(lambda i, lane: i * i)
+        assert lanes(held, 40) == [i * i for i in range(40)]
+        assert set(ran.values()) == {0, 1}
+
+    def test_a_failure_on_the_worker_is_raised_in_the_caller(self):
+        def piece(i, lane):
+            if lane == 1:
+                raise KeyError(f"piece {i}")
+            return i
+
+        held, ran = self._both_lanes(piece)
+        with pytest.raises(KeyError, match="piece"):
+            lanes(held, 2)
+        assert sorted(ran.values()) == [0, 1]
+        assert lanes(lambda i, lane: i, 3) == [0, 1, 2]  # the worker serves on
+
+    def test_the_lowest_failing_index_is_raised(self):
+        def piece(i, lane):
+            raise ValueError(f"piece {i}")
+
+        held, _ = self._both_lanes(piece)
+        with pytest.raises(ValueError, match="piece 0"):
+            lanes(held, 5)
+
+    def test_one_piece_or_one_cpu_runs_inline(self, monkeypatch):
+        def refuse():
+            raise AssertionError("handed off")
+
+        monkeypatch.setattr(numeric, "_second_lane", refuse)
+        assert lanes(lambda i, lane: (i, lane), 1) == [(0, 0)]
+        monkeypatch.setattr(numeric, "_cpus", lambda: 1)
+        assert lanes(lambda i, lane: (i, lane), 3) == [(0, 0), (1, 0), (2, 0)]
+
+    def test_concurrent_and_nested_calls(self):
+        # more calling threads than cores, switching every microsecond: a call
+        # that finds the worker busy, or that comes from a piece, runs inline,
+        # and every call gets all of its own results
+        def job(k):
+            return lanes(lambda i, lane: (k, i, lanes(lambda j, _: i + j, 3)), 6)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(job, k) for k in range(64)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            assert got == [(k, i, [i, i + 1, i + 2]) for i in range(6)]
+
+
+class _OneLaneOutputs:
+    """The output backward as one thread forms it: the reference for the
+    two-lane form."""
+
+    def _backward_outputs(self, fw, dlogits, grads, dstates):
+        O = self.decoder[3]
+        douts = dlogits @ self.params[O].T
+        grads[O] += fw["outs"].T @ dlogits
+        if not self.attends:
+            dstates += douts
+            return None
+        if "Otheta" in grads:
+            grads["Otheta"] += np.outer(douts.sum(axis=0), fw["theta"])
+        return readout_backward(self.params, fw["tape"], douts, dstates, grads)
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestTwoLaneOutputs:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, n_vocab, lane_min", [(D, V, 0), (64, 2000, None)])
+    def test_gradients_equal_the_one_lane_reference(self, kind, d, n_vocab, lane_min,
+                                                    monkeypatch):
+        # (D, V) models hand off once the threshold is dropped; d 64, V 2,000
+        # is above it
+        if lane_min is not None:
+            monkeypatch.setattr(base, "LANE_MIN", lane_min)
+        model = make_model(kind, d, DE, n_vocab, n_topics=K, seed=3)
+        assert model.params[model.decoder[3]].size >= base.LANE_MIN
+        cls = type(model)
+        extra = ({"n_topics": K} if kind == "tarnn" else
+                 {"use_attention": model.use_attention} if kind.startswith("seq2seq") else {})
+        ref = type("OneLane" + cls.__name__, (_OneLaneOutputs, cls), {})(
+            d, DE, n_vocab, **extra, flat=model.params.flat)
+        rng = np.random.default_rng(d)
+        theta = rng.dirichlet(np.ones(K))
+        for _ in range(3):
+            tokens = [int(t) for t in rng.integers(0, n_vocab, 30)]
+            source = [int(t) for t in rng.integers(0, n_vocab, 20)]
+            loss, grads = _loss_and_grads(model, tokens, source, theta)
+            ref_loss, ref_grads = _loss_and_grads(ref, tokens, source, theta)
+            assert loss == ref_loss
+            assert grads.flat.tobytes() == ref_grads.flat.tobytes()

@@ -1,14 +1,17 @@
+import gc
 import math
+import multiprocessing
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from conftest import arena
 
-from dialoglm import cli, corpus, metrics, synthetic, trainer
+from dialoglm import cli, corpus, metrics, numeric, synthetic, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import load_checkpoint, make_model, save_checkpoint, seq2seq_pair
+from dialoglm.models import base, load_checkpoint, make_model, save_checkpoint, seq2seq_pair
 from dialoglm.numeric import clip_global_norm, zero_grads
 from dialoglm.trainer import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_update,
                               pretrain_finetune, train)
@@ -83,8 +86,8 @@ class TestAdam:
         assert clip_global_norm(grads, 5.0) == np.inf
         assert not grads.flat.any()
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_in_place_update_is_bit_exact(self, kind):
+    @staticmethod
+    def _assert_matches_reference(kind, d=6, n_vocab=17):
         # the one-divide form, one fresh array per operation
         def reference(state, params, grads):
             state.t += 1
@@ -98,7 +101,7 @@ class TestAdam:
                 p -= lr_t * state.m[name] / (np.sqrt(state.v[name]) + eps_t)
 
         rng = np.random.default_rng(3)
-        model = make_model(kind, 6, 5, 17, n_topics=3, seed=4)
+        model = make_model(kind, d, 5, n_vocab, n_topics=3, seed=4)
         ref = {k: v.copy() for k, v in model.params.items()}
         state, ref_state = AdamState(model.params, lr=0.01), AdamState(ref, lr=0.01)
         for _ in range(5):
@@ -109,6 +112,21 @@ class TestAdam:
                 assert model.params[name].tobytes() == ref[name].tobytes()
                 assert state.m[name].tobytes() == ref_state.m[name].tobytes()
                 assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+        return model
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_in_place_update_is_bit_exact(self, kind):
+        self._assert_matches_reference(kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, n_vocab, block", [(6, 17, 64), (64, 2000, 4096)])
+    def test_two_lanes_are_bit_exact(self, kind, d, n_vocab, block, monkeypatch):
+        # blocks shared between the two lanes; blocks of 4,096 entries run
+        # long enough without the interpreter lock to overlap
+        hand_offs = _two_lanes(monkeypatch)
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        model = self._assert_matches_reference(kind, d, n_vocab)
+        assert model.params.flat.size > 2 * block and hand_offs
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_divide_form_matches_textbook(self, kind):
@@ -153,6 +171,79 @@ class TestAdam:
         for i in range(1, 4):
             adam_update(state, params, arena(w=np.ones(2)))
             assert state.t == i
+
+
+def _two_lanes(monkeypatch):
+    """Lets numeric.lanes use its worker whatever this host's CPU count, and
+    returns the list that gains one entry per hand-off."""
+    hand_offs, second_lane = [], numeric._second_lane
+
+    def counted():
+        hand_offs.append(1)
+        return second_lane()
+
+    monkeypatch.setattr(numeric, "_cpus", lambda: 2)
+    monkeypatch.setattr(numeric, "_second_lane", counted)
+    return hand_offs
+
+
+class TestTwoLanes:
+    def test_the_worker_keeps_no_model_or_state_alive(self, monkeypatch):
+        # a worker that kept its last job's arguments kept a finished run's
+        # AdamState and arenas (8 MB at the benchmark's size) until the next job
+        hand_offs = _two_lanes(monkeypatch)
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 64)
+        monkeypatch.setattr(base, "LANE_MIN", 0)
+        model = make_model("arnn", 6, 5, 17, seed=4)
+        state = AdamState(model.params, lr=0.01)
+        _, grads = model.loss_and_grads([1, 2, 3, 4, 5])
+        adam_update(state, model.params, grads)
+        assert len(hand_offs) == 2  # the output products, then Adam's blocks
+        refs = [weakref.ref(model), weakref.ref(state), weakref.ref(grads)]
+        del model, state, grads
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_a_forked_child_steps_on_its_own_worker(self, monkeypatch):
+        _two_lanes(monkeypatch)
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 64)
+        model = make_model("arnn", 6, 5, 17, seed=4)
+        state = AdamState(model.params, lr=0.01)
+        _, grads = model.loss_and_grads([1, 2, 3, 4, 5])
+        adam_update(state, model.params, grads)  # the parent's worker is running
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            adam_update(state, model.params, grads)
+            send.send_bytes(model.params.flat.tobytes())
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        try:
+            assert recv.poll(60), "the child's two-lane step did not finish"
+            got = recv.recv_bytes()
+            proc.join(60)
+        finally:
+            if proc.is_alive():
+                proc.kill()
+        assert proc.exitcode == 0
+        adam_update(state, model.params, grads)
+        assert got == model.params.flat.tobytes()
+
+    @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
+    def test_tier1_sized_training_hands_nothing_to_the_worker(self, kind, monkeypatch):
+        # criterion 6's d and d_e: every block of work is below a hand-off's cost
+        def refuse():
+            raise AssertionError("handed off")
+
+        monkeypatch.setattr(numeric, "_cpus", lambda: 2)
+        monkeypatch.setattr(numeric, "_second_lane", refuse)
+        dlgs, vocab = tiny_corpus(8, seed=5)
+        model = make_model(kind, 24, 16, vocab.size, seed=0)
+        assert model.params.flat.size < trainer.ADAM_BLOCK
+        res = train(model, dlgs[:6], dlgs[6:], TrainConfig(max_epochs=2, seed=0))
+        assert [e.epoch for e in res.log] == [1, 2]
 
 
 class TestStepAllocations:
@@ -272,7 +363,8 @@ class TestTrain:
             return loss, grads
 
         model.example_loss_and_grads = planted
-        with pytest.raises(NumericalError, match="non-finite gradient for parameter 'Oz'"):
+        with pytest.raises(NumericalError, match=r"^epoch 1, train sequence \d+: "
+                                                 "non-finite gradient for parameter 'Oz'$"):
             train(model, dlgs[:4], dlgs[4:], TrainConfig(max_epochs=1, seed=0))
 
     def test_empty_splits_rejected(self):
