@@ -106,8 +106,24 @@ def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(hypotheses, references, max_n=4):
-    """Corpus-level BLEU with brevity penalty, one reference per hypothesis.
+def ngram_counts(tokens, max_n=4):
+    """The n-gram Counters of ``tokens``, one per order n = 1..max_n."""
+    return [_ngram_counts(tokens, n) for n in range(1, max_n + 1)]
+
+
+def bleu_stats(hyp, ref_counts, ref_len):
+    """BLEU's statistics of one hypothesis against one reference whose
+    ``ngram_counts`` and length are given: [hyp length, ref length, then per
+    order n its clipped match count and its hypothesis n-gram count]."""
+    stats = [len(hyp), ref_len]
+    for n, rc in enumerate(ref_counts, start=1):
+        hc = _ngram_counts(hyp, n)
+        stats += [sum(min(c, rc[g]) for g, c in hc.items()), max(len(hyp) - n + 1, 0)]
+    return stats
+
+
+def bleu_of_stats(pair_stats):
+    """Corpus BLEU from the ``bleu_stats`` of every pair, summed per field.
 
     Modified n-gram precisions for n = 1..max_n enter a uniform geometric
     mean. Add-one smoothing applies to an order-n precision (n >= 2) only
@@ -115,25 +131,13 @@ def corpus_bleu(hypotheses, references, max_n=4):
     fully disjoint unigrams give BLEU = 0. An order with no hypothesis
     n-grams at all contributes precision 1.
     """
-    if len(hypotheses) != len(references):
-        raise DataError("hypotheses and references must align one-to-one")
-    if not hypotheses:
-        raise DataError("empty corpus for BLEU")
-    if max_n < 1:
-        raise DataError(f"BLEU needs max_n >= 1, got {max_n}")
-    hyp_len = sum(len(h) for h in hypotheses)
-    ref_len = sum(len(r) for r in references)
+    hyp_len, ref_len, *counts = (sum(field) for field in zip(*pair_stats))
     if hyp_len == 0:
         return 0.0
+    max_n = len(counts) // 2
     log_prec = 0.0
     for n in range(1, max_n + 1):
-        matched = 0
-        total = 0
-        for hyp, ref in zip(hypotheses, references):
-            hc = _ngram_counts(hyp, n)
-            rc = _ngram_counts(ref, n)
-            total += max(len(hyp) - n + 1, 0)
-            matched += sum(min(c, rc[g]) for g, c in hc.items())
+        matched, total = counts[2 * n - 2], counts[2 * n - 1]
         if total == 0:
             precision = 1.0
         elif matched == 0:
@@ -145,6 +149,19 @@ def corpus_bleu(hypotheses, references, max_n=4):
         log_prec += math.log(precision) / max_n
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(log_prec)
+
+
+def corpus_bleu(hypotheses, references, max_n=4):
+    """Corpus-level BLEU with brevity penalty, one reference per hypothesis
+    (see ``bleu_of_stats``)."""
+    if len(hypotheses) != len(references):
+        raise DataError("hypotheses and references must align one-to-one")
+    if not hypotheses:
+        raise DataError("empty corpus for BLEU")
+    if max_n < 1:
+        raise DataError(f"BLEU needs max_n >= 1, got {max_n}")
+    return bleu_of_stats([bleu_stats(hyp, ngram_counts(ref, max_n), len(ref))
+                          for hyp, ref in zip(hypotheses, references)])
 
 
 def distinct_1(generations):

@@ -221,7 +221,8 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     def _theta(self, theta):
         """The topic feature as a float64 K-vector, uniform for None; NumericalError
         unless it is a probability vector. Theta enters a tarnn only through
-        _forward, begin and make_example, which check it here once each."""
+        score_sequence, loss_and_grads, begin and make_example, which check
+        it here once each; an Example's theta is checked when it is made."""
         theta = np.full(self.K, 1 / self.K) if theta is None else np.asarray(theta, np.float64)
         if theta.shape != (self.K,):
             raise NumericalError(f"theta must have length K={self.K}")
@@ -229,8 +230,17 @@ class TopicAttentionRnnLm(AttentionRnnLm):
             raise NumericalError("theta must be a probability vector (sum 1 within 1e-6)")
         return theta
 
-    def _forward(self, tokens, theta=None):
-        return super()._forward(tokens, self._theta(theta))
+    def score_sequence(self, tokens, theta=None):
+        return super().score_sequence(tokens, self._theta(theta))
+
+    def loss_and_grads(self, tokens, theta=None, grads=None):
+        return super().loss_and_grads(tokens, self._theta(theta), grads)
+
+    def example_score(self, ex):
+        return super().score_sequence(ex.target, ex.theta)
+
+    def example_loss_and_grads(self, ex, grads=None):
+        return super().loss_and_grads(ex.target, ex.theta, grads)
 
     def begin(self, prefix, theta=None):
         return super().begin(prefix, self._theta(theta))

@@ -194,7 +194,8 @@ def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
         alpha = A[blk, :T]
         dalpha = dZ[blk] @ R[:T].T
         dbeta = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        gb += np.tensordot(dbeta, pre, axes=2)
+        # the product np.tensordot(dbeta, pre, axes=2) forms, without its Python code
+        gb += np.dot(dbeta.reshape(1, -1), pre.reshape(-1, len(b)))[0]
         sq = np.square(pre, out=pre)
         dWQ[blk] = b * (dbeta.sum(axis=1)[:, None] - np.matmul(dbeta[:, None], sq)[:, 0])
         S[:T] += b * (dbeta.sum(axis=0)[:, None]

@@ -23,7 +23,7 @@ import numpy as np
 from . import corpus
 from .errors import DataError
 from .fileio import check_fields, float64s, is_int, is_positive, read_binary, write_binary
-from .metrics import corpus_bleu
+from .metrics import bleu_of_stats, bleu_stats, ngram_counts
 
 log = logging.getLogger(__name__)
 
@@ -404,21 +404,26 @@ class RerankItem:
     truth_index: int = None  # index of the true continuation (recall objective)
 
 
-def _bleu_of_tops(tops, items):
-    hyps = [corpus.strip_reserved(items[i].candidates[t].tokens)
-            for i, t in enumerate(tops)]
-    refs = [corpus.strip_reserved(item.reference) for item in items]
-    return corpus_bleu(hyps, refs)
+def _candidate_bleu_stats(item):
+    """``bleu_stats`` of each of the item's candidates against its reference,
+    whose n-grams are counted once."""
+    ref = corpus.strip_reserved(item.reference)
+    ref_counts = ngram_counts(ref)
+    return [bleu_stats(corpus.strip_reserved(c.tokens), ref_counts, len(ref))
+            for c in item.candidates]
 
 
 def tune_rerank(items, topic_models, lambdas, objective="bleu", recall_n=1,
                 metric="cosine", stopword_ids=frozenset()):
     """Exhaustive (K, lambda) grid search against the dev objective.
 
-    ``topic_models`` maps K to a trained TopicModel. Returns
-    (best_k, best_lambda, table) where table rows are (K, lambda, value);
-    ties prefer smaller K, then smaller lambda. Topic proportions are
-    computed once per K and shared across the lambda sweep.
+    ``topic_models`` maps K to a trained TopicModel. Returns (best_k,
+    best_lambda, table) where table rows are (K, lambda, value) in visit
+    order; the best row has the highest value, ties going to the
+    smaller K, then the smaller lambda, whatever the order of ``lambdas``.
+    Topic proportions are computed once per K and shared across the lambda
+    sweep, and each candidate's BLEU statistics once per call, so a grid
+    point only sums those of each item's top candidate.
     """
     if not items:
         raise DataError("empty dev set for tuning")
@@ -434,25 +439,23 @@ def tune_rerank(items, topic_models, lambdas, objective="bleu", recall_n=1,
     item_bows = [_content_bows(item.history, item.candidates, stopword_ids)
                  for item in items]
     _warn_empty([bow for bows in item_bows for bow in bows])
+    if objective == "bleu":
+        stats = [_candidate_bleu_stats(item) for item in items]
     table = []
-    best = None
     for k in sorted(topic_models):
         per_item = [_scores(topic_models[k], bows, item.candidates, metric)
                     for item, bows in zip(items, item_bows)]
         for lam in lambdas:
             orders = [_combine(sims, llz, lam)[1] for sims, llz in per_item]
             if objective == "bleu":
-                value = _bleu_of_tops([order[0] for order in orders], items)
+                value = bleu_of_stats([s[order[0]] for s, order in zip(stats, orders)])
             else:
                 hits = [order.index(item.truth_index) < recall_n
                         for order, item in zip(orders, items)]
                 value = sum(hits) / len(hits)
             table.append((k, lam, value))
-            # grids are visited in ascending (K, lambda) order, so keeping
-            # only strict improvements leaves ties at the smallest pair
-            if best is None or value > best[2]:
-                best = (k, lam, value)
-    return best[0], best[1], table
+    best_k, best_lam, _ = max(table, key=lambda row: (row[2], -row[0], -row[1]))
+    return best_k, best_lam, table
 
 
 def format_grid(table):

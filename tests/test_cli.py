@@ -281,6 +281,32 @@ class TestGenerateRerankTune:
         best = json.loads((out / "best.json").read_text())
         assert best["K"] == 2 and best["lambda"] in (0.0, 0.5, 1.0)
 
+    def test_tune_best_does_not_depend_on_grid_order(self, workspace, generated, lda_model,
+                                                     tmp_path):
+        # every candidate of a history has the same text, so every grid point
+        # ties and best.json must name the smallest lambda however it is listed
+        tied = tmp_path / "tied"
+        tied.mkdir()
+        for path in sorted(generated.glob("candidates_*.txt")):
+            lines = path.read_text().splitlines()
+            text = lines[0].partition("\t")[2]
+            (tied / path.name).write_text(
+                "".join(line.partition("\t")[0] + "\t" + text + "\n" for line in lines))
+        for cands in (generated, tied):
+            runs = {}
+            for grid in ("0.0,0.5,1.0", "1.0,0.5,0.0"):
+                out = tmp_path / f"tune_{cands.name}_{grid}"
+                assert main(["tune", "--histories", str(workspace["prep"] / "test.txt"),
+                             "--candidates-dir", str(cands), "--topic-models", str(lda_model),
+                             "--vocab", str(workspace["vocab"]), "--out", str(out),
+                             "--lambdas", grid]) == 0
+                rows = [line.split("\t") for line in (out / "grid.tsv").read_text().splitlines()]
+                assert [lam for _, lam, _ in rows] == grid.split(",")  # visit order
+                runs[grid] = (out / "best.json").read_bytes(), sorted(rows)
+            assert runs["0.0,0.5,1.0"] == runs["1.0,0.5,0.0"]
+        assert json.loads(runs["1.0,0.5,0.0"][0]) == {"K": 2, "lambda": 0.0}
+        assert len({value for _, _, value in runs["1.0,0.5,0.0"][1]}) == 1
+
 
 class TestAttviz:
     def test_single_token_trace(self, workspace, tmp_path):

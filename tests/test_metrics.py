@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import bleu_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialoglm import corpus
 from dialoglm.corpus import Dialogue, sample_candidates
 from dialoglm.errors import DataError
 from dialoglm.generator import continuation_log_likelihood
+from dialoglm import metrics
 from dialoglm.metrics import corpus_bleu, distinct_1, evaluate, recall_at_n
 from dialoglm.models import AttentionRnnLm, Example, RnnLm, SequenceScore
 
@@ -223,6 +227,72 @@ class TestBleu:
         with pytest.raises(DataError):
             corpus_bleu([["a"]], [])
         assert corpus_bleu([[]], [["a"]]) == 0.0
+
+
+def _per_order_bleu(hypotheses, references, max_n):
+    """corpus_bleu as one loop per order, counting every pair's n-grams in
+    each order: the form it had before it summed per-pair statistics."""
+    def counts(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    hyp_len = sum(len(h) for h in hypotheses)
+    ref_len = sum(len(r) for r in references)
+    if hyp_len == 0:
+        return 0.0
+    log_prec = 0.0
+    for n in range(1, max_n + 1):
+        matched = 0
+        total = 0
+        for hyp, ref in zip(hypotheses, references):
+            hc = counts(hyp, n)
+            rc = counts(ref, n)
+            total += max(len(hyp) - n + 1, 0)
+            matched += sum(min(c, rc[g]) for g, c in hc.items())
+        if total == 0:
+            precision = 1.0
+        elif matched == 0:
+            if n == 1:
+                return 0.0
+            precision = 1.0 / (total + 1.0)
+        else:
+            precision = matched / total
+        log_prec += math.log(precision) / max_n
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_prec)
+
+
+_tokens = st.lists(st.integers(0, 4), max_size=7)
+
+
+class TestBleuStatistics:
+    """corpus_bleu sums per-pair statistics, then applies one formula; its
+    values are those of the per-order loop, float for float."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_tokens, _tokens), min_size=1, max_size=6),
+           max_n=st.integers(1, 4))
+    @example(pairs=[([], [1, 2])], max_n=4)  # empty hypotheses
+    @example(pairs=[([1, 2, 3], []), ([4], [4])], max_n=2)  # an empty reference
+    @example(pairs=[([1, 2], [3, 4])], max_n=1)  # no unigram matches
+    @example(pairs=[([1, 2], [1, 2, 3]), ([3], [3])], max_n=4)  # no 3- or 4-grams
+    @example(pairs=[([1, 2, 1], [2, 1, 1])], max_n=3)  # smoothed higher orders
+    def test_equals_per_order_loop(self, pairs, max_n):
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        assert corpus_bleu(hyps, refs, max_n) == _per_order_bleu(hyps, refs, max_n)
+
+    def test_statistics_of_one_pair(self):
+        ref = [1, 2, 1, 2]
+        stats = metrics.bleu_stats([1, 2, 2, 5], metrics.ngram_counts(ref, 3), len(ref))
+        # lengths, then (clipped matches, n-grams) for n = 1, 2, 3
+        assert stats == [4, 4, 3, 4, 1, 3, 0, 2]
+
+    def test_corpus_value_is_the_formula_over_summed_statistics(self):
+        hyps = [h for h, _ in FIVE_PAIRS]
+        refs = [r for _, r in FIVE_PAIRS]
+        stats = [metrics.bleu_stats(h, metrics.ngram_counts(r), len(r))
+                 for h, r in zip(hyps, refs)]
+        assert corpus_bleu(hyps, refs) == metrics.bleu_of_stats(stats)
+        assert metrics.bleu_of_stats([[sum(f) for f in zip(*stats)]]) == metrics.bleu_of_stats(stats)
 
 
 class TestDistinct1:

@@ -181,8 +181,8 @@ class TestTarnnNextDist:
 
 
 class TestTarnnTheta:
-    """A tarnn checks theta where it enters: a teacher-forced pass, begin
-    (and so start) and make_example; an omitted theta is the uniform one."""
+    """A tarnn checks theta where it enters: score_sequence, loss_and_grads,
+    begin (and so start) and make_example; an omitted theta is the uniform one."""
 
     DIALOGUE = Dialogue(((0, (6, 7, 8)), (1, (9, 10))))
     ENTRIES = {
@@ -202,6 +202,31 @@ class TestTarnnTheta:
         m = TopicAttentionRnnLm(D, DE, V, K, seed=15, theta_provider=lambda dialogue: bad)
         with pytest.raises(NumericalError):
             self.ENTRIES[entry](m, bad)
+
+    def test_example_theta_checked_once(self, monkeypatch):
+        # make_example checks the theta an Example carries; training on the
+        # example or scoring it checks it no more
+        calls = []
+        real = TopicAttentionRnnLm._theta
+
+        def counting(m, theta):
+            calls.append(theta)
+            return real(m, theta)
+
+        monkeypatch.setattr(TopicAttentionRnnLm, "_theta", counting)
+        m = TopicAttentionRnnLm(D, DE, V, K, seed=15,
+                                theta_provider=lambda dialogue: np.full(K, 1.0 / K))
+        ex = m.make_example(self.DIALOGUE)
+        assert len(calls) == 1
+        loss, grads = m.example_loss_and_grads(ex)
+        score = m.example_score(ex)
+        assert len(calls) == 1
+        # the same bytes as the checked public entries give
+        want_loss, want_grads = m.loss_and_grads(ex.target, ex.theta)
+        want_score = m.score_sequence(ex.target, ex.theta)
+        assert len(calls) == 3
+        assert loss == want_loss and grads.flat.tobytes() == want_grads.flat.tobytes()
+        assert score.per_token.tobytes() == want_score.per_token.tobytes()
 
     def test_omitted_theta_is_uniform(self):
         m = TopicAttentionRnnLm(D, DE, V, K, seed=15)

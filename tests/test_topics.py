@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialoglm import corpus, synthetic
+from dialoglm import corpus, metrics, synthetic
 from dialoglm import topics as topics_module
 from dialoglm.corpus import Dialogue, build_vocab
 from dialoglm.errors import DataError
@@ -449,6 +449,87 @@ class TestTuneRerank:
         k, lam, table = tune_rerank(items, {2: model, 3: other},
                                     lambdas=[0.0, 0.5])
         assert (k, lam) == (2, 0.0)
+
+    @pytest.fixture(scope="class")
+    def two_models(self, separable):
+        _, vocab, docs, model, _ = separable
+        return {2: model, 3: lda_train(docs, 3, vocab.size, xi=np.full(3, 0.5), sweeps=10,
+                                       seed=2)}
+
+    @pytest.mark.parametrize("objective", ["bleu", "recall"])
+    def test_table_equals_re_evaluation_at_every_grid_point(self, separable, two_models,
+                                                             objective):
+        # the reference reranks every item afresh at every grid point and
+        # calls corpus_bleu on the tops there, as tuning did before it summed
+        # per-candidate statistics
+        from dialoglm.metrics import corpus_bleu
+
+        td, vocab, docs, model, _ = separable
+        items = self._items(model, docs, td, n=8)
+        for i, item in enumerate(items):  # a third candidate, and tops that differ
+            item.candidates.append(Candidate(tokens=list(docs[i + 9][:3]) + item.reference[:2],
+                                             loglik=-3.0, norm_score=-0.7))
+        lambdas = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0]
+        _, _, table = tune_rerank(items, two_models, lambdas=lambdas, objective=objective)
+        want = []
+        for k in sorted(two_models):
+            for lam in lambdas:
+                tops = [rerank(item.history, item.candidates, two_models[k], lam)[0].original_index
+                        for item in items]
+                if objective == "bleu":
+                    value = corpus_bleu(
+                        [corpus.strip_reserved(item.candidates[t].tokens)
+                         for item, t in zip(items, tops)],
+                        [corpus.strip_reserved(item.reference) for item in items])
+                else:
+                    value = sum(t == item.truth_index for item, t in zip(items, tops)) / len(items)
+                want.append((k, lam, value))
+        assert len(table) == len(want) == 14
+        for row, ref in zip(table, want):
+            assert row == ref
+        assert len({value for _, _, value in table}) > 1
+
+    def test_ngrams_counted_once_per_candidate(self, separable, two_models, monkeypatch):
+        td, vocab, docs, model, _ = separable
+        items = self._items(model, docs, td, n=5)
+        counted = []
+        real = metrics._ngram_counts
+
+        def counting(tokens, n):
+            counted.append(n)
+            return real(tokens, n)
+
+        monkeypatch.setattr(metrics, "_ngram_counts", counting)
+        calls = []
+        for lambdas in ([0.0, 1.0], [i / 20 for i in range(21)]):
+            del counted[:]
+            tune_rerank(items, two_models, lambdas=lambdas)
+            calls.append(len(counted))
+        # four orders for each candidate and for each item's reference
+        assert calls == [4 * 5 * (2 + 1)] * 2
+
+    def test_best_does_not_depend_on_the_order_of_lambdas(self, separable, two_models):
+        td, vocab, docs, model, _ = separable
+        # every grid point ties: each item's candidates are one token list
+        items = []
+        for i in range(3):
+            history = Dialogue(((0, tuple(docs[i][:5])),))
+            cands = [Candidate(tokens=list(docs[i][5:9]), loglik=-1.0, norm_score=s)
+                     for s in (-1.0, -2.0)]
+            items.append(RerankItem(history=history, candidates=cands,
+                                    reference=list(docs[i][5:9])))
+        models = {3: two_models[3], 2: two_models[2]}
+        for lambdas in ([1.0, 0.5, 0.0], [0.5, 0.0, 1.0], [0.0, 0.5, 1.0]):
+            k, lam, table = tune_rerank(items, models, lambdas=lambdas)
+            assert (k, lam) == (2, 0.0)
+            assert [(k, lam) for k, lam, _ in table] == [(k, lam) for k in (2, 3)
+                                                          for lam in lambdas]
+        # and on a grid whose values differ, the best row is the same
+        items = self._items(model, docs, td, n=6)
+        results = {tune_rerank(items, two_models, lambdas=lambdas)[:2]
+                   for lambdas in ([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, 0.75, 0.5, 0.25, 0.0],
+                                   [0.5, 1.0, 0.0, 0.75, 0.25])}
+        assert len(results) == 1
 
     def test_empty_documents_warned_once_with_count(self, separable, caplog):
         td, vocab, docs, model, _ = separable
