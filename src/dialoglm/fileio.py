@@ -102,8 +102,20 @@ def is_positive(value):
     return type(value) in (int, float) and 0 < value < math.inf
 
 
+# The environment variables that set how many threads BLAS runs on.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_build():
+    """numpy's BLAS build: OpenBLAS's configuration string (version, kernel
+    set, thread limit), or the library's name and version without one."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+
+
 def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, ended):
-    """One manifest per run, next to its outputs; enough to reproduce the run."""
+    """One manifest per run, next to its outputs; enough to reproduce the run,
+    with the numpy, BLAS build and BLAS thread settings its bytes depend on."""
     from . import __version__
 
     manifest = {
@@ -114,6 +126,9 @@ def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, 
         "seed": seed,
         "toolkit_version": __version__,
         "numerics": NUMERICS,
+        "numpy": np.__version__,
+        "blas": blas_build(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "started": started,
         "ended": ended,
     }

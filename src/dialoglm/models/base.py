@@ -16,8 +16,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (INIT_HALF_WIDTH, LANE_MIN, Arena, attention, columns, lanes,
-                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax)
+from ..numeric import (INIT_HALF_WIDTH, Arena, attention, columns, halves, lanes, log_softmax,
+                       matvecs, nll_backward, readout_backward, recur, softmax)
 
 
 @dataclass
@@ -139,11 +139,20 @@ class Model:
 
     def _log_probs(self, X, Om):
         """log_softmax(X @ Om), one row per teacher-forced position, in the
-        reused rows."""
+        reused rows: the logits as one gemm (split by rows or by columns, it
+        would round differently), their log_softmax on two halves of the rows
+        (``numeric.halves``)."""
         if self._rows.shape[1] < len(X):
             self._rows = np.empty((2, len(X), self.V))
         logps, scratch = self._rows[:, :len(X)]
-        return log_softmax(np.matmul(X, Om, out=logps), out=logps, scratch=scratch)
+        np.matmul(X, Om, out=logps)
+
+        def normalize(rows):
+            part = logps[rows]
+            log_softmax(part, out=part, scratch=scratch[rows])
+
+        halves(normalize, len(X), logps.size)
+        return logps
 
     def _nll_backward(self, logps, targets):
         """nll_backward of :meth:`_log_probs` rows, dlogits in their exp scratch."""
@@ -169,7 +178,7 @@ class Model:
 
         Its two output-layer products, dL/douts = dlogits O^T and the output
         matrix's gradient X^T dlogits (formed in the reused buffer), share
-        two lanes (``numeric.lanes``) once O has LANE_MIN entries."""
+        two lanes (``numeric.lanes``) once O has ``numeric.LANE_MIN`` entries."""
         O, X = self.decoder[3], fw["outs"]
         Om = self.params[O]
         if self._dV is None:
@@ -182,11 +191,7 @@ class Model:
             else:
                 grads[O] += np.matmul(X.T, dlogits, out=self._dV)
 
-        if Om.size >= LANE_MIN:
-            lanes(product, 2)
-        else:
-            product(0, 0)
-            product(1, 0)
+        lanes(product, 2, Om.size)
         if not self.attends:
             dstates += douts
             return None

@@ -8,7 +8,8 @@ step (:func:`zero_grads`) instead of allocating a new one, and a model's
 teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
 glibc hands freed blocks of that size back to the kernel, so fresh ones
 would be faulted in again on every step. :func:`lanes` shares independent
-pieces of one step between the calling thread and one worker thread.
+pieces of one teacher-forced pass or training step between the calling
+thread and one worker thread.
 """
 
 import itertools
@@ -162,18 +163,28 @@ def scoped_attention(WQ, b, R, UR, scope):
     as one (k, T, d) tanh per block of k = ATTENTION_BLOCK queries over its
     widest scope T, the scores masked past each query's own scope. Returns
     the blocks' pre-activations, the (n, len(R)) weights, zero past each
-    scope, and the (n, d_z) contexts."""
-    A, pres = np.zeros((len(WQ), len(R))), []
-    for j in range(0, len(WQ), ATTENTION_BLOCK):
-        blk = slice(j, j + ATTENTION_BLOCK)
-        T = scope[blk].max()
-        pre = WQ[blk, None, :] + UR[:T]
-        pres.append(np.tanh(pre, out=pre))
+    scope, and the (n, d_z) contexts.
+
+    The blocks are independent pieces of :func:`lanes`, taken last first:
+    the widest first, as no caller's scopes shrink from query to query. Each
+    writes its own slot of the tape and its own rows of the weights. The
+    calling thread allocates every block before the hand-off."""
+    starts = range(0, len(WQ), ATTENTION_BLOCK)
+    pres = [np.empty((min(ATTENTION_BLOCK, len(WQ) - j), scope[j:j + ATTENTION_BLOCK].max(),
+                      len(b))) for j in starts]
+    A = np.zeros((len(WQ), len(R)))
+
+    def block(i, lane):
+        j, pre = starts[-1 - i], pres[-1 - i]
+        blk, T = slice(j, j + ATTENTION_BLOCK), pre.shape[1]
+        np.tanh(np.add(WQ[blk, None, :], UR[:T], out=pre), out=pre)
         s = pre @ b
         if not np.isfinite(s).all():
             raise NumericalError("attention scores contain non-finite entries")
         s[np.arange(T) >= scope[blk, None]] = -np.inf
         A[blk, :T] = _normalize(s - s.max(axis=1, keepdims=True))
+
+    lanes(block, len(pres), sum(pre.size for pre in pres))
     return pres, A, A @ R
 
 
@@ -226,7 +237,10 @@ def readout_backward(p, tape, douts, dH, grads):
     dH += douts @ p["Oh"]
     dWQ, dR = scoped_attention_backward(p["U"], p["b"], R, pres, A, douts[rows] @ p["Oz"],
                                         grads["U"], grads["b"])
-    np.add.at(dH, q, dWQ @ p["W"])
+    if isinstance(q, slice):  # distinct queries: each row of dH gains one term
+        dH[q] += dWQ @ p["W"]
+    else:  # seq2seq's first two positions both query with row 0
+        np.add.at(dH, q, dWQ @ p["W"])
     grads["W"] += dWQ.T @ H[q]
     grads["Oh"] += douts.T @ H
     grads["Oz"] += douts[rows].T @ Z
@@ -236,12 +250,14 @@ def readout_backward(p, tape, douts, dH, grads):
 def nll_backward(logps, targets, out=None):
     """Summed negative log-likelihood of ``targets`` under per-position
     log-distributions (the rows of ``logps``), and its gradient wrt the
-    logits, one row per position (into ``out`` when given)."""
+    logits, one row per position (into ``out`` when given); the exp runs
+    on two halves of the rows (:func:`halves`)."""
     rows = np.arange(len(targets))
     loss = 0.0
     for lp in logps[rows, targets].tolist():
         loss -= lp
-    dlogits = np.exp(logps, out=out)
+    dlogits = np.empty_like(logps) if out is None else out
+    halves(lambda part: np.exp(logps[part], out=dlogits[part]), len(logps), logps.size)
     dlogits[rows, targets] -= 1.0
     return loss, dlogits
 
@@ -293,28 +309,42 @@ def clip_global_norm(grads, max_norm, scratch=None):
 
     Only the magnitude changes; the direction is preserved. Returns the
     pre-clip norm, summed array by array in arena order: one sum over
-    ``grads.flat`` would round differently. Each array's squares go to
-    ``scratch``, a vector at least as long as the largest array (a new
-    one when it is not given). A non-finite entry is a NumericalError naming
-    its array; a norm that overflows from finite entries scales them to zero.
+    ``grads.flat`` would round differently. Each array's sum of squares is
+    a piece of :func:`lanes`, largest array first, and each lane squares
+    into its own half of ``scratch``, a vector at least twice as long as
+    the largest array (a new one when it is not given); the scale runs on
+    two halves of ``grads.flat``. A non-finite entry is a NumericalError
+    naming its array; a norm that overflows from finite entries scales them
+    to zero.
     """
+    arrays = list(grads.values())
     if scratch is None:
-        scratch = np.empty(max(g.size for g in grads.values()))
+        scratch = np.empty(2 * max(g.size for g in arrays))
+    rows = scratch[:scratch.size // 2 * 2].reshape(2, -1)
+    largest = sorted(range(len(arrays)), key=lambda i: -arrays[i].size)
+    sums = [0.0] * len(arrays)
+
+    def sum_squares(i, lane):
+        k = largest[i]
+        g = arrays[k]
+        sums[k] = float(np.sum(np.multiply(g, g, out=rows[lane, :g.size].reshape(g.shape))))
+
+    lanes(sum_squares, len(arrays), grads.flat.size)
     total = 0.0
-    for g in grads.values():
-        sq = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))
-        total += float(np.sum(sq))
+    for sq in sums:
+        total += sq
     norm = np.sqrt(total)
     if not np.isfinite(norm):
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter '{name}'")
     if norm > max_norm and norm > 0.0:
-        grads.flat *= max_norm / norm
+        flat, scale = grads.flat, max_norm / norm
+        halves(lambda part: np.multiply(flat[part], scale, out=flat[part]), flat.size, flat.size)
     return norm
 
 
-def lanes(fn, n):
+def lanes(fn, n, entries=math.inf):
     """[fn(0, lane), ..., fn(n - 1, lane)], in index order.
 
     The calling thread (lane 0) and one worker thread (lane 1) each take the
@@ -322,15 +352,29 @@ def lanes(fn, n):
     pieces must be independent of each other; numpy releases the interpreter
     lock inside its kernels, so two lanes use two cores. Every piece runs,
     and the exception of the lowest failing index is raised here. The pieces
-    run inline, on lane 0, when ``n`` is 1, when the process may use one CPU
-    only, or when the worker is already busy (a piece that calls lanes, or
-    a second calling thread).
+    run inline, on lane 0, when ``n`` is 1, when they work on fewer than
+    LANE_MIN ``entries`` in all, when the process may use one CPU only, or
+    when the worker is already busy (a piece that calls lanes, or a second
+    calling thread).
     """
-    if n > 1 and _cpus() > 1:
+    if n > 1 and entries >= LANE_MIN and _cpus() > 1:
         worker = _second_lane()
         if worker.busy.acquire(blocking=False):
             return worker.share(fn, n)
     return [fn(i, 0) for i in range(n)]
+
+
+def halves(fn, n, entries):
+    """fn(part) for the slices ``part`` of the first and the second half of
+    range(n), as two pieces of :func:`lanes` over ``entries`` in all; one
+    call over the whole range where lanes would run inline for want of
+    entries or CPUs, or for n = 1. An elementwise or row-wise ``fn`` forms
+    the same bits either way."""
+    if n > 1 and entries >= LANE_MIN and _cpus() > 1:
+        parts = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
+        lanes(lambda i, lane: fn(parts[i]), 2, entries)
+    else:
+        fn(slice(0, n))
 
 
 def _cpus():

@@ -3,14 +3,17 @@ separate from the package implementations they check, a shape-checked
 form of the recurrence, single-query attention over a list of token
 representations, the per-query attention backward pass that the per-row
 reference models use, the central-difference gradient check, the inverse
-of ``corpus.flatten``, arenas filled with given values, and checkpoints
-whose header misstates the parameter layout."""
+of ``corpus.flatten``, arenas filled with given values, checkpoints
+whose header misstates the parameter layout, and the fixtures that put
+``numeric.lanes`` on two lanes or on one."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 
+from dialoglm import numeric
 from dialoglm.corpus import EOD_ID, EOU_ID, SPEAKER_A_ID, SPEAKER_B_ID, Dialogue
 from dialoglm.errors import DataError, NumericalError
 from dialoglm.numeric import Arena, attention, recur
@@ -201,3 +204,31 @@ def misstate_layout(blob, edit):
     else:
         arrays[h][0] = "Hx"
     return json.dumps(header).encode() + b"\n" + payload
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """numeric.lanes uses its worker whatever this host's CPU count; the
+    fixture's value is a list that gains one entry per hand-off."""
+    hand_offs, second_lane = [], numeric._second_lane
+
+    def counted():
+        hand_offs.append(1)
+        return second_lane()
+
+    monkeypatch.setattr(numeric, "_cpus", lambda: 2)
+    monkeypatch.setattr(numeric, "_second_lane", counted)
+    return hand_offs
+
+
+@pytest.fixture
+def one_lane(monkeypatch):
+    """A function that returns fn(*args) as numeric.lanes forms it on one
+    lane (numeric._cpus patched to 1 for the call): the reference for the
+    two-lane form."""
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(numeric, "_cpus", lambda: 1)
+            return fn(*args)
+
+    return run

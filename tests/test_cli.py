@@ -51,6 +51,25 @@ class TestPrepare:
         assert manifest["numerics"] == 4
         assert manifest["started"] <= manifest["ended"]
 
+    def test_manifest_records_numpy_blas_and_thread_settings(self, workspace, tmp_path,
+                                                             monkeypatch):
+        # what a run's bytes depend on besides its inputs and flags
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        out = tmp_path / "prep"
+        assert main(["prepare", "--corpus", str(workspace["raw"]), "--out", str(out),
+                     "--vocab-size", "100", "--ratios", "0.7,0.15,0.15", "--seed", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == blas.get("openblas configuration",
+                                            f"{blas['name']} {blas['version']}")
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": ""}
+        for name in ("vocab.txt", "train.txt", "dev.txt", "test.txt"):
+            assert (out / name).read_bytes() == (workspace["prep"] / name).read_bytes()
+
     def test_split_arithmetic(self, workspace):
         prep = workspace["prep"]
         sizes = {name: len((prep / f"{name}.txt").read_text().splitlines())

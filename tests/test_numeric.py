@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dialoglm import numeric
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, base, make_model
+from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
 from dialoglm.numeric import (ATTENTION_BLOCK, Arena, attention, clip_global_norm, columns,
                               lanes, log_softmax, matvecs, nll_backward, readout_backward,
                               recur, scoped_attention, scoped_attention_backward, softmax,
@@ -359,6 +359,22 @@ class TestScopedAttention:
         with pytest.raises(NumericalError):
             scoped_attention(WQ, b, R, UR, scope)
 
+    def test_readout_backward_by_slice_equals_add_at(self):
+        # arnn's queries, a slice of distinct rows, add into dH by slice with
+        # the bits that np.add.at gives over the same rows as an index array
+        rng = np.random.default_rng(4)
+        model = _scaled_model("arnn", 4, 5.0)
+        fw = model._forward([int(t) for t in rng.integers(0, V, 40)])
+        H, rows, q, R, pres, A, Z = fw["tape"]
+        douts = rng.normal(size=fw["outs"].shape)
+        results = []
+        for query in (q, np.arange(len(H))[q]):
+            tape = (H, rows, query, R, [pre.copy() for pre in pres], A, Z)
+            dH, grads = np.ones_like(H), zero_grads(model.params)
+            dR = readout_backward(model.params, tape, douts, dH, grads)
+            results.append((dH.tobytes(), dR.tobytes(), grads.flat.tobytes()))
+        assert isinstance(q, slice) and results[0] == results[1]
+
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
     def test_model_weight_rows(self, kind, n):
@@ -574,12 +590,6 @@ class TestNumericsV2:
 # ---------------------------------------------------------------------------
 # two lanes
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """numeric.lanes uses its worker whatever this host's CPU count."""
-    monkeypatch.setattr(numeric, "_cpus", lambda: 2)
-
-
 @pytest.mark.usefixtures("two_cpus")
 class TestLanes:
     @staticmethod
@@ -674,9 +684,9 @@ class TestTwoLaneOutputs:
         # (D, V) models hand off once the threshold is dropped; d 64, V 2,000
         # is above it
         if lane_min is not None:
-            monkeypatch.setattr(base, "LANE_MIN", lane_min)
+            monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
         model = make_model(kind, d, DE, n_vocab, n_topics=K, seed=3)
-        assert model.params[model.decoder[3]].size >= base.LANE_MIN
+        assert model.params[model.decoder[3]].size >= numeric.LANE_MIN
         cls = type(model)
         extra = ({"n_topics": K} if kind == "tarnn" else
                  {"use_attention": model.use_attention} if kind.startswith("seq2seq") else {})
@@ -691,3 +701,122 @@ class TestTwoLaneOutputs:
             ref_loss, ref_grads = _loss_and_grads(ref, tokens, source, theta)
             assert loss == ref_loss
             assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+# (d, V, n, LANE_MIN): the benchmark's d and V at its dialogue length (about
+# 78 tokens) and at a 40-turn one, and a tier-1 size with the hand-off
+# threshold dropped
+TWO_LANE_SIZES = [(64, 2000, 78, None), (64, 2000, 321, None), (D, V, 30, 0)]
+
+
+def _score(model, tokens, source, theta):
+    if model.kind.startswith("seq2seq"):
+        return model.score_pair(source, tokens)
+    return model.score_sequence(tokens, theta if model.kind == "tarnn" else None)
+
+
+def _step(model, tokens, source, theta):
+    """The bytes of one training step's loss, clipped gradients and norm,
+    and of a score of the same tokens."""
+    loss, grads = _loss_and_grads(model, tokens, source, theta)
+    norm = clip_global_norm(grads, 1.0)
+    s = _score(model, tokens, source, theta)
+    return loss, norm, grads.flat.tobytes(), s.per_token.tobytes(), s.argmax.tobytes()
+
+
+@pytest.mark.parametrize("d, n_vocab, n, lane_min", TWO_LANE_SIZES)
+class TestTwoLanePass:
+    """Every two-lane piece of a teacher-forced pass and of the clip forms the
+    bytes that one lane forms; the reference runs with ``one_lane``."""
+
+    @staticmethod
+    def _reference(one_lane, two_cpus, fn, *args):
+        before = len(two_cpus)
+        ref = one_lane(fn, *args)
+        assert len(two_cpus) == before  # the reference handed nothing off
+        return ref
+
+    def test_scoped_attention(self, d, n_vocab, n, lane_min, monkeypatch, two_cpus, one_lane):
+        if lane_min is not None:
+            monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
+        rng = np.random.default_rng(n)
+        R, U = rng.normal(size=(n, 2 * d)), 0.1 * rng.normal(size=(d, 2 * d))
+        WQ, b = rng.normal(size=(n, d)), rng.normal(size=d)
+        for scope in (np.arange(1, n + 1), np.full(n, n)):  # growing, fixed
+            args = (WQ, b, R, R @ U.T, scope)
+            ref = self._reference(one_lane, two_cpus, scoped_attention, *args)
+            got = scoped_attention(*args)
+            assert [p.tobytes() for p in got[0]] == [p.tobytes() for p in ref[0]]
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert got[2].tobytes() == ref[2].tobytes()
+        assert two_cpus
+
+    def test_log_probs_and_nll_backward(self, d, n_vocab, n, lane_min, monkeypatch, two_cpus,
+                                        one_lane):
+        if lane_min is not None:
+            monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
+        rng = np.random.default_rng(n)
+        model = make_model("rnn", d, DE, n_vocab, seed=3)
+        X, targets = rng.normal(size=(n, d)), rng.integers(0, n_vocab, n)
+        ref = self._reference(one_lane, two_cpus, model._log_probs, X, model.params["O"]).copy()
+        logps = model._log_probs(X, model.params["O"]).copy()
+        assert logps.tobytes() == ref.tobytes()
+        ref_loss, ref_dlogits = self._reference(one_lane, two_cpus, nll_backward, logps, targets)
+        loss, dlogits = nll_backward(logps, targets)
+        assert loss == ref_loss and dlogits.tobytes() == ref_dlogits.tobytes()
+        assert two_cpus
+
+    @pytest.mark.parametrize("scale, max_norm", [(1.0, 1e9), (1.0, 1.0), (1e200, 1.0)])
+    def test_clip(self, d, n_vocab, n, lane_min, scale, max_norm, monkeypatch, two_cpus,
+                  one_lane):
+        # no scaling, scaling, and a norm that overflows from finite entries,
+        # which scales the arena to zero
+        if lane_min is not None:
+            monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
+        grads = zero_grads(make_model("arnn", d, DE, n_vocab, seed=3).params)
+        grads.flat[:] = scale * np.random.default_rng(n).normal(size=grads.flat.size)
+        ref_grads = zero_grads(grads)
+        ref_grads.flat[:] = grads.flat
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for g in grads.values():
+                total += float(np.sum(g * g))
+        ref_norm = self._reference(one_lane, two_cpus, clip_global_norm, ref_grads, max_norm)
+        norm = clip_global_norm(grads, max_norm)
+        assert norm == ref_norm == math.sqrt(total)
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+        if scale > 1.0:
+            assert norm == np.inf and not grads.flat.any()
+        assert two_cpus
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_step_and_score(self, kind, d, n_vocab, n, lane_min, monkeypatch,
+                                     two_cpus, one_lane):
+        if lane_min is not None:
+            monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
+        rng = np.random.default_rng(n)
+        model = make_model(kind, d, DE, n_vocab, n_topics=K, seed=3)
+        tokens = [int(t) for t in rng.integers(0, n_vocab, n)]
+        source = [int(t) for t in rng.integers(0, n_vocab, n)]
+        args = (model, tokens, source, rng.dirichlet(np.ones(K)))
+        assert _step(*args) == self._reference(one_lane, two_cpus, _step, *args)
+        assert two_cpus
+
+    def test_non_finite_scores_keep_their_messages(self, d, n_vocab, n, lane_min, monkeypatch,
+                                                   two_cpus):
+        if lane_min is not None:
+            monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
+        tokens = [int(t) for t in np.random.default_rng(n).integers(0, n_vocab, n)]
+        model = make_model("arnn", d, DE, n_vocab, seed=3)
+        model.params["b"][0] = np.inf
+        for call in (model.score_sequence, model.loss_and_grads):
+            with pytest.raises(NumericalError,
+                               match="^attention scores contain non-finite entries$"):
+                call(tokens)
+        model = make_model("arnn", d, DE, n_vocab, seed=3)
+        model.params["O"][:, 5] = np.inf
+        for call in (model.score_sequence, model.loss_and_grads):
+            with pytest.raises(NumericalError,
+                               match="^log_softmax input contains non-finite entries$"):
+                call(tokens)
+        assert two_cpus

@@ -11,7 +11,7 @@ from conftest import arena
 from dialoglm import cli, corpus, metrics, numeric, synthetic, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import base, load_checkpoint, make_model, save_checkpoint, seq2seq_pair
+from dialoglm.models import load_checkpoint, make_model, save_checkpoint, seq2seq_pair
 from dialoglm.numeric import clip_global_norm, zero_grads
 from dialoglm.trainer import (BETA1, BETA2, EPS, AdamState, TrainConfig, adam_update,
                               pretrain_finetune, train)
@@ -120,13 +120,12 @@ class TestAdam:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d, n_vocab, block", [(6, 17, 64), (64, 2000, 4096)])
-    def test_two_lanes_are_bit_exact(self, kind, d, n_vocab, block, monkeypatch):
+    def test_two_lanes_are_bit_exact(self, kind, d, n_vocab, block, monkeypatch, two_cpus):
         # blocks shared between the two lanes; blocks of 4,096 entries run
         # long enough without the interpreter lock to overlap
-        hand_offs = _two_lanes(monkeypatch)
         monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
         model = self._assert_matches_reference(kind, d, n_vocab)
-        assert model.params.flat.size > 2 * block and hand_offs
+        assert model.params.flat.size > 2 * block and two_cpus
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_divide_form_matches_textbook(self, kind):
@@ -173,39 +172,26 @@ class TestAdam:
             assert state.t == i
 
 
-def _two_lanes(monkeypatch):
-    """Lets numeric.lanes use its worker whatever this host's CPU count, and
-    returns the list that gains one entry per hand-off."""
-    hand_offs, second_lane = [], numeric._second_lane
-
-    def counted():
-        hand_offs.append(1)
-        return second_lane()
-
-    monkeypatch.setattr(numeric, "_cpus", lambda: 2)
-    monkeypatch.setattr(numeric, "_second_lane", counted)
-    return hand_offs
-
-
 class TestTwoLanes:
-    def test_the_worker_keeps_no_model_or_state_alive(self, monkeypatch):
+    def test_the_worker_keeps_no_model_or_state_alive(self, monkeypatch, two_cpus):
         # a worker that kept its last job's arguments kept a finished run's
         # AdamState and arenas (8 MB at the benchmark's size) until the next job
-        hand_offs = _two_lanes(monkeypatch)
         monkeypatch.setattr(trainer, "ADAM_BLOCK", 64)
-        monkeypatch.setattr(base, "LANE_MIN", 0)
+        monkeypatch.setattr(numeric, "LANE_MIN", 0)
         model = make_model("arnn", 6, 5, 17, seed=4)
         state = AdamState(model.params, lr=0.01)
         _, grads = model.loss_and_grads([1, 2, 3, 4, 5])
         adam_update(state, model.params, grads)
-        assert len(hand_offs) == 2  # the output products, then Adam's blocks
+        # the log-softmax rows, the exp rows, the output products, then
+        # Adam's blocks (the four queries form one attention block)
+        assert len(two_cpus) == 4
         refs = [weakref.ref(model), weakref.ref(state), weakref.ref(grads)]
         del model, state, grads
         gc.collect()
         assert [r() for r in refs] == [None, None, None]
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_a_forked_child_steps_on_its_own_worker(self, monkeypatch):
-        _two_lanes(monkeypatch)
         monkeypatch.setattr(trainer, "ADAM_BLOCK", 64)
         model = make_model("arnn", 6, 5, 17, seed=4)
         state = AdamState(model.params, lr=0.01)
@@ -233,7 +219,8 @@ class TestTwoLanes:
 
     @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
     def test_tier1_sized_training_hands_nothing_to_the_worker(self, kind, monkeypatch):
-        # criterion 6's d and d_e: every block of work is below a hand-off's cost
+        # criterion 6's d and d_e: every block of work, in training and in
+        # evaluation, is below a hand-off's cost
         def refuse():
             raise AssertionError("handed off")
 
@@ -244,6 +231,7 @@ class TestTwoLanes:
         assert model.params.flat.size < trainer.ADAM_BLOCK
         res = train(model, dlgs[:6], dlgs[6:], TrainConfig(max_epochs=2, seed=0))
         assert [e.epoch for e in res.log] == [1, 2]
+        assert metrics.evaluate(res.model, dlgs).counts["dialogues"] == 8
 
 
 class TestStepAllocations:
@@ -258,7 +246,7 @@ class TestStepAllocations:
         tokens = [int(t) for t in np.random.default_rng(0).integers(0, n_vocab, 30)]
         args = (tokens[:20], tokens[20:]) if kind.startswith("seq2seq") else (tokens,)
         grads, adam = zero_grads(model.params), AdamState(model.params)
-        scratch = np.empty(max(g.size for g in grads.values()))
+        scratch = np.empty(2 * max(g.size for g in grads.values()))
 
         def step():
             model.loss_and_grads(*args, grads=grads)
@@ -282,7 +270,7 @@ class TestStepAllocations:
         model = make_model(kind, 64, 64, 2000, n_topics=4, seed=1)
         grads = zero_grads(model.params)
         grads.flat[:] = np.random.default_rng(0).normal(size=grads.flat.size)
-        scratch = np.empty(max(g.size for g in grads.values()))
+        scratch = np.empty(2 * max(g.size for g in grads.values()))
         expected = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         tracemalloc.start()
         try:
