@@ -22,20 +22,14 @@ from ..numeric import (INIT_HALF_WIDTH, Arena, attention, columns, halves, lanes
 
 @dataclass
 class SequenceScore:
-    """Per-position scores for one teacher-forced pass.
-
-    ``alphas`` is present for attention models: one weight row per scored
-    position (None at positions scored without attention).
-    """
+    """Per-position scores for one teacher-forced pass, and the attention
+    weight matrix ``A`` of an attending kind (None otherwise): for an LM, row
+    t-1 is position t's row over the token representations R[:t], zero past
+    t; for seq2seq-attn, row l covers every source position."""
 
     per_token: np.ndarray
     argmax: np.ndarray
-    alphas: list | None = None
-
-    @classmethod
-    def from_logps(cls, logps, targets, alphas=None):
-        """Score of ``targets`` given one log-distribution per position (row)."""
-        return cls(logps[np.arange(len(targets)), targets], logps.argmax(axis=1), alphas)
+    A: np.ndarray | None = None
 
 
 @dataclass
@@ -105,8 +99,9 @@ class Model:
     however many there are.
 
     A kind's ``make_example`` states what it scores of a dialogue (an
-    :class:`Example`); ``example_score`` scores one and
-    ``example_loss_and_grads`` trains on one.
+    :class:`Example`) and ``_operands`` what its ``_forward`` and
+    ``loss_and_grads`` take of one. ``example_score``, the one teacher-forced
+    scoring entry, and ``example_loss_and_grads`` take an Example.
 
     A kind states only the names of its decoder's H, P, E and O matrices
     (``decoder``), what a state attends with and over (``_scope``), and how
@@ -244,6 +239,19 @@ class Model:
     def start(self, history):
         """Decode state that has consumed the continuation prefix of ``history``."""
         return self.begin(corpus.continuation_prefix(history))
+
+    # ------------------------------------------------------------------
+    # teacher-forced entries, shared by every kind
+
+    def example_score(self, ex):
+        """The :class:`SequenceScore` of ``ex.target``, position by position."""
+        fw = self._forward(*self._operands(ex))
+        logps = fw["logps"]
+        return SequenceScore(logps[np.arange(len(ex.target)), ex.target],
+                             logps.argmax(axis=1), fw.get("A"))
+
+    def example_loss_and_grads(self, ex, grads=None):
+        return self.loss_and_grads(*self._operands(ex), grads)
 
     def score_dialogue(self, dialogue):
         """The teacher-forced score of what this kind scores of ``dialogue``."""

@@ -26,7 +26,7 @@ import numpy as np
 from .. import corpus
 from ..errors import DataError, NumericalError
 from ..numeric import bptt, matvecs, readout, unroll, zero_grads
-from .base import DecodeState, Example, Model, SequenceScore, check_tokens
+from .base import DecodeState, Example, Model, check_tokens
 
 
 class RnnLm(Model):
@@ -40,7 +40,7 @@ class RnnLm(Model):
         return {"H": (d, d), "P": (d, d_e), "E": (d_e, V), "O": (d, V)}
 
     # ------------------------------------------------------------------
-    # teacher-forced scoring
+    # forward
 
     def _states(self, tokens):
         if not tokens:
@@ -48,18 +48,6 @@ class RnnLm(Model):
         check_tokens(tokens, self.V)
         p = self.params
         return unroll(p["H"], p["P"], p["E"], tokens[:-1], np.zeros(self.d))
-
-    def score_sequence(self, tokens, theta=None):
-        """Total and per-position log-likelihood of ``tokens``.
-
-        The first position is scored from the zero initial state; every
-        later position t from the state that consumed tokens 0..t-1.
-        """
-        tokens = list(tokens)
-        fw = self._forward(tokens, theta)
-        A = fw.get("A")  # position t >= 1 attended over the first t tokens
-        alphas = None if A is None else [None] + [A[t - 1, :t] for t in range(1, len(tokens))]
-        return SequenceScore.from_logps(fw["logps"], tokens, alphas)
 
     def _forward(self, tokens, theta=None):
         states = self._states(tokens)
@@ -69,6 +57,7 @@ class RnnLm(Model):
     # ------------------------------------------------------------------
     # backward
 
+    # the traced benchmark (bench/pipeline.py) counts tokens from these positional arguments
     def loss_and_grads(self, tokens, theta=None, grads=None):
         """Negative log-likelihood and hand-derived gradients for one sequence,
         in the arena ``grads`` (zero-filled first) when given, else a new one."""
@@ -110,11 +99,8 @@ class RnnLm(Model):
         """The flattened dialogue, its final utterance at last_utterance_span."""
         return Example(corpus.flatten(dialogue), slice(*corpus.last_utterance_span(dialogue)))
 
-    def example_loss_and_grads(self, ex, grads=None):
-        return self.loss_and_grads(ex.target, ex.theta, grads)
-
-    def example_score(self, ex):
-        return self.score_sequence(ex.target, ex.theta)
+    def _operands(self, ex):
+        return ex.target, ex.theta
 
 
 def _arena(a, rows, t, t0, slots, cap):
@@ -145,7 +131,7 @@ class AttentionRnnLm(RnnLm):
         return shapes
 
     # ------------------------------------------------------------------
-    # teacher-forced scoring
+    # forward
 
     def _forward(self, tokens, theta=None):
         p = self.params
@@ -220,24 +206,18 @@ class TopicAttentionRnnLm(AttentionRnnLm):
 
     def _theta(self, theta):
         """The topic feature as a float64 K-vector, uniform for None; NumericalError
-        unless it is a probability vector. Theta enters a tarnn only through
-        score_sequence, loss_and_grads, begin and make_example, which check
-        it here once each; an Example's theta is checked when it is made."""
+        unless it is a probability vector (NaN fails). Theta enters a tarnn only
+        through loss_and_grads, begin and make_example, which check it here
+        once each; an Example's theta is checked when it is made."""
         theta = np.full(self.K, 1 / self.K) if theta is None else np.asarray(theta, np.float64)
         if theta.shape != (self.K,):
             raise NumericalError(f"theta must have length K={self.K}")
-        if np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-6:
+        if not (np.all(theta >= 0) and abs(theta.sum() - 1.0) <= 1e-6):
             raise NumericalError("theta must be a probability vector (sum 1 within 1e-6)")
         return theta
 
-    def score_sequence(self, tokens, theta=None):
-        return super().score_sequence(tokens, self._theta(theta))
-
     def loss_and_grads(self, tokens, theta=None, grads=None):
         return super().loss_and_grads(tokens, self._theta(theta), grads)
-
-    def example_score(self, ex):
-        return super().score_sequence(ex.target, ex.theta)
 
     def example_loss_and_grads(self, ex, grads=None):
         return super().loss_and_grads(ex.target, ex.theta, grads)

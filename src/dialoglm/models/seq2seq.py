@@ -17,7 +17,7 @@ import numpy as np
 from .. import corpus
 from ..errors import DataError
 from ..numeric import bptt, readout, unroll, zero_grads
-from .base import DecodeState, Example, Model, SequenceScore, check_tokens
+from .base import DecodeState, Example, Model, check_tokens
 
 
 def seq2seq_pair(dialogue):
@@ -86,15 +86,10 @@ class Seq2Seq(Model):
         fw["logps"] = self._log_probs(fw["outs"], p["Od"])
         return fw
 
-    def score_pair(self, source, target):
-        """Per-position log-likelihood of the target given the source."""
-        fw = self._forward(source, target)
-        alphas = list(fw["A"]) if self.use_attention else None
-        return SequenceScore.from_logps(fw["logps"], target, alphas)
-
     # ------------------------------------------------------------------
     # backward
 
+    # the traced benchmark (bench/pipeline.py) counts tokens from these positional arguments
     def loss_and_grads(self, source, target, grads=None):
         """Negative log-likelihood and hand-derived gradients for one pair,
         in the arena ``grads`` (zero-filled first) when given, else a new one."""
@@ -142,8 +137,5 @@ class Seq2Seq(Model):
         source, target = seq2seq_pair(dialogue)
         return Example(target, slice(0, len(target)), source=source)
 
-    def example_loss_and_grads(self, ex, grads=None):
-        return self.loss_and_grads(ex.source, ex.target, grads)
-
-    def example_score(self, ex):
-        return self.score_pair(ex.source, ex.target)
+    def _operands(self, ex):
+        return ex.source, ex.target

@@ -357,7 +357,7 @@ def lanes(fn, n, entries=math.inf):
     when the worker is already busy (a piece that calls lanes, or a second
     calling thread).
     """
-    if n > 1 and entries >= LANE_MIN and _cpus() > 1:
+    if _two_lanes(n, entries):
         worker = _second_lane()
         if worker.busy.acquire(blocking=False):
             return worker.share(fn, n)
@@ -370,11 +370,16 @@ def halves(fn, n, entries):
     call over the whole range where lanes would run inline for want of
     entries or CPUs, or for n = 1. An elementwise or row-wise ``fn`` forms
     the same bits either way."""
-    if n > 1 and entries >= LANE_MIN and _cpus() > 1:
+    if _two_lanes(n, entries):
         parts = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
         lanes(lambda i, lane: fn(parts[i]), 2, entries)
     else:
         fn(slice(0, n))
+
+
+def _two_lanes(n, entries):
+    """The hand-off policy of :func:`lanes` and :func:`halves`."""
+    return n > 1 and entries >= LANE_MIN and _cpus() > 1
 
 
 def _cpus():

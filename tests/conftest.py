@@ -3,9 +3,10 @@ separate from the package implementations they check, a shape-checked
 form of the recurrence, single-query attention over a list of token
 representations, the per-query attention backward pass that the per-row
 reference models use, the central-difference gradient check, the inverse
-of ``corpus.flatten``, arenas filled with given values, checkpoints
-whose header misstates the parameter layout, and the fixtures that put
-``numeric.lanes`` on two lanes or on one."""
+of ``corpus.flatten``, arenas filled with given values, the teacher-forced
+score of a token list, checkpoints whose header misstates the parameter
+layout, and the fixtures that put ``numeric.lanes`` on two lanes or on
+one."""
 
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from dialoglm import numeric
 from dialoglm.corpus import EOD_ID, EOU_ID, SPEAKER_A_ID, SPEAKER_B_ID, Dialogue
 from dialoglm.errors import DataError, NumericalError
+from dialoglm.models import Example
 from dialoglm.numeric import Arena, attention, recur
 
 EPS_MACH = np.finfo(np.float64).eps
@@ -185,6 +187,15 @@ def with_params(model, arrays):
     for name, value in arrays.items():
         model.params[name][...] = value
     return model
+
+
+def forced_score(model, target, source=None, theta=None):
+    """``model.example_score`` of an Example of ``target``, after ``source``
+    for seq2seq, under ``theta`` for a tarnn: the uniform one for None, as a
+    tarnn's make_example gives."""
+    if theta is None and model.kind == "tarnn":
+        theta = np.full(model.K, 1 / model.K)
+    return model.example_score(Example(list(target), slice(0, len(target)), source, theta))
 
 
 def misstate_layout(blob, edit):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bleu_oracle, grad_check, with_params
+from conftest import bleu_oracle, forced_score, grad_check, with_params
 
 from dialoglm import corpus, generator, metrics, synthetic, topics, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words
@@ -84,7 +84,7 @@ def test_criterion_02_uniform_closed_forms():
         m.params["O"][:] = 0.0
         ppl = metrics.evaluate(m, dialogues).values["ppl"]
         assert abs(ppl - V) <= V * 1e-6
-        s = m.score_sequence(corpus.flatten(dialogues[0]))
+        s = forced_score(m, corpus.flatten(dialogues[0]))
         np.testing.assert_allclose(s.per_token, -math.log(V), atol=1e-9)
         sets = [corpus.sample_candidates(dialogues, d, seed=[2, i])
                 for i, d in enumerate(dialogues)]
@@ -112,9 +112,9 @@ def test_criterion_03_dynamic_scope():
     s2s = make_model("seq2seq_attn", 8, 6, V, seed=5)
     src = [int(t) for t in rng.integers(0, V, size=7)]
     tgt = [int(t) for t in rng.integers(0, V, size=5)]
-    score = s2s.score_pair(src, tgt)
-    assert all(len(a) == len(src) for a in score.alphas)
-    for a in score.alphas:
+    score = forced_score(s2s, tgt, source=src)
+    assert score.A.shape == (len(tgt), len(src))
+    for a in score.A:
         assert abs(a.sum() - 1.0) < 1e-6
     report(3, f"attention row t spans history+t tokens; seq2seq rows fixed at "
               f"M+1 = {len(src)}")

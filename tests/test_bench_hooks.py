@@ -66,7 +66,8 @@ def test_wraps_resolve_and_are_restored():
 
 @pytest.fixture(scope="module")
 def traced_pipeline(tmp_path_factory):
-    """Span aggregates of a tiny traced run of every stage the benchmark times."""
+    """Span aggregates of a tiny traced run of every stage the benchmark
+    times, and the run's directory."""
     root = tmp_path_factory.mktemp("hooks")
     tc = synthetic.topical(30, seed=3, n_topics=2, generic_prob=0.5)
     corpus.write_corpus_words(root / "raw.txt", tc.dialogues)
@@ -99,10 +100,11 @@ def traced_pipeline(tmp_path_factory):
         assert main(["tune", "--histories", test, "--candidates-dir", P("gen"),
                      "--topic-models", P("lda", "topics.bin"), "--vocab", vocab,
                      "--out", P("tune"), "--lambdas", "0.0,1.0"]) == 0
-    return spans.aggregate(tracer.run_spans(0))
+    return spans.aggregate(tracer.run_spans(0)), root
 
 
 def test_every_traced_layer_is_called(traced_pipeline):
+    traced, root = traced_pipeline
     # every span name that bench/pipeline.py::layer_metrics reads, except the
     # cli.* spans the harness opens itself
     names = ["models.arnn.loss_and_grads", "models.seq2seq_attn.loss_and_grads",
@@ -114,12 +116,21 @@ def test_every_traced_layer_is_called(traced_pipeline):
              "metrics.evaluate", "metrics.recall_at_n", "metrics.continuation_logp_from",
              "topics.lda_train", "topics.infer_theta", "topics.rerank",
              "topics.tune_rerank"]
-    missing = [n for n in names if traced_pipeline.get(n, {}).get("calls", 0) == 0]
+    missing = [n for n in names if traced.get(n, {}).get("calls", 0) == 0]
     assert missing == []
-    assert traced_pipeline["models.arnn.loss_and_grads"]["tokens"] > 0
-    assert traced_pipeline["topics.infer_theta"]["token_updates"] > 0
+    # one epoch trains once on each of the kind's train-split Examples; the
+    # counters read the tokens from loss_and_grads' positional arguments
+    vocab = corpus.Vocabulary.load(str(root / "prep" / "vocab.txt"))
+    train_split = corpus.load_corpus(str(root / "prep" / "train.txt"), vocab, min_turns=2)
+    for kind in ("arnn", "seq2seq_attn"):
+        model = make_model(kind, 4, 4, vocab.size)
+        traced_kind = traced[f"models.{kind}.loss_and_grads"]
+        assert traced_kind["calls"] == len(train_split)
+        assert traced_kind["tokens"] == sum(len(model.make_example(d).target)
+                                            for d in train_split)
+    assert traced["topics.infer_theta"]["token_updates"] > 0
     # the counter reads ``sweeps=`` from cmd_lda's keyword arguments
-    assert traced_pipeline["topics.lda_train"]["token_updates"] > 0
+    assert traced["topics.lda_train"]["token_updates"] > 0
 
 
 @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])

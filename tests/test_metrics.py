@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import bleu_oracle
+from conftest import bleu_oracle, forced_score
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +82,7 @@ class TestPerplexity:
         got = evaluate(m, dialogues).values["ppl"]
         total, count = 0.0, 0
         for d in dialogues:
-            s = m.score_sequence(corpus.flatten(d))
+            s = forced_score(m, corpus.flatten(d))
             total += float(s.per_token.sum())
             count += len(s.per_token)
         assert abs(got - math.exp(-total / count)) < 1e-9
@@ -120,7 +120,7 @@ class TestWordErrorRate:
         errors, count = 0, 0
         for d in dialogues:
             tokens = corpus.flatten(d)
-            s = m.score_sequence(tokens)
+            s = forced_score(m, tokens)
             for t, tok in enumerate(tokens):
                 errors += int(s.argmax[t] != tok)
                 count += 1

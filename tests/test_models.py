@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import attend, grad_check, misstate_layout, with_params
+from conftest import attend, forced_score, grad_check, misstate_layout, with_params
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -181,13 +181,12 @@ class TestTarnnNextDist:
 
 
 class TestTarnnTheta:
-    """A tarnn checks theta where it enters: score_sequence, loss_and_grads,
-    begin (and so start) and make_example; an omitted theta is the uniform one."""
+    """A tarnn checks theta where it enters: loss_and_grads, begin (and so
+    start) and make_example; an omitted theta is the uniform one."""
 
     DIALOGUE = Dialogue(((0, (6, 7, 8)), (1, (9, 10))))
     ENTRIES = {
         "begin": lambda m, bad: m.begin([6, 7], bad),
-        "score_sequence": lambda m, bad: m.score_sequence([6, 7, 8], bad),
         "loss_and_grads": lambda m, bad: m.loss_and_grads([6, 7, 8], bad),
         "make_example": lambda m, bad: m.make_example(TestTarnnTheta.DIALOGUE),
         "start": lambda m, bad: m.start(TestTarnnTheta.DIALOGUE),
@@ -195,12 +194,14 @@ class TestTarnnTheta:
 
     @pytest.mark.parametrize("bad", [np.full(K + 1, 1.0 / (K + 1)),
                                      np.array([1.2, -0.2] + [0.0] * (K - 2)),
-                                     np.full(K, 1.1 / K)],
-                             ids=["length", "negative", "sum"])
+                                     np.full(K, 1.1 / K),
+                                     np.array([np.nan, 0.5, 0.5] + [0.0] * (K - 3))],
+                             ids=["length", "negative", "sum", "nan"])
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_bad_theta_rejected(self, entry, bad):
         m = TopicAttentionRnnLm(D, DE, V, K, seed=15, theta_provider=lambda dialogue: bad)
-        with pytest.raises(NumericalError):
+        # refused by the theta check itself, not by a later non-finite pass
+        with pytest.raises(NumericalError, match="^theta must "):
             self.ENTRIES[entry](m, bad)
 
     def test_example_theta_checked_once(self, monkeypatch):
@@ -221,18 +222,21 @@ class TestTarnnTheta:
         loss, grads = m.example_loss_and_grads(ex)
         score = m.example_score(ex)
         assert len(calls) == 1
-        # the same bytes as the checked public entries give
+        # the same bytes as the checked entries give
         want_loss, want_grads = m.loss_and_grads(ex.target, ex.theta)
-        want_score = m.score_sequence(ex.target, ex.theta)
+        want_score = m.score_dialogue(self.DIALOGUE)
         assert len(calls) == 3
         assert loss == want_loss and grads.flat.tobytes() == want_grads.flat.tobytes()
         assert score.per_token.tobytes() == want_score.per_token.tobytes()
+        assert score.A.tobytes() == want_score.A.tobytes()
 
     def test_omitted_theta_is_uniform(self):
         m = TopicAttentionRnnLm(D, DE, V, K, seed=15)
         tokens, uniform = [6, 7, 8, 9], np.full(K, 1.0 / K)
-        a, b = m.score_sequence(tokens), m.score_sequence(tokens, uniform)
+        a = m.score_dialogue(self.DIALOGUE)
+        b = forced_score(m, corpus.flatten(self.DIALOGUE), theta=uniform)
         assert a.per_token.tobytes() == b.per_token.tobytes()
+        assert a.A.tobytes() == b.A.tobytes()
         (la, ga), (lb, gb) = (m.loss_and_grads(tokens, theta) for theta in (None, uniform))
         assert la == lb and ga.flat.tobytes() == gb.flat.tobytes()
         (pa, wa), (pb, wb) = m.step_dist(m.begin(tokens)), m.step_dist(m.begin(tokens, uniform))
@@ -245,14 +249,14 @@ class TestSequenceLogLikelihood:
         m = RnnLm(D, DE, V, seed=16)
         m.params["O"][:] = 0.0
         tokens = random_tokens(np.random.default_rng(8), 7)
-        s = m.score_sequence(tokens)
+        s = forced_score(m, tokens)
         assert abs(s.per_token.sum() - 7 * math.log(1.0 / V)) < 1e-9
         np.testing.assert_allclose(s.per_token, math.log(1.0 / V), atol=1e-12)
 
     def test_per_token_additivity(self):
         m = AttentionRnnLm(D, DE, V, seed=17)
         tokens = random_tokens(np.random.default_rng(9), 9)
-        s = m.score_sequence(tokens)
+        s = forced_score(m, tokens)
         loss, _ = m.loss_and_grads(tokens)
         assert abs(s.per_token.sum() + loss) < 1e-10
 
@@ -261,7 +265,7 @@ class TestSequenceLogLikelihood:
         m = AttentionRnnLm(D, DE, V, seed=18)
         rng = np.random.default_rng(10)
         tokens = random_tokens(rng, 6)
-        s = m.score_sequence(tokens)
+        s = forced_score(m, tokens)
         p = m.params
         h = np.zeros(D)
         reps = []
@@ -281,27 +285,27 @@ class TestSequenceLogLikelihood:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DataError):
-            RnnLm(D, DE, V, seed=0).score_sequence([])
+            forced_score(RnnLm(D, DE, V, seed=0), [])
 
 
 class TestSeq2Seq:
     def test_single_source_token_attention(self):
         m = Seq2Seq(D, DE, V, use_attention=True, seed=19)
-        s = m.score_pair([4], [5, 6, 7])
-        for alpha in s.alphas:
-            np.testing.assert_allclose(alpha, [1.0], atol=1e-12)
+        s = forced_score(m, [5, 6, 7], source=[4])
+        assert s.A.shape == (3, 1)
+        np.testing.assert_allclose(s.A, 1.0, atol=1e-12)
 
     def test_zero_weights_uniform(self):
         m = Seq2Seq(D, DE, V, use_attention=False, seed=20)
         for k in m.params:
             m.params[k][:] = 0.0
-        s = m.score_pair([1, 2], [3, 4])
+        s = forced_score(m, [3, 4], source=[1, 2])
         np.testing.assert_allclose(s.per_token, math.log(1.0 / V), atol=1e-12)
 
     def test_brute_force_log_likelihood(self):
         m = Seq2Seq(D, DE, V, use_attention=False, seed=21)
         src, tgt = [2, 9, 13], [5, 1]
-        s = m.score_pair(src, tgt)
+        s = forced_score(m, tgt, source=src)
         p = m.params
         h = np.zeros(D)
         for tok in src:
@@ -318,17 +322,17 @@ class TestSeq2Seq:
     def test_fixed_scope(self):
         m = Seq2Seq(D, DE, V, use_attention=True, seed=22)
         src = [1, 2, 3, 4, 5]
-        s = m.score_pair(src, [6, 7, 8])
-        assert all(len(alpha) == len(src) for alpha in s.alphas)
-        for alpha in s.alphas:
+        s = forced_score(m, [6, 7, 8], source=src)
+        assert s.A.shape == (3, len(src))
+        for alpha in s.A:
             assert abs(alpha.sum() - 1.0) < 1e-6
 
     def test_empty_inputs_rejected(self):
         m = Seq2Seq(D, DE, V, seed=23)
         with pytest.raises(DataError):
-            m.score_pair([], [1])
+            forced_score(m, [1], source=[])
         with pytest.raises(DataError):
-            m.score_pair([1], [])
+            forced_score(m, [], source=[1])
 
     def test_pair_extraction(self):
         d = Dialogue(((0, (10, 11)), (1, (12,))))
@@ -343,11 +347,12 @@ class TestDynamicScope:
     def test_row_lengths_grow_by_one(self):
         m = AttentionRnnLm(D, DE, V, seed=24)
         tokens = random_tokens(np.random.default_rng(11), 8)
-        s = m.score_sequence(tokens)
-        assert s.alphas[0] is None
+        s = forced_score(m, tokens)
+        # row t - 1 belongs to position t; position 0 attends to nothing
+        assert s.A.shape == (len(tokens) - 1, len(tokens) - 1)
         for t in range(1, len(tokens)):
-            assert len(s.alphas[t]) == t
-            assert abs(s.alphas[t].sum() - 1.0) < 1e-6
+            assert np.all(s.A[t - 1, :t] > 0) and not s.A[t - 1, t:].any()
+            assert abs(s.A[t - 1].sum() - 1.0) < 1e-6
 
 
 class TestAblationEquivalence:
@@ -360,8 +365,8 @@ class TestAblationEquivalence:
                           {k: arnn.params[k] for k in ("H", "P", "E", "O")})
         for _ in range(100):
             tokens = random_tokens(rng, int(rng.integers(1, 10)))
-            sa = arnn.score_sequence(tokens)
-            sr = rnn.score_sequence(tokens)
+            sa = forced_score(arnn, tokens)
+            sr = forced_score(rnn, tokens)
             np.testing.assert_allclose(sa.per_token, sr.per_token, atol=1e-9)
 
 
@@ -372,8 +377,7 @@ class TestDecodeScoreConsistency:
         m = make_model(kind, D, DE, V, n_topics=K, seed=26)
         theta = rng.dirichlet(np.ones(K)) if kind == "tarnn" else None
         tokens = random_tokens(rng, 7)
-        s = m.score_sequence(tokens, theta) if theta is not None \
-            else m.score_sequence(tokens)
+        s = forced_score(m, tokens, theta=theta)
         state = m.begin([], theta=theta) if theta is not None else m.begin([])
         for t, tok in enumerate(tokens):
             probs, _ = m.step_dist(state)
@@ -386,13 +390,13 @@ class TestDecodeScoreConsistency:
         m = Seq2Seq(D, DE, V, use_attention=attn, seed=27)
         src = random_tokens(rng, 5)
         tgt = random_tokens(rng, 4)
-        s = m.score_pair(src, tgt)
+        s = forced_score(m, tgt, source=src)
         state = m.begin(src)
         for l, tok in enumerate(tgt):
             probs, alpha = m.step_dist(state)
             assert abs(math.log(float(probs[0, tok])) - s.per_token[l]) < 1e-10
             if attn:
-                np.testing.assert_allclose(alpha[0], s.alphas[l], atol=1e-12)
+                np.testing.assert_allclose(alpha[0], s.A[l], atol=1e-12)
             state = m.advance(state, [tok])
 
 
@@ -603,12 +607,9 @@ KINDS = ["rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn"]
 
 
 def _snapshot(score):
-    """The fields of a score, arrays (also inside lists) as their bytes."""
-    def value(v):
-        if isinstance(v, list):
-            return [value(x) for x in v]
-        return v.tobytes() if isinstance(v, np.ndarray) else v
-    return {name: value(v) for name, v in vars(score).items()}
+    """The fields of a score, arrays as their bytes."""
+    return {name: v.tobytes() if isinstance(v, np.ndarray) else v
+            for name, v in vars(score).items()}
 
 
 class TestReusedBuffers:
@@ -745,7 +746,7 @@ class TestForwardFinite:
             m.params[k] *= 20.0  # near-saturation regime
         tokens = random_tokens(rng, 6)
         kw = {"theta": rng.dirichlet(np.ones(K))} if kind == "tarnn" else {}
-        s = m.score_sequence(tokens, **kw)
+        s = forced_score(m, tokens, **kw)
         assert np.all(np.isfinite(s.per_token))
 
     @pytest.mark.parametrize("attn", [False, True])
@@ -754,7 +755,8 @@ class TestForwardFinite:
         m = Seq2Seq(D, DE, V, use_attention=attn, seed=34)
         for k in m.params:
             m.params[k] *= 20.0
-        s = m.score_pair(random_tokens(rng, 6), random_tokens(rng, 4))
+        src = random_tokens(rng, 6)
+        s = forced_score(m, random_tokens(rng, 4), source=src)
         assert np.all(np.isfinite(s.per_token))
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import affine_tanh, arena, attention_backward, grad_check
+from conftest import affine_tanh, arena, attention_backward, forced_score, grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -383,23 +383,24 @@ class TestScopedAttention:
         model = _scaled_model(kind, n, 5.0)
         if kind == "arnn":
             tokens = [int(t) for t in rng.integers(0, V, n + 1)]  # n attending positions
-            got = model.score_sequence(tokens).alphas
-            ref = _rows_reference(model)._forward(tokens)["alphas"]
-            assert got[0] is None and ref[0] is None
-            got, ref, lengths = got[1:], ref[1:], range(1, n + 1)
+            A = forced_score(model, tokens).A
+            ref = _rows_reference(model)._forward(tokens)["weights"]
+            assert ref[0] is None  # row t - 1 of A belongs to position t
+            ref, lengths = ref[1:], range(1, n + 1)
         else:
             source = [int(t) for t in rng.integers(0, V, 6)]
             target = [int(t) for t in rng.integers(0, V, n)]
-            got = model.score_pair(source, target).alphas
+            A = forced_score(model, target, source=source).A
             p = model.params
             enc = model._encode(source)[1:]
             dec = unroll(p["Hd"], p["Pd"], p["Ed"], target[:-1], enc[-1])
             ref = [attention(p["W"] @ dec[max(l - 1, 0)], p["b"], enc, enc @ p["U"].T)[1]
                    for l in range(n)]  # position l queries with dec[max(l-1, 0)]
             lengths = [len(source)] * n
-        assert len(got) == len(ref) == n
-        for t, (a, r, length) in enumerate(zip(got, ref, lengths)):
-            assert len(a) == length
+        assert A.shape == (n, max(lengths)) and len(ref) == n
+        for t, (a, r, length) in enumerate(zip(A, ref, lengths)):
+            assert not a[length:].any()
+            a = a[:length]
             assert abs(a.sum() - 1.0) < 1e-12
             _assert_close(a, r, f"row {t}")
 
@@ -431,13 +432,13 @@ class _RowsArnn(_RowsRnnLm, AttentionRnnLm):
         UR = R @ p["U"].T
         WQ = _rows(p["W"], states[:-1])
         Z = np.empty((n - 1, self.d_z))
-        pre, alphas = [None] * n, [None] * n
+        pre, weights = [None] * n, [None] * n
         for t in range(1, n):
-            pre[t], alphas[t], Z[t - 1] = attention(WQ[t - 1], p["b"], R[:t], UR[:t])
+            pre[t], weights[t], Z[t - 1] = attention(WQ[t - 1], p["b"], R[:t], UR[:t])
         outs = _rows(p["Oh"], states)
         outs[1:] += _rows(p["Oz"], Z)
         outs = self._add_topic(outs, theta)
-        return {"states": states, "R": R, "pre": pre, "alphas": alphas, "Z": Z,
+        return {"states": states, "R": R, "pre": pre, "weights": weights, "Z": Z,
                 "outs": outs, "logps": log_softmax(outs @ p["O"])}
 
     def _backward_outputs(self, tokens, fw, dlogits, grads, dstates, theta):
@@ -450,7 +451,7 @@ class _RowsArnn(_RowsRnnLm, AttentionRnnLm):
         drep = np.zeros_like(fw["R"])
         for t in range(1, n):
             dwqs[t - 1], dR = attention_backward(p["U"], p["b"], fw["R"][:t], fw["pre"][t],
-                                                 fw["alphas"][t], dzs[t - 1],
+                                                 fw["weights"][t], dzs[t - 1],
                                                  grads["U"], grads["b"])
             drep[:t] += dR
         dstates[:-1] += _rows(p["W"].T, dwqs)
@@ -553,13 +554,13 @@ class TestNumericsV2:
         model = _scaled_model(kind, seed, scale)
         theta = np.random.default_rng(seed).dirichlet(np.ones(K))
         if kind.startswith("seq2seq"):
-            forced = model.score_pair(source, tokens).per_token
+            forced = forced_score(model, tokens, source=source).per_token
             state = model.begin(source)
         elif kind == "tarnn":
-            forced = model.score_sequence(tokens, theta).per_token
+            forced = forced_score(model, tokens, theta=theta).per_token
             state = model.begin([], theta)
         else:
-            forced = model.score_sequence(tokens).per_token
+            forced = forced_score(model, tokens).per_token
             state = model.begin([])
         stepwise = []
         for tok in tokens:
@@ -709,18 +710,12 @@ class TestTwoLaneOutputs:
 TWO_LANE_SIZES = [(64, 2000, 78, None), (64, 2000, 321, None), (D, V, 30, 0)]
 
 
-def _score(model, tokens, source, theta):
-    if model.kind.startswith("seq2seq"):
-        return model.score_pair(source, tokens)
-    return model.score_sequence(tokens, theta if model.kind == "tarnn" else None)
-
-
 def _step(model, tokens, source, theta):
     """The bytes of one training step's loss, clipped gradients and norm,
     and of a score of the same tokens."""
     loss, grads = _loss_and_grads(model, tokens, source, theta)
     norm = clip_global_norm(grads, 1.0)
-    s = _score(model, tokens, source, theta)
+    s = forced_score(model, tokens, source, theta if model.kind == "tarnn" else None)
     return loss, norm, grads.flat.tobytes(), s.per_token.tobytes(), s.argmax.tobytes()
 
 
@@ -809,14 +804,14 @@ class TestTwoLanePass:
         tokens = [int(t) for t in np.random.default_rng(n).integers(0, n_vocab, n)]
         model = make_model("arnn", d, DE, n_vocab, seed=3)
         model.params["b"][0] = np.inf
-        for call in (model.score_sequence, model.loss_and_grads):
+        for call in (forced_score, AttentionRnnLm.loss_and_grads):
             with pytest.raises(NumericalError,
                                match="^attention scores contain non-finite entries$"):
-                call(tokens)
+                call(model, tokens)
         model = make_model("arnn", d, DE, n_vocab, seed=3)
         model.params["O"][:, 5] = np.inf
-        for call in (model.score_sequence, model.loss_and_grads):
+        for call in (forced_score, AttentionRnnLm.loss_and_grads):
             with pytest.raises(NumericalError,
                                match="^log_softmax input contains non-finite entries$"):
-                call(tokens)
+                call(model, tokens)
         assert two_cpus

@@ -385,9 +385,8 @@ class TestTrain:
 
 
 def _score_fields(s):
-    """A SequenceScore's arrays (also its weight rows) as their bytes."""
-    rows = None if s.alphas is None else [a if a is None else a.tobytes() for a in s.alphas]
-    return s.per_token.tobytes(), s.argmax.tobytes(), rows
+    """A SequenceScore's arrays (its attention weights too) as their bytes."""
+    return s.per_token.tobytes(), s.argmax.tobytes(), None if s.A is None else s.A.tobytes()
 
 
 class TestOneScoringPath:
