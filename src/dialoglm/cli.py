@@ -148,17 +148,19 @@ def cmd_generate(args):
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
     top_lines = []
     outputs = []
-    for i, history in enumerate(histories):
-        cands = generator.generate(
-            model, history, vocab, beam_width=args.beam_width, max_len=args.max_len,
-            n_best=args.n_best, len_norm=args.len_norm, record_trace=args.trace,
+    for j in range(0, len(histories), generator.LOCKSTEP):
+        group = generator.generate(
+            model, histories[j:j + generator.LOCKSTEP], vocab, beam_width=args.beam_width,
+            max_len=args.max_len, n_best=args.n_best, len_norm=args.len_norm,
+            record_trace=args.trace,
         )
-        outputs.append(_write(args, f"candidates_{i:04d}.txt",
-                              generator.format_candidates(cands, vocab)))
-        top_lines.append(cands[0].text(vocab))
-        if args.trace:
-            outputs.append(_write(args, f"trace_{i:04d}.txt",
-                                  generator.format_trace(cands[0].trace)))
+        for i, cands in enumerate(group, start=j):
+            outputs.append(_write(args, f"candidates_{i:04d}.txt",
+                                  generator.format_candidates(cands, vocab)))
+            top_lines.append(cands[0].text(vocab))
+            if args.trace:
+                outputs.append(_write(args, f"trace_{i:04d}.txt",
+                                      generator.format_trace(cands[0].trace)))
     gen_path = _write(args, "generations.txt", "".join(line + "\n" for line in top_lines))
     return {"generations": gen_path, "candidates": outputs}
 

@@ -18,6 +18,11 @@ import numpy as np
 
 from . import corpus
 from .errors import DataError
+from .numeric import lanes
+
+# Histories that the CLI's generate decodes in lockstep: one per lane of
+# numeric.lanes.
+LOCKSTEP = 2
 
 
 @dataclass
@@ -59,71 +64,119 @@ def norm_score(logp, length, len_norm):
 
 def generate(model, history, vocab, beam_width=10, max_len=30, n_best=10,
              len_norm=1.0, record_trace=False):
-    """n-best continuations of ``history`` under ``model``.
+    """n-best continuations of ``history`` under ``model``, or given a list
+    of histories, one list of them per history.
 
-    The beam is one decode state of B rows, stepped as a batch. Returns
-    Candidates in non-increasing normalized-score order.
+    Each history's beam is one decode state of B rows, stepped as a batch.
+    The beams of a list step in lockstep (``Model.step_dist`` and
+    ``Model.advance`` over the list of their states), each beam's
+    distributions and its top-k selection a piece of ``numeric.lanes``;
+    a beam leaves the group when it empties. Each beam's output is bitwise
+    what it gets decoded alone. Returns Candidates in non-increasing
+    normalized-score order.
     """
+    if not isinstance(history, list):
+        return generate(model, [history], vocab, beam_width, max_len, n_best, len_norm,
+                        record_trace)[0]
     if beam_width < 1 or max_len < 1 or not (1 <= n_best <= beam_width):
         raise DataError("need beam_width >= 1, max_len >= 1, 1 <= n_best <= beam_width")
     if not math.isfinite(len_norm):
         raise DataError(f"len_norm must be finite, got {len_norm}")
     if record_trace and not model.attends:
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
-    state = model.start(history)
-    tokens = np.zeros((1, 0), dtype=np.intp)  # row b: hypothesis b's tokens
-    logp = np.zeros(1)
-    rows = [[]]  # row b: hypothesis b's attention rows, when recorded
-    finished = []  # (tokens, logp, rows)
+    beams = [_Beam(model.start(h)) for h in history]
+    live = beams
+    k = min(beam_width, model.V)
     for step in range(max_len):
         if step:
-            state = model.advance(state, tok, parent)
-        probs, alpha = model.step_dist(state)
-        with np.errstate(divide="ignore"):  # underflowed probs rank last
-            cost = np.negative(np.log(probs, out=probs), out=probs)  # -log p, in place
-        k = min(beam_width, cost.shape[1])
-        by_row = np.arange(len(cost))[:, None]
-        top = np.argpartition(cost, k - 1, axis=1)[:, :k]  # each row's k best tokens
-        top = top[by_row, np.argsort(cost[by_row, top], axis=1, kind="stable")]
-        ext = logp[:, None] - cost[by_row, top]  # the extended hypotheses' log-likelihoods
+            states = model.advance([b.state for b in live], [b.tok for b in live],
+                                   [b.parent for b in live])
+            for b, state in zip(live, states):
+                b.state = state
+        dists = model.step_dist([b.state for b in live])
+        tops = lanes(lambda i, lane: _top_tokens(dists[i][0], k), len(live),
+                     sum(probs.size for probs, _ in dists))
+        live = [b for b, (_, alpha), (cost, top) in zip(live, dists, tops)
+                if b.extend(cost, top, alpha, beam_width, record_trace)]
+        dists = tops = None  # free the probability rows before the next step's
+        if not live:
+            break
+    for b in live:  # hypotheses cut off at max_len
+        b.finished.extend(zip(b.tokens.tolist(), b.logp.tolist(), b.rows))
+    return [b.candidates(h, vocab, n_best, len_norm, record_trace)
+            for b, h in zip(beams, history)]
+
+
+def _top_tokens(probs, k):
+    """-log p of every token (in ``probs``) and each row's k best tokens,
+    most probable first."""
+    with np.errstate(divide="ignore"):  # underflowed probs rank last
+        cost = np.negative(np.log(probs, out=probs), out=probs)
+    by_row = np.arange(len(cost))[:, None]
+    top = np.argpartition(cost, k - 1, axis=1)[:, :k]
+    return cost, top[by_row, np.argsort(cost[by_row, top], axis=1, kind="stable")]
+
+
+class _Beam:
+    """One history's beam search: its decode state, row b of ``tokens``,
+    ``logp`` and ``rows`` for hypothesis b (``rows``: its attention rows,
+    when recorded), the ``finished`` hypotheses as (tokens, logp, rows), and
+    the ``tok`` and ``parent`` of each row of the next advance."""
+
+    def __init__(self, state):
+        self.state = state
+        self.tokens = np.zeros((1, 0), dtype=np.intp)
+        self.logp = np.zeros(1)
+        self.rows = [[]]
+        self.finished = []
+        self.tok = self.parent = None
+
+    def extend(self, cost, top, alpha, beam_width, record_trace):
+        """Extend each hypothesis by its ``top`` tokens, finish those that end
+        on </u> and keep the best ``beam_width`` others, by (-logp, tokens);
+        False when none is left."""
+        by_row = np.arange(len(top))[:, None]
+        ext = self.logp[:, None] - cost[by_row, top]  # the extended hypotheses' log-likelihoods
         if record_trace:
-            rows = [r + [a] for r, a in zip(rows, alpha)]
+            self.rows = [r + [a] for r, a in zip(self.rows, alpha)]
         for b, i in zip(*np.nonzero(top == corpus.EOU_ID)):
-            finished.append((tokens[b].tolist() + [corpus.EOU_ID], float(ext[b, i]), rows[b]))
+            self.finished.append((self.tokens[b].tolist() + [corpus.EOU_ID], float(ext[b, i]),
+                                  self.rows[b]))
         parent, col = np.nonzero(top != corpus.EOU_ID)
         if not len(parent):
-            break
+            return False
         tok, ext = top[parent, col], ext[parent, col]
-        # the best beam_width extensions by (-logp, tokens)
-        keep = np.lexsort((tok, *tokens[parent].T[::-1], -ext))[:beam_width]
-        parent, tok, logp = parent[keep], tok[keep], ext[keep]
-        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
-        rows = [rows[b] for b in parent]
-    else:  # hypotheses cut off at max_len
-        finished.extend(zip(tokens.tolist(), logp.tolist(), rows))
-    ranked = sorted(
-        finished,
-        key=lambda f: (-norm_score(f[1], len(f[0]), len_norm), f[0]),
-    )
-    prefix_labels = vocab.decode(corpus.continuation_prefix(history))
-    out = []
-    for toks, lp, trace_rows in ranked[:n_best]:
-        trace = None
-        if record_trace:
-            trace = AttentionTrace(
-                rows=trace_rows,
-                prefix_labels=prefix_labels,
-                generated_labels=vocab.decode(toks),
-            )
-        out.append(
-            Candidate(
-                tokens=toks,
-                loglik=lp,
-                norm_score=norm_score(lp, len(toks), len_norm),
-                trace=trace,
-            )
+        keep = np.lexsort((tok, *self.tokens[parent].T[::-1], -ext))[:beam_width]
+        self.parent, self.tok, self.logp = parent[keep], tok[keep], ext[keep]
+        self.tokens = np.concatenate([self.tokens[self.parent], self.tok[:, None]], axis=1)
+        self.rows = [self.rows[b] for b in self.parent]
+        return True
+
+    def candidates(self, history, vocab, n_best, len_norm, record_trace):
+        """The ``n_best`` finished hypotheses as Candidates, best first."""
+        ranked = sorted(
+            self.finished,
+            key=lambda f: (-norm_score(f[1], len(f[0]), len_norm), f[0]),
         )
-    return out
+        prefix_labels = vocab.decode(corpus.continuation_prefix(history))
+        out = []
+        for toks, lp, trace_rows in ranked[:n_best]:
+            trace = None
+            if record_trace:
+                trace = AttentionTrace(
+                    rows=trace_rows,
+                    prefix_labels=prefix_labels,
+                    generated_labels=vocab.decode(toks),
+                )
+            out.append(
+                Candidate(
+                    tokens=toks,
+                    loglik=lp,
+                    norm_score=norm_score(lp, len(toks), len_norm),
+                    trace=trace,
+                )
+            )
+        return out
 
 
 def continuation_log_likelihood(model, history, tokens):

@@ -57,9 +57,10 @@ class DecodeState:
     of token representations and UR one of (slots, cap, d): rows [0:t] of
     slot b are hypothesis b's scope, and rows [0:t0], the prefix, are the
     same in every slot, so reordering the slots copies only rows [t0:t];
-    the capacity doubles when it runs out. Under the fixed scope of
-    seq2seq, R holds the (M+1, d) encoder states and UR their U
-    projection, which every row shares read-only: none is copied.
+    the capacity, ``lm.DECODE_ROOM`` rows past the prefix at first, doubles
+    when it runs out. Under the fixed scope of seq2seq, R holds the (M+1, d)
+    encoder states and UR their U projection, which every row shares
+    read-only: none is copied.
     """
 
     h: np.ndarray
@@ -97,6 +98,16 @@ class Model:
     consumes, so that state must not be used again. Row b of every result
     is bitwise the same whatever the other rows of the batch hold and
     however many there are.
+
+    Both also take a list of states, one per history decoded in lockstep
+    (with lists of ``tokens`` and ``parents`` for ``advance``), and return
+    a list. ``step_dist`` runs each state's one-state step as a piece of
+    ``numeric.lanes``, gated on B V d entries in all; the calling thread
+    allocates each piece's (B, t, d) attention pre-activations and (B, V)
+    probability rows, and the pieces call nothing but private methods.
+    ``advance`` steps the states one after another on the calling thread:
+    its many small numpy calls hold the interpreter lock, and on two lanes
+    they made a decode slower, not faster.
 
     A kind's ``make_example`` states what it scores of a dialogue (an
     :class:`Example`) and ``_operands`` what its ``_forward`` and
@@ -201,28 +212,53 @@ class Model:
         H, P, E, _ = (self.params[name] for name in self.decoder)
         return recur(H, h_prev, P, columns(E, tokens))
 
-    def next_dist(self, h, z=None, theta=None):
+    def next_dist(self, h, z=None, theta=None, out=None):
         """softmax(O^T h), or with attention softmax(O^T (Oh h + Oz z [+ Otheta
-        theta])), row-wise for a batch of states."""
-        p, out = self.params, h
+        theta])), row-wise for a batch of states, into ``out`` when it is given."""
+        p, x = self.params, h
         if self.attends:
-            out = matvecs(p["Oh"], h)
+            x = matvecs(p["Oh"], h)
             if z is not None:
-                out += matvecs(p["Oz"], z)
-            out = self._add_topic(out, theta)
-        return softmax(matvecs(p[self.decoder[3]].T, out))
+                x += matvecs(p["Oz"], z)
+            x = self._add_topic(x, theta)
+        logits = matvecs(p[self.decoder[3]].T, x, out=out)
+        return softmax(logits, out=logits)
 
     def step_dist(self, state):
-        """(B, V) next-token distributions and attention weights (see Model)."""
+        """(B, V) next-token distributions and attention weights (see Model);
+        for a list of states, a list of them, one pair per state."""
+        if isinstance(state, DecodeState):
+            return self._step_dist(*self._step_operands(state))
+        operands = [self._step_operands(s) for s in state]
+        return lanes(lambda i, lane: self._step_dist(*operands[i]), len(state),
+                     sum(len(s.h) for s in state) * self.V * self.d)
+
+    def _step_operands(self, state):
+        """``state``, its scope and the buffers :meth:`_step_dist` fills: the
+        (B, t, d) attention pre-activations and the (B, V) probabilities,
+        allocated here, on the calling thread."""
+        scope, B = self._scope(state), len(state.h)
+        pre = None if scope is None else np.empty((B, scope[2].shape[-2], self.d))
+        return state, scope, pre, np.empty((B, self.V))
+
+    def _step_dist(self, state, scope, pre, probs):
         alpha = z = None
-        scope = self._scope(state)
         if scope is not None:
             q, R, UR = scope
-            _, alpha, z = attention(matvecs(self.params["W"], q), self.params["b"], R, UR)
-        return self.next_dist(state.h, z, state.theta), alpha
+            _, alpha, z = attention(matvecs(self.params["W"], q), self.params["b"], R, UR,
+                                    out=pre)
+        return self.next_dist(state.h, z, state.theta, out=probs), alpha
 
     def advance(self, state, tokens, parents=None):
-        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model)."""
+        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model);
+        for a list of states, a list of them, given lists of ``tokens`` and
+        of ``parents``, one per state."""
+        if isinstance(state, DecodeState):
+            return self._advance(state, tokens, parents)
+        parents = [None] * len(state) if parents is None else parents
+        return [self._advance(*args) for args in zip(state, tokens, parents)]
+
+    def _advance(self, state, tokens, parents):
         h = state.h if parents is None else state.h[parents]
         new = replace(state, h=self.step(h, tokens), prev_h=h, t=state.t + 1)
         self._extend_scope(state, new, tokens, parents)

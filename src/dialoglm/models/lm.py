@@ -28,6 +28,10 @@ from ..errors import DataError, NumericalError
 from ..numeric import bptt, matvecs, readout, unroll, zero_grads
 from .base import DecodeState, Example, Model, check_tokens
 
+# Arena rows that a fresh decode state keeps past its prefix, before the
+# capacity first doubles: the CLI's default --max-len of 30 fits.
+DECODE_ROOM = 32
+
 
 class RnnLm(Model):
     """Plain recurrent language model."""
@@ -152,8 +156,8 @@ class AttentionRnnLm(RnnLm):
         """One arena slot holding the representations of ``prefix``, whose
         tokens produced ``states``."""
         t0, p = len(prefix), self.params
-        state.R = np.empty((1, 2 * t0 + 1, self.d_z))
-        state.UR = np.empty((1, 2 * t0 + 1, self.d))
+        state.R = np.empty((1, t0 + DECODE_ROOM, self.d_z))
+        state.UR = np.empty((1, t0 + DECODE_ROOM, self.d))
         state.R[0, :t0, : self.d_e] = p["E"][:, prefix].T
         state.R[0, :t0, self.d_e :] = states
         state.UR[0, :t0] = matvecs(p["U"], state.R[0, :t0])
@@ -208,7 +212,8 @@ class TopicAttentionRnnLm(AttentionRnnLm):
         """The topic feature as a float64 K-vector, uniform for None; NumericalError
         unless it is a probability vector (NaN fails). Theta enters a tarnn only
         through loss_and_grads, begin and make_example, which check it here
-        once each; an Example's theta is checked when it is made."""
+        once each; an Example's theta is checked when it is made, and a
+        hand-built Example's None is read here as uniform (``_operands``)."""
         theta = np.full(self.K, 1 / self.K) if theta is None else np.asarray(theta, np.float64)
         if theta.shape != (self.K,):
             raise NumericalError(f"theta must have length K={self.K}")
@@ -219,8 +224,12 @@ class TopicAttentionRnnLm(AttentionRnnLm):
     def loss_and_grads(self, tokens, theta=None, grads=None):
         return super().loss_and_grads(tokens, self._theta(theta), grads)
 
+    def _operands(self, ex):
+        """An Example's theta was checked when it was made; None reads as uniform."""
+        return ex.target, self._theta(None) if ex.theta is None else ex.theta
+
     def example_loss_and_grads(self, ex, grads=None):
-        return super().loss_and_grads(ex.target, ex.theta, grads)
+        return super().loss_and_grads(*self._operands(ex), grads)
 
     def begin(self, prefix, theta=None):
         return super().begin(prefix, self._theta(theta))

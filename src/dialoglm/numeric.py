@@ -9,7 +9,8 @@ teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
 glibc hands freed blocks of that size back to the kernel, so fresh ones
 would be faulted in again on every step. :func:`lanes` shares independent
 pieces of one teacher-forced pass or training step between the calling
-thread and one worker thread.
+thread and one worker thread, and the next-token distributions of two
+decode states.
 """
 
 import itertools
@@ -38,17 +39,18 @@ LANE_MIN = 32768
 ATTENTION_BLOCK = 16
 
 
-def softmax(scores):
+def softmax(scores, out=None):
     """Probability distribution over ``scores``, stabilized by max subtraction.
 
-    A matrix is normalized row by row.
+    A matrix is normalized row by row. The result goes to ``out`` (which may
+    be ``scores``) when it is given.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:
         raise NumericalError("softmax of an empty score vector")
     if not np.isfinite(s).all():
         raise NumericalError("softmax input contains non-finite entries")
-    return _normalize(s - s.max(axis=-1, keepdims=True))
+    return _normalize(np.subtract(s, s.max(axis=-1, keepdims=True), out=out))
 
 
 def _normalize(e):
@@ -74,14 +76,15 @@ def log_softmax(scores, out=None, scratch=None):
     return shifted
 
 
-def matvecs(A, X):
-    """A @ x for the vector ``X``, or for every row x of a batch ``X``.
+def matvecs(A, X, out=None):
+    """A @ x for the vector ``X``, or for every row x of a batch ``X``, into
+    ``out`` when it is given.
 
     numpy runs a stacked matmul as one BLAS gemv per row, so each row is
     bitwise equal to A @ x however many rows share the batch. (X @ A.T is
     one gemm, which rounds differently, and differently again for one row.)
     """
-    return np.matmul(A, X[..., None])[..., 0]
+    return np.matmul(A, X[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def columns(Em, tokens):
@@ -140,19 +143,19 @@ def bptt(Hm, Pm, Em, tokens, states, dstates, gH, gP, gE):
     np.add.at(gE.T, np.asarray(tokens, dtype=np.intp), das @ Pm)
 
 
-def attention(wq, b, R, UR):
+def attention(wq, b, R, UR, out=None):
     """Additive attention of one query over the rows of ``R``.
 
     ``wq`` is the query's projection W q and ``UR`` caches R @ U^T; the
     caller owns both projections, so it can batch them over positions.
-    Returns (pre, alpha, z) with pre = tanh(W q + U r_i) row-wise,
-    alpha = softmax(pre b), z = alpha R.
+    Returns (pre, alpha, z) with pre = tanh(W q + U r_i) row-wise (in
+    ``out`` when it is given), alpha = softmax(pre b), z = alpha R.
 
     A batch of queries ``wq`` (B, d) attends row by row, each over its own
     ``R[i]`` (B, t, d_z) or all over one shared ``R`` (t, d_z); every row is
     bitwise equal to the single-query result.
     """
-    pre = wq[..., None, :] + UR
+    pre = np.add(wq[..., None, :], UR, out=out)
     np.tanh(pre, out=pre)
     alpha = softmax(pre @ b)
     return pre, alpha, np.matmul(alpha[..., None, :], R)[..., 0, :]

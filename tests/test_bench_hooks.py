@@ -6,12 +6,15 @@ fails here instead of silently zeroing a per-layer metric."""
 import importlib.util
 import os
 import sys
+import threading
+import time
 
 import pytest
 
-from dialoglm import corpus, synthetic
+from dialoglm import corpus, numeric, synthetic
 from dialoglm.cli import main
 from dialoglm.models import make_model, seq2seq_pair
+from dialoglm.models.base import Model
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -64,16 +67,13 @@ def test_wraps_resolve_and_are_restored():
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
 
 
-@pytest.fixture(scope="module")
-def traced_pipeline(tmp_path_factory):
-    """Span aggregates of a tiny traced run of every stage the benchmark
-    times, and the run's directory."""
-    root = tmp_path_factory.mktemp("hooks")
+def _traced_run(root, tracer):
+    """A tiny traced run of every stage the benchmark times, under ``root``;
+    generate, rerank and tune read 3 histories."""
     tc = synthetic.topical(30, seed=3, n_topics=2, generic_prob=0.5)
     corpus.write_corpus_words(root / "raw.txt", tc.dialogues)
     P = lambda *parts: str(root.joinpath(*parts))
     vocab = P("prep", "vocab.txt")
-    tracer = spans.Tracer()
     tracer.start_run(0)
     with spans.Instrumentation(tracer) as inst:
         pipeline.instrument(inst)
@@ -88,6 +88,9 @@ def traced_pipeline(tmp_path_factory):
         test = P("prep", "test.txt")
         assert main(["eval", "--checkpoint", ckpt, "--vocab", vocab, "--corpus", test,
                      "--out", P("eval"), "--recall-n", "1"]) == 0
+        with open(test, encoding="utf-8") as f:
+            (root / "hist.txt").write_text("".join(f.readlines()[:3]), encoding="utf-8")
+        test = P("hist.txt")
         assert main(["generate", "--checkpoint", ckpt, "--vocab", vocab,
                      "--histories", test, "--out", P("gen"), "--beam-width", "2",
                      "--n-best", "2", "--max-len", "3"]) == 0
@@ -100,7 +103,43 @@ def traced_pipeline(tmp_path_factory):
         assert main(["tune", "--histories", test, "--candidates-dir", P("gen"),
                      "--topic-models", P("lda", "topics.bin"), "--vocab", vocab,
                      "--out", P("tune"), "--lambdas", "0.0,1.0"]) == 0
+
+
+@pytest.fixture(scope="module")
+def traced_pipeline(tmp_path_factory):
+    """Span aggregates of a tiny traced run of every stage the benchmark
+    times, and the run's directory."""
+    root = tmp_path_factory.mktemp("hooks")
+    tracer = spans.Tracer()
+    _traced_run(root, tracer)
     return spans.aggregate(tracer.run_spans(0)), root
+
+
+def test_traced_calls_stay_on_the_calling_thread(tmp_path, monkeypatch, two_cpus):
+    # the tracer keeps one span stack: a traced function called from the
+    # worker of numeric.lanes (say step_dist from a decode piece) would
+    # interleave its spans with the calling thread's
+    monkeypatch.setattr(numeric, "LANE_MIN", 0)
+    opened, pieces, caller = [], [], threading.current_thread()
+    real_open, real_step = spans.Tracer.open, Model._step_dist
+
+    def open_(self, name):
+        opened.append((name, threading.current_thread()))
+        return real_open(self, name)
+
+    def step(self, *operands):
+        pieces.append(threading.current_thread())
+        if pieces[-1] is caller:  # a tiny piece: give the worker time to take the next one
+            time.sleep(0.002)
+        return real_step(self, *operands)
+
+    monkeypatch.setattr(spans.Tracer, "open", open_)
+    monkeypatch.setattr(Model, "_step_dist", step)
+    _traced_run(tmp_path, spans.Tracer())
+    assert "models.arnn.step_dist" in {name for name, _ in opened}
+    assert [(name, t.name) for name, t in opened if t is not caller] == []
+    assert two_cpus, "numeric.lanes never handed off"
+    assert any(t is not caller for t in pieces), "no decode piece ran on the worker"
 
 
 def test_every_traced_layer_is_called(traced_pipeline):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dialoglm import corpus
+from dialoglm import corpus, numeric
 from dialoglm.corpus import Dialogue, Vocabulary
 from dialoglm.errors import DataError
 from dialoglm.generator import (Candidate, continuation_log_likelihood,
@@ -390,3 +390,70 @@ class TestBatchedDecodeMatchesReference:
                 assert [_bytes(x) for x in got] == [_bytes(x) for x in want], (kind, scale)
             for n in range(1, 11):
                 assert recall_at_n(m, sets, n) == _reference_recall_at_n(m, sets, n)
+
+
+class TestLockstepGenerate:
+    """generate over a list of histories steps their beams in lockstep, one
+    decode state per piece of numeric.lanes; each history gets bitwise what
+    generate gives it alone."""
+
+    HISTORIES = [LONG_HISTORY, HISTORY, Dialogue(((1, (9,)),))]  # unequal lengths
+
+    @pytest.fixture(params=["one lane", "two lanes"])
+    def lanes_on(self, request, monkeypatch):
+        if request.param == "two lanes":  # the worker takes pieces even for tiny models
+            request.getfixturevalue("two_cpus")
+            monkeypatch.setattr(numeric, "LANE_MIN", 0)
+        return request.param
+
+    @staticmethod
+    def _bytes(cands):
+        return [_candidate_bytes(c.tokens, c.loglik, c.norm_score,
+                                 c.trace.rows if c.trace else None) for c in cands]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_matches_one_history(self, lanes_on, n, record_trace):
+        for kind, scale, m in _decode_models():
+            if record_trace and not m.attends:
+                continue
+            for beam_width in (1, 4):
+                kw = dict(beam_width=beam_width, max_len=8, n_best=beam_width,
+                          record_trace=record_trace)
+                got = generate(m, self.HISTORIES[:n], VOCAB, **kw)
+                want = [generate(m, h, VOCAB, **kw) for h in self.HISTORIES[:n]]
+                assert [self._bytes(c) for c in got] == [self._bytes(c) for c in want], \
+                    (kind, scale, beam_width)
+
+    def test_member_whose_beam_empties_early(self, lanes_on):
+        # a greedy beam empties when its best token is </u>; the other member
+        # goes on stepping alone
+        covered = []
+        for kind, scale, m in _decode_models():
+            for pair in itertools.permutations(self.HISTORIES, 2):
+                got = generate(m, list(pair), VOCAB, beam_width=1, max_len=8, n_best=1)
+                want = [generate(m, h, VOCAB, beam_width=1, max_len=8, n_best=1)
+                        for h in pair]
+                assert [self._bytes(c) for c in got] == [self._bytes(c) for c in want]
+                ends = [len(c[0].tokens) for c in got]
+                if got[0][0].tokens[-1] == corpus.EOU_ID and ends[0] < ends[1]:
+                    covered.append((kind, scale))
+        assert covered
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_second_history_raises_as_serial(self, lanes_on, kind):
+        m = make_model(kind, 5, 4, V, n_topics=3, seed=41)
+        bad = Dialogue(((0, (6, V + 3)),))
+        with pytest.raises(DataError) as serial:
+            for h in (HISTORY, bad):
+                generate(m, h, VOCAB, beam_width=2, max_len=3, n_best=2)
+        with pytest.raises(DataError) as grouped:
+            generate(m, [HISTORY, bad], VOCAB, beam_width=2, max_len=3, n_best=2)
+        assert str(grouped.value) == str(serial.value)
+
+    def test_one_element_list_steps_on_the_calling_thread(self, two_cpus, monkeypatch):
+        # a group of one hands no piece to the worker, however large its work
+        monkeypatch.setattr(numeric, "LANE_MIN", 0)
+        m = make_model("arnn", 5, 4, V, seed=41)
+        generate(m, [HISTORY], VOCAB, beam_width=3, max_len=4, n_best=3)
+        assert two_cpus == []

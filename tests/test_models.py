@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dialoglm import corpus
 from dialoglm.corpus import Dialogue
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import (AttentionRnnLm, DecodeState, RnnLm, Seq2Seq,
+from dialoglm.models import (AttentionRnnLm, DecodeState, Example, RnnLm, Seq2Seq,
                              TopicAttentionRnnLm, lm, load_checkpoint, make_model,
                              save_checkpoint, seq2seq_pair)
 from dialoglm.numeric import ATTENTION_BLOCK, softmax, zero_grads
@@ -229,6 +229,20 @@ class TestTarnnTheta:
         assert loss == want_loss and grads.flat.tobytes() == want_grads.flat.tobytes()
         assert score.per_token.tobytes() == want_score.per_token.tobytes()
         assert score.A.tobytes() == want_score.A.tobytes()
+
+    def test_hand_built_example_reads_none_as_uniform(self):
+        # the default provider's None becomes the uniform theta in make_example;
+        # a hand-built Example(theta=None) scores and trains under it too
+        m = TopicAttentionRnnLm(D, DE, V, K, seed=15)
+        uniform = m.make_example(self.DIALOGUE)
+        assert uniform.theta.tobytes() == np.full(K, 1.0 / K).tobytes()
+        bare = Example(uniform.target, uniform.last)
+        for attr in ("per_token", "argmax", "A"):
+            assert (getattr(m.example_score(bare), attr).tobytes()
+                    == getattr(m.example_score(uniform), attr).tobytes())
+        loss, grads = m.example_loss_and_grads(bare)
+        want_loss, want_grads = m.example_loss_and_grads(uniform)
+        assert loss == want_loss and grads.flat.tobytes() == want_grads.flat.tobytes()
 
     def test_omitted_theta_is_uniform(self):
         m = TopicAttentionRnnLm(D, DE, V, K, seed=15)
@@ -457,13 +471,15 @@ class TestBatchedDecode:
            steps=st.lists(st.lists(st.tuples(st.integers(0, 99), st.integers(0, V - 1)),
                                    min_size=1, max_size=6), min_size=1, max_size=7))
     # the capacity doubles on a step that shrinks the batch to one row (a fresh
-    # arena with more slots than rows), and the next step grows it again
+    # arena with more slots than rows), and the next step grows it again; the
+    # arena keeps only two rows past the prefix, so that the capacity runs out
     @example(kind="arnn", seed=0, d=1, prefix=[3],
              steps=[[(0, 1), (0, 2), (0, 3)], [(0, 4), (1, 5), (2, 6)], [(1, 7)],
                     [(0, 8), (0, 9), (0, 10)]])
     def test_rows_match_single_hypothesis(self, kind, seed, d, prefix, steps):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lm, "np", _NanEmpty())  # an unwritten arena row is NaN, not luck
+            mp.setattr(lm, "DECODE_ROOM", 2)
             theta = np.random.default_rng(seed).dirichlet(np.ones(K))
             m = make_model(kind, d, DE, V, n_topics=K, seed=seed)
             begin = ((lambda: m.begin(prefix, theta)) if kind == "tarnn"
