@@ -18,6 +18,7 @@ import numpy as np
 
 from . import corpus
 from .errors import DataError
+from .models.base import check_tokens
 from .numeric import lanes
 
 # Histories that the CLI's generate decodes in lockstep: one per lane of
@@ -189,12 +190,15 @@ def continuation_logp_from(model, state, sequences):
     the one-hypothesis decode state ``state`` and scored as one batch.
 
     Consumes ``state``. A sequence leaves the batch after its last token.
+    DataError, before any step, when a token lies outside the vocabulary.
     """
+    for seq in sequences:
+        check_tokens(seq, model.V)
     totals = [0.0] * len(sequences)
     live = [i for i, seq in enumerate(sequences) if seq]  # sequences still scoring
     rows = [0] * len(live)  # the state row each live sequence continues
     for j in itertools.count():
-        probs, _ = model.step_dist(state)
+        [(probs, _)] = model.step_dist([state])
         for i, r in zip(live, rows):
             p = float(probs[r, sequences[i][j]])
             totals[i] += math.log(p) if p > 0.0 else -math.inf
@@ -202,7 +206,7 @@ def continuation_logp_from(model, state, sequences):
         live = [i for i in live if len(sequences[i]) > j + 1]
         if not live:
             return totals
-        state = model.advance(state, [sequences[i][j] for i in live], rows)
+        [state] = model.advance([state], [[sequences[i][j] for i in live]], [rows])
         rows = range(len(live))
 
 
@@ -216,12 +220,12 @@ def trace_attention(model, history, continuation, vocab):
         raise DataError(f"model kind {model.kind!r} has no attention to trace")
     if not continuation:
         raise DataError("cannot trace an empty continuation")
-    state = model.start(history)
+    states = [model.start(history)]
     rows = []
     for tok in continuation:
-        _, alpha = model.step_dist(state)
+        [(_, alpha)] = model.step_dist(states)
         rows.append(alpha[0])
-        state = model.advance(state, [tok])
+        states = model.advance(states, [[tok]], [[0]])
     return AttentionTrace(
         rows=rows,
         prefix_labels=vocab.decode(corpus.continuation_prefix(history)),

@@ -87,27 +87,25 @@ class Model:
     order fresh parameters are drawn in. ``flat``, when given, holds the
     values of every array in that order, and ``params`` gets a copy.
 
-    Stepwise decoding works on a :class:`DecodeState` of B hypotheses, with
-    one code path for every kind and every B. ``begin(prefix[, theta])``
+    Stepwise decoding works on a list of :class:`DecodeState` objects, one
+    per history decoded in lockstep, each a batch of B hypotheses, with one
+    code path for every kind, B and list length. ``begin(prefix[, theta])``
     returns a state of one hypothesis that has consumed ``prefix``.
-    ``step_dist(state)`` returns the (B, V) next-token probabilities and
-    one attention weight row per hypothesis, or None for a kind without
-    attention. ``advance(state, tokens, parents=None)`` returns the state
-    whose row i is row ``parents[i]`` (row i when ``parents`` is None)
-    after consuming ``tokens[i]``. It may reuse the buffers of the state it
-    consumes, so that state must not be used again. Row b of every result
-    is bitwise the same whatever the other rows of the batch hold and
-    however many there are.
-
-    Both also take a list of states, one per history decoded in lockstep
-    (with lists of ``tokens`` and ``parents`` for ``advance``), and return
-    a list. ``step_dist`` runs each state's one-state step as a piece of
-    ``numeric.lanes``, gated on B V d entries in all; the calling thread
-    allocates each piece's (B, t, d) attention pre-activations and (B, V)
-    probability rows, and the pieces call nothing but private methods.
-    ``advance`` steps the states one after another on the calling thread:
-    its many small numpy calls hold the interpreter lock, and on two lanes
-    they made a decode slower, not faster.
+    ``step_dist(states)`` returns one pair per state: the (B, V) next-token
+    probabilities and one attention weight row per hypothesis, or None for
+    a kind without attention. ``advance(states, tokens, parents)``, given
+    one token list and one parent list per state, returns for each state
+    the state whose row i is row ``parents[i]`` after consuming
+    ``tokens[i]``. It may reuse the buffers of the states it consumes, so
+    those must not be used again. Row b of every result is bitwise the same
+    whatever the other rows and states hold and however many there are.
+    ``step_dist`` runs each state's step as a piece of ``numeric.lanes``,
+    gated on B V d entries in all (a list of one runs inline); the calling
+    thread allocates each piece's (B, t, d) attention pre-activations and
+    (B, V) probability rows, and the pieces call nothing but private
+    methods. ``advance`` steps the states one after another on the calling
+    thread: its many small numpy calls hold the interpreter lock, and on
+    two lanes they made a decode slower, not faster.
 
     A kind's ``make_example`` states what it scores of a dialogue (an
     :class:`Example`) and ``_operands`` what its ``_forward`` and
@@ -224,22 +222,16 @@ class Model:
         logits = matvecs(p[self.decoder[3]].T, x, out=out)
         return softmax(logits, out=logits)
 
-    def step_dist(self, state):
-        """(B, V) next-token distributions and attention weights (see Model);
-        for a list of states, a list of them, one pair per state."""
-        if isinstance(state, DecodeState):
-            return self._step_dist(*self._step_operands(state))
-        operands = [self._step_operands(s) for s in state]
-        return lanes(lambda i, lane: self._step_dist(*operands[i]), len(state),
-                     sum(len(s.h) for s in state) * self.V * self.d)
-
-    def _step_operands(self, state):
-        """``state``, its scope and the buffers :meth:`_step_dist` fills: the
-        (B, t, d) attention pre-activations and the (B, V) probabilities,
-        allocated here, on the calling thread."""
-        scope, B = self._scope(state), len(state.h)
-        pre = None if scope is None else np.empty((B, scope[2].shape[-2], self.d))
-        return state, scope, pre, np.empty((B, self.V))
+    def step_dist(self, states):
+        """One ((B, V) next-token distributions, attention weights) pair per
+        state (see Model)."""
+        operands = []
+        for state in states:  # the buffers each piece fills, allocated on this thread
+            scope, B = self._scope(state), len(state.h)
+            pre = None if scope is None else np.empty((B, scope[2].shape[-2], self.d))
+            operands.append((state, scope, pre, np.empty((B, self.V))))
+        return lanes(lambda i, lane: self._step_dist(*operands[i]), len(states),
+                     sum(len(s.h) for s in states) * self.V * self.d)
 
     def _step_dist(self, state, scope, pre, probs):
         alpha = z = None
@@ -249,20 +241,16 @@ class Model:
                                     out=pre)
         return self.next_dist(state.h, z, state.theta, out=probs), alpha
 
-    def advance(self, state, tokens, parents=None):
-        """Row i consumes ``tokens[i]`` after row ``parents[i]`` (see Model);
-        for a list of states, a list of them, given lists of ``tokens`` and
-        of ``parents``, one per state."""
-        if isinstance(state, DecodeState):
-            return self._advance(state, tokens, parents)
-        parents = [None] * len(state) if parents is None else parents
-        return [self._advance(*args) for args in zip(state, tokens, parents)]
-
-    def _advance(self, state, tokens, parents):
-        h = state.h if parents is None else state.h[parents]
-        new = replace(state, h=self.step(h, tokens), prev_h=h, t=state.t + 1)
-        self._extend_scope(state, new, tokens, parents)
-        return new
+    def advance(self, states, tokens, parents):
+        """Each state advanced: its row i consumes ``tokens[i]`` after row
+        ``parents[i]`` (see Model)."""
+        out = []
+        for state, toks, rows in zip(states, tokens, parents):
+            h = state.h[rows]
+            new = replace(state, h=self.step(h, toks), prev_h=h, t=state.t + 1)
+            self._extend_scope(state, new, toks, rows)
+            out.append(new)
+        return out
 
     def _scope(self, state):
         """(queries, rows, their U projections) that ``state`` attends with

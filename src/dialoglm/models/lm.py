@@ -168,10 +168,9 @@ class AttentionRnnLm(RnnLm):
         B, t, t0, p = len(new.h), state.t, state.t0, self.params
         R, UR = state.R, state.UR
         if B > len(R) or t == R.shape[1]:  # more slots or rows: a fresh arena
-            rows = np.arange(B) if parents is None else parents
             cap = 2 * R.shape[1] if t == R.shape[1] else R.shape[1]
-            R, UR = (_arena(a, rows, t, t0, max(B, len(a)), cap) for a in (R, UR))
-        elif parents is not None:  # the prefix rows [0:t0] agree in every slot
+            R, UR = (_arena(a, parents, t, t0, max(B, len(a)), cap) for a in (R, UR))
+        else:  # the prefix rows [0:t0] agree in every slot
             R[:B, t0:t] = R[parents, t0:t]
             UR[:B, t0:t] = UR[parents, t0:t]
         R[:B, t, : self.d_e] = p["E"][:, tokens].T

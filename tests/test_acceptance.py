@@ -141,11 +141,11 @@ def test_criterion_04_ablation_equivalence():
         sa = arnn.begin([])
         sr = rnn.begin([])
         for tok in tokens:
-            pa, _ = arnn.step_dist(sa)
-            pr, _ = rnn.step_dist(sr)
+            [(pa, _)] = arnn.step_dist([sa])
+            [(pr, _)] = rnn.step_dist([sr])
             worst = max(worst, float(np.max(np.abs(pa - pr))))
-            sa = arnn.advance(sa, [tok])
-            sr = rnn.advance(sr, [tok])
+            [sa] = arnn.advance([sa], [[tok]], [[0]])
+            [sr] = rnn.advance([sr], [[tok]], [[0]])
     assert worst < 1e-9
     report(4, f"Oz=0 ablation matches the plain LM within {worst:.1e} "
               f"across 100 random sequences")

@@ -52,12 +52,12 @@ class TestGenerate:
         state = m.begin(corpus.continuation_prefix(HISTORY))
         expected = []
         for _ in range(6):
-            probs, _ = m.step_dist(state)
+            [(probs, _)] = m.step_dist([state])
             tok = int(np.argmax(probs))
             expected.append(tok)
             if tok == corpus.EOU_ID:
                 break
-            state = m.advance(state, [tok])
+            [state] = m.advance([state], [[tok]], [[0]])
         assert cand.tokens == expected
 
     def test_wide_beam_matches_exhaustive_oracle(self):
@@ -273,7 +273,7 @@ def _reference_generate(model, history, vocab, beam_width=10, max_len=30, n_best
     for _ in range(max_len):
         pool = []
         for hyp in beams:
-            probs, alpha = model.step_dist(hyp.state)
+            [(probs, alpha)] = model.step_dist([hyp.state])
             alpha = None if alpha is None else alpha[0]
             with np.errstate(divide="ignore"):
                 logps = np.log(probs[0])
@@ -290,7 +290,8 @@ def _reference_generate(model, history, vocab, beam_width=10, max_len=30, n_best
                     pool.append(ext)
         pool.sort(key=lambda h: (-h.logp, h.tokens))
         beams = [
-            _Hyp(model.advance(copy.deepcopy(h.state), [h.tokens[-1]]), h.tokens, h.logp, h.rows)
+            _Hyp(model.advance([copy.deepcopy(h.state)], [[h.tokens[-1]]], [[0]])[0], h.tokens,
+                 h.logp, h.rows)
             for h in pool[:beam_width]
         ]
         if not beams:
@@ -307,10 +308,10 @@ def _reference_generate(model, history, vocab, beam_width=10, max_len=30, n_best
 def _reference_continuation_logp_from(model, state, tokens):
     total = 0.0
     for tok in tokens:
-        probs, _ = model.step_dist(state)
+        [(probs, _)] = model.step_dist([state])
         p = float(probs[0, tok])
         total += math.log(p) if p > 0.0 else -math.inf
-        state = model.advance(state, [tok])
+        [state] = model.advance([state], [[tok]], [[0]])
     return total
 
 
@@ -452,8 +453,27 @@ class TestLockstepGenerate:
         assert str(grouped.value) == str(serial.value)
 
     def test_one_element_list_steps_on_the_calling_thread(self, two_cpus, monkeypatch):
-        # a group of one hands no piece to the worker, however large its work
+        # a group of one hands no piece to the worker, however large its work;
+        # recall@N and a trace step a list of one state too
         monkeypatch.setattr(numeric, "LANE_MIN", 0)
         m = make_model("arnn", 5, 4, V, seed=41)
         generate(m, [HISTORY], VOCAB, beam_width=3, max_len=4, n_best=3)
+        cands = ((6, 7), (8,), ()) * 3 + ((9,),)
+        recall_at_n(m, [corpus.CandidateSet(HISTORY, cands, 1)], 1)
+        trace_attention(m, HISTORY, [6, 7, corpus.EOU_ID], VOCAB)
         assert two_cpus == []
+
+
+class TestContinuationTokens:
+    """Continuation scoring checks every token before it steps, the last
+    one of a sequence included."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_of_range_token_raises(self, kind):
+        m = make_model(kind, 5, 4, V, n_topics=3, seed=41)
+        for bad in (-1, V, V + 3):
+            for seq in ([6, bad], [bad], [bad, 6]):
+                with pytest.raises(DataError, match="out of range"):
+                    continuation_log_likelihood(m, HISTORY, seq)
+            with pytest.raises(DataError, match="out of range"):
+                continuation_logp_from(m, m.start(HISTORY), [[6, 7], [], [8, bad]])

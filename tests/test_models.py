@@ -253,7 +253,7 @@ class TestTarnnTheta:
         assert a.A.tobytes() == b.A.tobytes()
         (la, ga), (lb, gb) = (m.loss_and_grads(tokens, theta) for theta in (None, uniform))
         assert la == lb and ga.flat.tobytes() == gb.flat.tobytes()
-        (pa, wa), (pb, wb) = m.step_dist(m.begin(tokens)), m.step_dist(m.begin(tokens, uniform))
+        (pa, wa), (pb, wb) = m.step_dist([m.begin(tokens), m.begin(tokens, uniform)])
         assert pa.tobytes() == pb.tobytes() and wa.tobytes() == wb.tobytes()
         assert m.make_example(self.DIALOGUE).theta.tobytes() == uniform.tobytes()
 
@@ -394,9 +394,9 @@ class TestDecodeScoreConsistency:
         s = forced_score(m, tokens, theta=theta)
         state = m.begin([], theta=theta) if theta is not None else m.begin([])
         for t, tok in enumerate(tokens):
-            probs, _ = m.step_dist(state)
+            [(probs, _)] = m.step_dist([state])
             assert abs(math.log(float(probs[0, tok])) - s.per_token[t]) < 1e-10
-            state = m.advance(state, [tok])
+            [state] = m.advance([state], [[tok]], [[0]])
 
     @pytest.mark.parametrize("attn", [False, True])
     def test_seq2seq(self, attn):
@@ -407,11 +407,11 @@ class TestDecodeScoreConsistency:
         s = forced_score(m, tgt, source=src)
         state = m.begin(src)
         for l, tok in enumerate(tgt):
-            probs, alpha = m.step_dist(state)
+            [(probs, alpha)] = m.step_dist([state])
             assert abs(math.log(float(probs[0, tok])) - s.per_token[l]) < 1e-10
             if attn:
                 np.testing.assert_allclose(alpha[0], s.A[l], atol=1e-12)
-            state = m.advance(state, [tok])
+            [state] = m.advance([state], [[tok]], [[0]])
 
 
 KINDS = ("rnn", "arnn", "tarnn", "seq2seq", "seq2seq_attn")
@@ -430,23 +430,23 @@ class TestStart:
         a = m.start(self.HISTORY)
         b = m.begin(prefix, theta) if kind == "tarnn" else m.begin(prefix)
         for tok in random_tokens(rng, 4):
-            (pa, wa), (pb, wb) = m.step_dist(a), m.step_dist(b)
+            (pa, wa), (pb, wb) = m.step_dist([a, b])
             assert pa.tobytes() == pb.tobytes()
             assert (wa is None and wb is None) or wa.tobytes() == wb.tobytes()
-            a, b = m.advance(a, [tok]), m.advance(b, [tok])
+            a, b = m.advance([a, b], [[tok], [tok]], [[0], [0]])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_step_dist_weight_row(self, kind):
         m = make_model(kind, D, DE, V, n_topics=K, seed=36)
         state = m.start(self.HISTORY)
         for tok in (6, 7):
-            probs, alpha = m.step_dist(state)
+            [(probs, alpha)] = m.step_dist([state])
             assert abs(probs[0].sum() - 1.0) < 1e-12
             if kind in ("rnn", "seq2seq"):
                 assert alpha is None
             else:
                 assert abs(alpha[0].sum() - 1.0) < 1e-12
-            state = m.advance(state, [tok])
+            [state] = m.advance([state], [[tok]], [[0]])
 
 
 class _NanEmpty:
@@ -488,15 +488,15 @@ class TestBatchedDecode:
             for step in steps:  # each step: (parent, token) per new row
                 parents = [p % len(histories) for p, _ in step]
                 tokens = [tok for _, tok in step]
-                state = m.advance(state, tokens, parents)
+                [state] = m.advance([state], [tokens], [parents])
                 histories = [histories[p] + [tok] for p, tok in zip(parents, tokens)]
-                probs, alpha = m.step_dist(state)
+                [(probs, alpha)] = m.step_dist([state])
                 assert probs.shape == (len(histories), V)
                 for row, hist in enumerate(histories):
                     single = begin()
                     for tok in hist:
-                        single = m.advance(single, [tok])
-                    p1, a1 = m.step_dist(single)
+                        [single] = m.advance([single], [[tok]], [[0]])
+                    [(p1, a1)] = m.step_dist([single])
                     assert probs[row].tobytes() == p1[0].tobytes()
                     assert ((alpha is None and a1 is None)
                             or alpha[row].tobytes() == a1[0].tobytes())
@@ -506,7 +506,7 @@ class TestDecodeState:
     """Every kind decodes through one state class; a fixed scope is shared by
     every row and every step, never copied."""
 
-    STEPS = (([7], None), ([8, 9, 10], [0, 0, 0]), ([11, 12], [2, 0]),
+    STEPS = (([7], [0]), ([8, 9, 10], [0, 0, 0]), ([11, 12], [2, 0]),
              ([13, 14, 15, 16], [1, 0, 1, 0]))  # the parents reorder, the batch grows
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -515,7 +515,7 @@ class TestDecodeState:
         state = m.begin([3, 4, 5])
         assert type(state) is DecodeState
         for tokens, parents in self.STEPS:
-            state = m.advance(state, tokens, parents)
+            [state] = m.advance([state], [tokens], [parents])
             assert type(state) is DecodeState and len(state.h) == len(tokens)
 
     @pytest.mark.parametrize("kind", ["seq2seq", "seq2seq_attn"])
@@ -525,8 +525,8 @@ class TestDecodeState:
         R, UR = state.R, state.UR
         assert R.shape == (4, D) and (UR is None) == (kind == "seq2seq")
         for tokens, parents in self.STEPS:
-            m.step_dist(state)
-            state = m.advance(state, tokens, parents)
+            m.step_dist([state])
+            [state] = m.advance([state], [tokens], [parents])
             assert state.R is R and state.UR is UR
 
 

@@ -564,9 +564,9 @@ class TestNumericsV2:
             state = model.begin([])
         stepwise = []
         for tok in tokens:
-            probs, _ = model.step_dist(state)
+            [(probs, _)] = model.step_dist([state])
             stepwise.append(math.log(probs[0, tok]))
-            state = model.advance(state, [tok])
+            [state] = model.advance([state], [[tok]], [[0]])
         np.testing.assert_allclose(forced, stepwise, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("kind", KINDS)
