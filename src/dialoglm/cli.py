@@ -271,10 +271,12 @@ def cmd_rerank(args):
     vocab, stop_ids = _load_vocab(args)
     tm = _load_topics(args.topic_model, vocab)
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
+    # every dump is read and every bag inferred before the first file is written
+    cand_lists = [_parse_candidate_file(path, vocab)
+                  for _, path in _iter_candidate_files(args.candidates_dir, len(histories))]
     top_lines = []
-    for i, path in _iter_candidate_files(args.candidates_dir, len(histories)):
-        cands = _parse_candidate_file(path, vocab)
-        ranked = topics.rerank(histories[i], cands, tm, args.lam, args.metric, stop_ids)
+    for i, ranked in enumerate(topics.rerank(histories, cand_lists, tm, args.lam, args.metric,
+                                             stop_ids)):
         lines = []
         for rank, rc in enumerate(ranked, start=1):
             text = rc.candidate.text(vocab)

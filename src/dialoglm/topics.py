@@ -240,28 +240,95 @@ def infer_theta(model, doc):
     the count once). Deterministic: the Gibbs chain is seeded from the model
     seed.
     """
-    doc = np.asarray(doc, dtype=np.int64)
-    xi = model.xi
-    if doc.size == 0:
-        log.debug("infer_theta on an empty document: returning the prior mean")
-        return xi / xi.sum()
-    if doc.min() < 0 or doc.max() >= model.vocab_size:
+    return infer_thetas(model, [doc])[0]
+
+
+# A position of infer_thetas with fewer active bags than this runs the
+# one-document update on each of them. Lockstep broke even with one chain
+# per bag at about 8 bags of 8 tokens for K 10 and 6 for K 20 (10 sweeps;
+# 2-core x86_64 host, numpy 2.4, one BLAS thread): one lockstep step costs
+# about as much as 7 one-token updates.
+LOCKSTEP_MIN = 7
+
+
+def infer_thetas(model, docs):
+    """``infer_theta`` of each of ``docs``, in one call and bitwise the same.
+
+    The chains step in lockstep, longest bag first: at each (sweep,
+    position) one numpy step redraws that position's token in every bag
+    that long. It forms the weights (mk + xi) * phi[:, w] as arrays and
+    draws by the same ``np.cumsum`` order and count of cumulative weights
+    <= u * total as ``_draw``. Positions that fewer than ``LOCKSTEP_MIN``
+    bags reach run the one-document update on each. Every bag is checked,
+    and every chain start drawn, before any chain runs; bags of one length
+    share their chain start, uniforms included.
+    """
+    docs = [np.asarray(doc, dtype=np.int64) for doc in docs]
+    if any(doc.size and (doc.min() < 0 or doc.max() >= model.vocab_size) for doc in docs):
         raise DataError("document token id out of vocabulary range")
-    z, mk, us = _chain_start(model.seed, model.n_topics, doc.size, model.infer_sweeps)
-    z, mk, us = list(z), list(mk), iter(np.frombuffer(us).tolist())
-    cols = model.phi[:, doc].T.tolist()  # per token, its word's K topic weights
-    xs = xi.tolist()
+    xi, xs, K, sweeps = model.xi, model.xi.tolist(), model.n_topics, model.infer_sweeps
+    order = sorted((i for i, doc in enumerate(docs) if doc.size), key=lambda i: -docs[i].size)
+    thetas = [None if doc.size else xi / xi.sum() for doc in docs]
+    if len(order) < len(docs):
+        log.debug("%d empty document(s) get the prior mean", len(docs) - len(order))
+    if not order:
+        return thetas
+    ns = np.array([docs[i].size for i in order])
+    lengths = sorted(set(ns.tolist()), reverse=True)
+    starts = {n: _chain_start(model.seed, K, n, sweeps) for n in lengths}
+    us = {n: np.frombuffer(starts[n][2]).reshape(sweeps, n) for n in lengths}
+    counts = np.array([starts[n][1] for n in ns])  # per bag in ``order``, its mk
+    # positions 0..J-1 step in lockstep; the bags longer than J go on alone
+    J = int(ns[LOCKSTEP_MIN - 1]) if len(ns) >= LOCKSTEP_MIN else 0
+    tails = [(list(starts[n][0][J:]), list(starts[n][1]), model.phi[:, docs[i][J:]].T.tolist(),
+              us[n][:, J:]) for i, n in zip(order, ns.tolist()) if n > J]
+    if J:
+        # position-major lockstep state: z, cols and u hold position j's
+        # m[j] bags (those longer than j, in ``order``) at at[j]:at[j + 1]
+        lens = np.minimum(ns, J)
+        pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+        perm = np.argsort(pos, kind="stable")
+        m = np.bincount(pos, minlength=J).tolist()
+        at = [0, *accumulate(m)]
+        z = np.concatenate([starts[n][0][:J] for n in ns.tolist()])[perm]
+        cols = model.phi.T[np.concatenate([docs[i][:J] for i in order])[perm]]
+        # where each u of a sweep sits in the concatenated streams of the lengths
+        offsets = np.cumsum([0] + [min(n, J) for n in lengths])[:-1]
+        group = np.searchsorted(-np.array(lengths), -ns)
+        u_at = (np.repeat(offsets[group], lens) + pos)[perm]
+        rows, flat_counts = np.arange(len(ns)) * K, counts.reshape(-1)
+    for s in range(sweeps):
+        if J:
+            u = np.concatenate([us[n][s, :J] for n in lengths])[u_at]
+            for j in range(J):
+                sl, r = slice(at[j], at[j + 1]), rows[:m[j]]
+                flat_counts[r + z[sl]] -= 1
+                cum = ((counts[:m[j]] + xi) * cols[sl]).cumsum(axis=1)
+                z[sl] = (cum <= (u[sl] * cum[:, -1])[:, None]).sum(axis=1)
+                flat_counts[r + z[sl]] += 1
+        for b, (zt, mk, tcols, tus) in enumerate(tails):
+            if J:  # the lockstep positions moved its counts
+                mk[:] = counts[b].tolist()
+            _gibbs_sweep(zt, mk, xs, tcols, tus[s].tolist())
+            counts[b] = mk
+    for b, i in enumerate(order):
+        thetas[i] = (counts[b] + xi) / (docs[i].size + xi.sum())
+    return thetas
+
+
+def _gibbs_sweep(z, mk, xs, cols, us):
+    """One inference sweep of one document, in place: token j, topic z[j],
+    its word's K topic weights cols[j], is redrawn by the uniform us[j] from
+    the topic counts mk."""
     mx = list(map(add, mk, xs))  # mk + xi, recomputed from mk as in lda_train
-    for _ in range(model.infer_sweeps):
-        for j, (col, u) in enumerate(zip(cols, us)):
-            k = z[j]
-            mk[k] -= 1
-            mx[k] = mk[k] + xs[k]
-            k = _draw(map(mul, mx, col), u)
-            z[j] = k
-            mk[k] += 1
-            mx[k] = mk[k] + xs[k]
-    return (np.array(mk) + xi) / (doc.size + xi.sum())
+    for j, (col, u) in enumerate(zip(cols, us)):
+        k = z[j]
+        mk[k] -= 1
+        mx[k] = mk[k] + xs[k]
+        k = _draw(map(mul, mx, col), u)
+        z[j] = k
+        mk[k] += 1
+        mx[k] = mk[k] + xs[k]
 
 
 @lru_cache(maxsize=256)
@@ -360,12 +427,17 @@ def _warn_empty(bows):
                     "as topic proportions", n)
 
 
-def _scores(model, bows, candidates, metric):
-    """Each candidate's topic similarity to the history and the z-scores of
-    the candidates' ``norm_score``s; ``bows`` as ``_content_bows`` gives them."""
-    h_theta, *thetas = [infer_theta(model, bow) for bow in bows]
-    sims = [topic_similarity(h_theta, th, metric) for th in thetas]
-    return sims, _zscore([c.norm_score for c in candidates])
+def _scores(model, item_bows, candidate_lists, metric):
+    """Per item, each candidate's topic similarity to its history and the
+    z-scores of the candidates' ``norm_score``s; ``item_bows`` as
+    ``_content_bows`` gives them. Each history bag has its own
+    ``infer_theta`` chain, and every candidate bag goes through one
+    ``infer_thetas`` call."""
+    h_thetas = [infer_theta(model, bows[0]) for bows in item_bows]
+    thetas = iter(infer_thetas(model, [bow for bows in item_bows for bow in bows[1:]]))
+    return [([topic_similarity(h_theta, next(thetas), metric) for _ in candidates],
+             _zscore([c.norm_score for c in candidates]))
+            for h_theta, candidates in zip(h_thetas, candidate_lists)]
 
 
 def rerank(history, candidates, model, lam, metric="cosine", stopword_ids=frozenset()):
@@ -374,24 +446,32 @@ def rerank(history, candidates, model, lam, metric="cosine", stopword_ids=frozen
     Candidates carry their length-normalized conditional log-likelihoods
     (``norm_score``); ``lam`` in [0, 1] weighs the topic similarity against
     their z-scores, and ties in the combined score keep the original order.
+
+    Given a list of histories and one candidate list per history, returns
+    one reranked list per history, each what that history gets alone; the
+    candidates of all of them share one ``infer_thetas`` call.
     """
+    if not isinstance(history, list):
+        return rerank([history], [candidates], model, lam, metric, stopword_ids)[0]
     check_lambdas([lam], "lambda")
-    if not candidates:
+    if not all(candidates):
         raise DataError("empty candidate list")
-    bows = _content_bows(history, candidates, stopword_ids)
-    _warn_empty(bows)
-    sims, llz = _scores(model, bows, candidates, metric)
-    combined, order = _combine(sims, llz, lam)
-    return [
-        RerankedCandidate(
-            candidate=candidates[i],
-            combined=combined[i],
-            similarity=sims[i],
-            ll_z=float(llz[i]),
-            original_index=i,
-        )
-        for i in order
-    ]
+    item_bows = [_content_bows(h, cands, stopword_ids) for h, cands in zip(history, candidates)]
+    _warn_empty([bow for bows in item_bows for bow in bows])
+    ranked = []
+    for cands, (sims, llz) in zip(candidates, _scores(model, item_bows, candidates, metric)):
+        combined, order = _combine(sims, llz, lam)
+        ranked.append([
+            RerankedCandidate(
+                candidate=cands[i],
+                combined=combined[i],
+                similarity=sims[i],
+                ll_z=float(llz[i]),
+                original_index=i,
+            )
+            for i in order
+        ])
+    return ranked
 
 
 @dataclass
@@ -422,8 +502,9 @@ def tune_rerank(items, topic_models, lambdas, objective="bleu", recall_n=1,
     order; the best row has the highest value, ties going to the
     smaller K, then the smaller lambda, whatever the order of ``lambdas``.
     Topic proportions are computed once per K and shared across the lambda
-    sweep, and each candidate's BLEU statistics once per call, so a grid
-    point only sums those of each item's top candidate.
+    sweep, every item's candidates in one ``infer_thetas`` call, and each
+    candidate's BLEU statistics once per call, so a grid point only sums
+    those of each item's top candidate.
     """
     if not items:
         raise DataError("empty dev set for tuning")
@@ -443,8 +524,8 @@ def tune_rerank(items, topic_models, lambdas, objective="bleu", recall_n=1,
         stats = [_candidate_bleu_stats(item) for item in items]
     table = []
     for k in sorted(topic_models):
-        per_item = [_scores(topic_models[k], bows, item.candidates, metric)
-                    for item, bows in zip(items, item_bows)]
+        per_item = _scores(topic_models[k], item_bows, [item.candidates for item in items],
+                           metric)
         for lam in lambdas:
             orders = [_combine(sims, llz, lam)[1] for sims, llz in per_item]
             if objective == "bleu":

@@ -467,6 +467,30 @@ class TestBadInput:
         dump.write_text("1 -inf -inf\thello\n", encoding="utf-8")
         assert _parse_candidate_file(str(dump), vocab)[0].loglik == -np.inf
 
+    @pytest.mark.parametrize("damage", ["malformed", "missing"])
+    def test_bad_last_dump_writes_no_reranked_file(self, workspace, generated, lda_model,
+                                                   tmp_path, capsys, damage):
+        # rerank reads every dump and infers every bag before it writes the
+        # first reranked_NNNN.txt, so a bad last dump leaves no output behind
+        dumps = tmp_path / "cands"
+        dumps.mkdir()
+        names = sorted(p.name for p in generated.glob("candidates_*.txt"))
+        assert len(names) >= 2
+        for name in names:
+            (dumps / name).write_bytes((generated / name).read_bytes())
+        if damage == "malformed":
+            (dumps / names[-1]).write_text("1 0.5\thello\n", encoding="utf-8")
+        else:
+            (dumps / names[-1]).unlink()
+        out = tmp_path / "rr"
+        assert main(["rerank", "--histories", str(workspace["prep"] / "test.txt"),
+                     "--candidates-dir", str(dumps), "--topic-model", str(lda_model),
+                     "--vocab", str(workspace["vocab"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert names[-1] in err
+        assert not out.exists() or not list(out.glob("reranked_*.txt"))
+
     @pytest.mark.parametrize("edit", ["duplicate", "swap", "rename"])
     def test_checkpoint_layout_exit_code(self, workspace, tmp_path, capsys, edit):
         bad = tmp_path / "model.ckpt"
@@ -631,7 +655,7 @@ class TestBadInput:
                                                capsys):
         # an inference chain's uniforms are one allocation, which fails at once
         # at this size (8 * 10^15 bytes per token): lda refuses the count before
-        # it writes anything, and rerank refuses a header that carries it
+        # it writes anything, and rerank and tune refuse a header that carries it
         vocab, test = str(workspace["vocab"]), str(workspace["prep"] / "test.txt")
         out = tmp_path / "lda"
         assert main(["lda", "--corpus", str(workspace["prep"] / "train.txt"), "--vocab", vocab,
@@ -648,6 +672,13 @@ class TestBadInput:
         assert main(["rerank", "--histories", test, "--candidates-dir", str(generated),
                      "--topic-model", str(bad), "--vocab", vocab,
                      "--out", str(tmp_path / "rr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "do not fit in memory" in err
+        # tune infers every item's candidates in one call per topic model
+        assert main(["tune", "--histories", test, "--candidates-dir", str(generated),
+                     "--topic-models", str(bad), "--vocab", vocab,
+                     "--out", str(tmp_path / "tune")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "do not fit in memory" in err
@@ -704,8 +735,8 @@ class TestBadInput:
     @pytest.mark.parametrize("empty", [False, True], ids=["histories", "no_histories"])
     def test_rerank_on_bad_lambda(self, workspace, generated, lda_model, tmp_path, capsys,
                                   lam, empty):
-        # with no histories topics.rerank never runs: only the command's own
-        # check can refuse the weight, and a valid one then succeeds
+        # the command's own check refuses the weight, with or without
+        # histories, and a valid one then succeeds
         histories = workspace["prep"] / "test.txt"
         if empty:
             histories = tmp_path / "none.txt"

@@ -12,8 +12,8 @@ from dialoglm import topics as topics_module
 from dialoglm.corpus import Dialogue, build_vocab
 from dialoglm.errors import DataError
 from dialoglm.generator import Candidate
-from dialoglm.topics import (RerankItem, TopicModel, _combine, _zscore,
-                             dialogue_bow, format_grid, infer_theta,
+from dialoglm.topics import (LOCKSTEP_MIN, RerankItem, TopicModel, _combine, _zscore,
+                             dialogue_bow, format_grid, infer_theta, infer_thetas,
                              lda_train, rerank, topic_similarity, tune_rerank)
 
 
@@ -159,6 +159,65 @@ def test_infer_theta_chain_start_is_keyed_by_seed_k_length_and_sweeps():
     model.seed, model.infer_sweeps = 9, 3
     for doc in docs:
         assert infer_theta(model, doc).tobytes() == _reference_infer_theta(model, doc).tobytes()
+
+
+@pytest.mark.parametrize("n_bags", [LOCKSTEP_MIN - 1, LOCKSTEP_MIN, 200])
+@pytest.mark.parametrize("xi", [0.5, 0.1])
+@pytest.mark.parametrize("K", [1, 3, 10, 20])
+def test_infer_thetas_matches_reference_bitwise(monkeypatch, K, xi, n_bags):
+    # each bag's theta is the one-document reference's to the last bit, over
+    # mixed lengths from 1 to 40 and, in the large batch, empty, single-token
+    # and repeated bags; count + 0.1 rounds where count + 0.5 does not
+    V, sweeps = 60, 3
+    rng = np.random.default_rng(1000 * K + n_bags)
+    model = _random_model(K, V, 4, sweeps, rng, xi=xi)
+    docs = [list(rng.integers(0, V, size=int(n))) for n in rng.integers(1, 41, size=n_bags)]
+    if n_bags == 200:
+        docs[::40] = [[], [7], [3, 3, 3, 3], [5, 9, 5, 9, 5], [11] * 40]
+    draws = _recording_draw(monkeypatch)
+    thetas = infer_thetas(model, docs)
+    assert len(thetas) == len(docs)
+    for doc, theta in zip(docs, thetas):
+        assert theta.tobytes() == _reference_infer_theta(model, doc).tobytes()
+    # below LOCKSTEP_MIN bags every update is a one-document draw; from it on,
+    # the positions that LOCKSTEP_MIN bags reach step in lockstep instead
+    ns = sorted((len(doc) for doc in docs), reverse=True)
+    lockstep = ns[LOCKSTEP_MIN - 1] if n_bags >= LOCKSTEP_MIN else 0
+    assert len(draws) == sweeps * sum(max(n - lockstep, 0) for n in ns)
+    assert (len(draws) < sweeps * sum(ns)) == (n_bags >= LOCKSTEP_MIN)
+
+
+def test_infer_thetas_checks_every_bag_before_any_chain_runs(monkeypatch):
+    V = 30
+    rng = np.random.default_rng(3)
+    model = _random_model(3, V, 5, 4, rng)
+    starts = []
+    real = topics_module._chain_start
+    monkeypatch.setattr(topics_module, "_chain_start",
+                        lambda *key: starts.append(key) or real(*key))
+    good = [list(rng.integers(0, V, size=5)) for _ in range(2 * LOCKSTEP_MIN)]
+    for bad in ([0, V], [-1, 2]):
+        with pytest.raises(DataError, match="out of vocabulary range"):
+            infer_thetas(model, good + [bad])
+    assert starts == []
+    assert len(infer_thetas(model, good)) == len(good) and starts
+
+
+def test_infer_thetas_reads_a_model_changed_in_place():
+    # nothing is kept from one call to the next but the chain starts, keyed by
+    # (seed, K, length, sweeps): new seed, sweeps, phi and xi all take effect
+    V = 30
+    rng = np.random.default_rng(9)
+    model = _random_model(3, V, 5, 4, rng)
+    docs = [list(rng.integers(0, V, size=int(n))) for n in rng.integers(1, 12, size=20)]
+    before = infer_thetas(model, docs)
+    model.seed, model.infer_sweeps = 6, 5
+    model.phi[:] = rng.dirichlet(np.ones(V), size=3)
+    model.xi[:] = 0.3
+    after = infer_thetas(model, docs)
+    for doc, old, new in zip(docs, before, after):
+        assert new.tobytes() == _reference_infer_theta(model, doc).tobytes()
+        assert new.tobytes() != old.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +408,25 @@ class TestRerank:
         sims = [topic_similarity(h, th) for th in thetas]
         _, order = _combine(sims, _zscore([-1.0, -1.0, -1.0]), 0.5)
         assert order == [0, 1, 2]
+
+    def test_list_form_equals_each_history_alone(self, separable):
+        # the candidates of every history share one infer_thetas call, with
+        # enough bags for the lockstep positions
+        _, _, docs, model, _ = separable
+        histories = [Dialogue(((0, tuple(docs[i][:6])), (1, tuple(docs[i][6:9]))))
+                     for i in range(4)]
+        cand_lists = [[Candidate(tokens=list(docs[10 * i + j][:2 + 3 * j]), loglik=-1.0 - j,
+                                 norm_score=-0.5 * (i + j) / (j + 1))
+                       for j in range(i + 2)] for i in range(4)]
+        assert sum(map(len, cand_lists)) >= LOCKSTEP_MIN
+        for lam in (0.0, 0.45, 1.0):
+            ranked = rerank(histories, cand_lists, model, lam)
+            assert len(ranked) == len(histories)
+            for got, h, cands in zip(ranked, histories, cand_lists):
+                alone = rerank(h, cands, model, lam)
+                assert [vars(r) for r in got] == [vars(r) for r in alone]
+        with pytest.raises(DataError, match="empty candidate list"):
+            rerank(histories, cand_lists[:3] + [[]], model, 0.5)
 
     def test_empty_documents_warned_once_with_count(self, separable, caplog):
         _, _, docs, model, _ = separable
