@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from .errors import DataError
-from .numeric import NUMERICS
+from .numeric import NUMERICS, lane_cpus
 
 
 def _atomic(path, data, mode):
@@ -115,7 +115,8 @@ def blas_build():
 
 def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, ended):
     """One manifest per run, next to its outputs; enough to reproduce the run,
-    with the numpy, BLAS build and BLAS thread settings its bytes depend on."""
+    with the numpy, BLAS build and BLAS thread settings its bytes depend on,
+    and the CPUs the lane worker ran on."""
     from . import __version__
 
     manifest = {
@@ -129,6 +130,7 @@ def write_manifest(out_dir, subcommand, config, inputs, outputs, seed, started, 
         "numpy": np.__version__,
         "blas": blas_build(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "lane_cpus": lane_cpus(),
         "started": started,
         "ended": ended,
     }

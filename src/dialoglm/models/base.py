@@ -120,6 +120,13 @@ class Model:
     its (d, V) output-matrix gradient product, in buffers the model reuses
     (the rows grow to the longest sequence seen). They hold only until the
     next pass, so nothing a model returns may alias them.
+
+    Because of those buffers, one model must not score or train from two
+    threads at once: two concurrent teacher-forced passes of one instance
+    write the same rows. Decoding writes only its states' own buffers, so
+    distinct states may step at once, and distinct models share nothing.
+    ``numeric.lanes`` inside one pass is safe: its pieces write disjoint
+    parts of the buffers.
     """
 
     attends = False

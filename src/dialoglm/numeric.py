@@ -10,7 +10,8 @@ glibc hands freed blocks of that size back to the kernel, so fresh ones
 would be faulted in again on every step. :func:`lanes` shares independent
 pieces of one teacher-forced pass or training step between the calling
 thread and one worker thread, and the next-token distributions of two
-decode states.
+decode states. The worker keeps off the CPU its creating thread ran on,
+so that the two lanes run on two CPUs; where it runs changes no byte.
 """
 
 import itertools
@@ -31,8 +32,11 @@ INIT_HALF_WIDTH = 0.08
 # backward by contractions with pre^2 and Adam with one divide; decoding
 # keeps one gemv per row.
 NUMERICS = 4
-# Entries of work from which two lanes pay (:func:`lanes`): a hand-off to
-# the second lane costs 14 to 21 us, and smaller work takes less than that.
+# Entries of work from which two lanes pay (:func:`lanes`). A hand-off to
+# the worker's CPU costs about 30 us: 15 to 17 us before the worker starts
+# its piece, 11 to 13 us before the caller sees it done. Two exp pieces of
+# 16,384 entries each (23 us apiece) took 53 us on two lanes against 46 us
+# inline; of 32,768 entries each (42 us), 77 against 85 us.
 LANE_MIN = 32768
 # Queries per scoped_attention block: a larger block wastes tanh work past
 # its narrower scopes, a smaller one pays more per-block overhead.
@@ -352,8 +356,12 @@ def lanes(fn, n, entries=math.inf):
 
     The calling thread (lane 0) and one worker thread (lane 1) each take the
     next index from a shared counter until all ``n`` pieces are done, so the
-    pieces must be independent of each other; numpy releases the interpreter
-    lock inside its kernels, so two lanes use two cores. Every piece runs,
+    pieces must be independent of each other. numpy releases the interpreter
+    lock inside its kernels, so the lanes overlap when they run on two CPUs:
+    the worker pins itself to the process's CPUs other than the one its
+    creating thread ran on (:class:`_Worker`), since unpinned it often woke
+    on the caller's CPU. Which lane or CPU runs a piece changes none of its
+    bytes. Every piece runs,
     and the exception of the lowest failing index is raised here. The pieces
     run inline, on lane 0, when ``n`` is 1, when they work on fewer than
     LANE_MIN ``entries`` in all, when the process may use one CPU only, or
@@ -392,19 +400,49 @@ def _cpus():
     return os.cpu_count() or 1
 
 
+def _thread_cpu():
+    """The CPU the calling thread last ran on (field 39 of
+    /proc/thread-self/stat), or None where it cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            stat = f.read()
+        return int(stat[stat.rindex(b")") + 2:].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 class _Worker:
     """The second lane of :func:`lanes`: a daemon thread that runs one job at
     a time. ``busy`` is held by the caller that owns the current job; ``go``
-    and ``done`` hand the job over and back."""
+    and ``done`` hand the job over and back.
+
+    A thread woken by a lock release tends to wake on the CPU of the thread
+    that released it: unpinned, the worker woke on the caller's CPU in every
+    hand-off of some runs on a 2-vCPU host. The worker therefore restricts
+    itself, once, to the CPUs the process may use minus the one its creating
+    thread ran on; ``cpus`` is that sorted list, or None while it runs
+    unpinned: when the process may use fewer than two CPUs, when the CPU
+    cannot be read, or when the affinity call fails. The caller's own
+    affinity never changes."""
 
     def __init__(self):
         self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
         self.go.acquire()
         self.done.acquire()
-        self.job = None
-        threading.Thread(target=self._serve, name="dialoglm-lane", daemon=True).start()
+        self.job, self.cpus = None, None
+        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+        cpu = _thread_cpu() if len(allowed) > 1 else None
+        pin = sorted(allowed - {cpu}) if cpu in allowed else None
+        threading.Thread(target=self._serve, args=(pin,), name="dialoglm-lane",
+                         daemon=True).start()
 
-    def _serve(self):
+    def _serve(self, pin):
+        if pin is not None:
+            try:
+                os.sched_setaffinity(0, pin)  # 0: this thread only
+                self.cpus = pin
+            except OSError:
+                pass
         while True:
             self.go.acquire()
             job, self.job = self.job, None
@@ -448,6 +486,12 @@ def _second_lane():
     if _worker is None:
         _worker = _Worker()
     return _worker
+
+
+def lane_cpus():
+    """The sorted CPUs the lane worker may run on (a list), or None when no
+    worker has started in this process or the worker runs unpinned."""
+    return None if _worker is None else _worker.cpus
 
 
 def _forget_worker():

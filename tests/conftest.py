@@ -5,11 +5,13 @@ representations, the per-query attention backward pass that the per-row
 reference models use, the central-difference gradient check, the inverse
 of ``corpus.flatten``, arenas filled with given values, the teacher-forced
 score of a token list, checkpoints whose header misstates the parameter
-layout, and the fixtures that put ``numeric.lanes`` on two lanes or on
-one."""
+layout, the fixtures that put ``numeric.lanes`` on two lanes or on one
+or give it a new worker, and the CPUs this process may use."""
 
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -243,3 +245,28 @@ def one_lane(monkeypatch):
             return fn(*args)
 
     return run
+
+
+# The CPUs this process may use (none where they cannot be read), and the
+# mark of a test that needs two of them.
+ALLOWED_CPUS = frozenset(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ())
+needs_two_cpus = pytest.mark.skipif(len(ALLOWED_CPUS) < 2,
+                                    reason="the process may use fewer than two CPUs")
+
+
+@pytest.fixture
+def fresh_worker(monkeypatch):
+    """numeric's lane worker forgotten for the test, so that the next
+    hand-off starts a new one (the test's worker stays idle after it); the
+    fixture's value is a list that gains (CPU, native thread id) for each read
+    of the creating thread's CPU."""
+    reads, thread_cpu = [], numeric._thread_cpu
+
+    def read():
+        cpu = thread_cpu()
+        reads.append((cpu, threading.get_native_id()))
+        return cpu
+
+    monkeypatch.setattr(numeric, "_worker", None)
+    monkeypatch.setattr(numeric, "_thread_cpu", read)
+    return reads

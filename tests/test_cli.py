@@ -6,9 +6,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import misstate_layout
+from conftest import ALLOWED_CPUS, misstate_layout, needs_two_cpus
 
-from dialoglm import corpus, synthetic, topics
+from dialoglm import corpus, numeric, synthetic, topics
 from dialoglm.cli import (KIND_FLAGS, _parse_candidate_file, build_parser, main,
                           render_heatmap_pgm)
 from dialoglm.errors import DataError
@@ -216,6 +216,27 @@ class TestEval:
 
     def test_model_mode_needs_inputs(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "x")]) == 2
+
+    def _eval_manifest(self, workspace, out):
+        assert main(["eval", "--checkpoint", str(workspace["ckpt"]), "--vocab",
+                     str(workspace["vocab"]), "--corpus", str(workspace["prep"] / "test.txt"),
+                     "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_manifest_lane_cpus_is_null_without_a_hand_off(self, workspace, tmp_path,
+                                                           fresh_worker):
+        # the workspace's model is below LANE_MIN: every piece runs inline
+        assert self._eval_manifest(workspace, tmp_path / "e")["lane_cpus"] is None
+        assert fresh_worker == []
+
+    @needs_two_cpus
+    def test_manifest_lane_cpus_names_the_workers_cpus(self, workspace, tmp_path,
+                                                       fresh_worker, monkeypatch):
+        monkeypatch.setattr(numeric, "LANE_MIN", 0)
+        manifest = self._eval_manifest(workspace, tmp_path / "e")
+        [(cpu, _)] = fresh_worker
+        assert manifest["lane_cpus"] == sorted(ALLOWED_CPUS - {cpu})
+        assert numeric.lane_cpus() == manifest["lane_cpus"]
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,14 @@
 import math
 import operator
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import affine_tanh, arena, attention_backward, forced_score, grad_check
+from conftest import (ALLOWED_CPUS, affine_tanh, arena, attention_backward, forced_score,
+                      grad_check, needs_two_cpus)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -658,6 +660,60 @@ class TestLanes:
             sys.setswitchinterval(interval)
         for k, got in enumerate(results):
             assert got == [(k, i, [i, i + 1, i + 2]) for i in range(6)]
+
+    def _placement(self):
+        """The CPU affinity of lane 0 and of lane 1, each read inside a piece
+        of a hand-off that both lanes take part in."""
+        held, _ = self._both_lanes(lambda i, lane: (lane, os.sched_getaffinity(0)))
+        affinity = dict(lanes(held, 4))
+        return affinity[0], affinity[1]
+
+    @needs_two_cpus
+    def test_the_worker_keeps_off_its_creators_cpu(self, fresh_worker):
+        caller, worker = self._placement()
+        [(cpu, creator)] = fresh_worker
+        assert creator == threading.get_native_id() and cpu in ALLOWED_CPUS
+        assert worker == ALLOWED_CPUS - {cpu}
+        assert caller == ALLOWED_CPUS
+        assert numeric.lane_cpus() == sorted(worker)
+        assert self._placement() == (caller, worker)  # pinned once, for good
+
+    @needs_two_cpus
+    def test_the_callers_affinity_is_unchanged(self, fresh_worker):
+        before = os.sched_getaffinity(0), numeric._cpus()
+        caller, _ = self._placement()
+        assert (caller, len(caller)) == before
+        assert (os.sched_getaffinity(0), numeric._cpus()) == before
+
+    @needs_two_cpus
+    def test_one_allowed_cpu_tries_no_pin(self, fresh_worker, two_cpus, monkeypatch):
+        # lanes runs inline on one CPU; the worker itself checks again
+        tried, read = [], os.sched_getaffinity
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(ALLOWED_CPUS)})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: tried.append(cpus))
+        held, _ = self._both_lanes(lambda i, lane: (lane, read(0)))
+        assert dict(lanes(held, 4))[1] == ALLOWED_CPUS
+        assert tried == [] and fresh_worker == [] and numeric.lane_cpus() is None
+
+    @needs_two_cpus
+    def test_a_failed_pin_leaves_the_worker_unpinned(self, fresh_worker, monkeypatch):
+        tried = []
+
+        def fail(pid, cpus):
+            tried.append((pid, cpus))
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", fail)
+        x = np.random.default_rng(0).normal(size=(8, 5))
+        held, ran = self._both_lanes(lambda i, lane: (lane, os.sched_getaffinity(0),
+                                                      softmax(x[i]).tobytes()))
+        got = lanes(held, 8)
+        assert sorted(set(ran.values())) == [0, 1]
+        assert [p[2] for p in got] == [softmax(x[i]).tobytes() for i in range(8)]
+        assert all(p[1] == ALLOWED_CPUS for p in got)
+        [(cpu, _)] = fresh_worker
+        assert tried == [(0, sorted(ALLOWED_CPUS - {cpu}))]
+        assert numeric.lane_cpus() is None
 
 
 class _OneLaneOutputs:

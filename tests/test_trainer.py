@@ -1,12 +1,14 @@
 import gc
 import math
 import multiprocessing
+import os
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from conftest import arena
+from conftest import ALLOWED_CPUS, arena
 
 from dialoglm import cli, corpus, metrics, numeric, synthetic, trainer
 from dialoglm.corpus import Dialogue, build_vocab, dialogue_from_words, write_corpus_words
@@ -191,7 +193,8 @@ class TestTwoLanes:
         assert [r() for r in refs] == [None, None, None]
 
     @pytest.mark.usefixtures("two_cpus")
-    def test_a_forked_child_steps_on_its_own_worker(self, monkeypatch):
+    def test_a_forked_child_steps_on_its_own_worker(self, monkeypatch, fresh_worker):
+        # and that worker keeps off the CPU of the child's calling thread
         monkeypatch.setattr(trainer, "ADAM_BLOCK", 64)
         model = make_model("arnn", 6, 5, 17, seed=4)
         state = AdamState(model.params, lr=0.01)
@@ -202,12 +205,17 @@ class TestTwoLanes:
 
         def child():
             adam_update(state, model.params, grads)
+            [worker] = [t for t in threading.enumerate() if t.name == "dialoglm-lane"]
+            pinned = numeric.lane_cpus()
+            send.send((fresh_worker, threading.get_native_id(), pinned,
+                       pinned and sorted(os.sched_getaffinity(worker.native_id))))
             send.send_bytes(model.params.flat.tobytes())
 
         proc = ctx.Process(target=child, daemon=True)
         proc.start()
         try:
             assert recv.poll(60), "the child's two-lane step did not finish"
+            reads, caller, pinned, worker_affinity = recv.recv()
             got = recv.recv_bytes()
             proc.join(60)
         finally:
@@ -216,6 +224,13 @@ class TestTwoLanes:
         assert proc.exitcode == 0
         adam_update(state, model.params, grads)
         assert got == model.params.flat.tobytes()
+        if len(ALLOWED_CPUS) < 2:  # no worker is pinned
+            assert reads == [] and pinned is None
+            return
+        # the parent's worker read the parent's CPU, the child's the child's
+        [(_, parent), (cpu, creator)] = reads
+        assert parent == threading.get_native_id() and creator == caller != parent
+        assert pinned == worker_affinity == sorted(ALLOWED_CPUS - {cpu})
 
     @pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
     def test_tier1_sized_training_hands_nothing_to_the_worker(self, kind, monkeypatch):
