@@ -10,8 +10,8 @@ glibc hands freed blocks of that size back to the kernel, so fresh ones
 would be faulted in again on every step. :func:`lanes` shares independent
 pieces of one teacher-forced pass or training step between the calling
 thread and one worker thread, and the next-token distributions of two
-decode states. The worker keeps off the CPU its creating thread ran on,
-so that the two lanes run on two CPUs; where it runs changes no byte.
+decode states. The worker is kept off the calling thread's CPU, so that
+the two lanes run on two CPUs; where they run changes no byte.
 """
 
 import itertools
@@ -38,6 +38,14 @@ NUMERICS = 4
 # 16,384 entries each (23 us apiece) took 53 us on two lanes against 46 us
 # inline; of 32,768 entries each (42 us), 77 against 85 us.
 LANE_MIN = 32768
+# Hand-offs in a row that find the caller on the worker's CPU before the
+# worker moves off it (:class:`_Worker`). Left alone, the scheduler kept a
+# caller on a pinned worker's CPU for a whole 24 s decode run. Moving at
+# the first such hand-off chased the caller and a multithreaded BLAS's
+# helper thread from CPU to CPU: arnn training steps (d 64, V 2,000, two
+# BLAS threads, 2 vCPUs) took about 32 ms against 6.5-9.5 ms unpinned;
+# moving after 128 or 256 hand-offs in a row, they took 6.5-9 ms.
+SHARED_CPU_MOVE = 256
 # Queries per scoped_attention block: a larger block wastes tanh work past
 # its narrower scopes, a smaller one pays more per-block overhead.
 ATTENTION_BLOCK = 16
@@ -358,15 +366,14 @@ def lanes(fn, n, entries=math.inf):
     next index from a shared counter until all ``n`` pieces are done, so the
     pieces must be independent of each other. numpy releases the interpreter
     lock inside its kernels, so the lanes overlap when they run on two CPUs:
-    the worker pins itself to the process's CPUs other than the one its
-    creating thread ran on (:class:`_Worker`), since unpinned it often woke
-    on the caller's CPU. Which lane or CPU runs a piece changes none of its
-    bytes. Every piece runs,
-    and the exception of the lowest failing index is raised here. The pieces
-    run inline, on lane 0, when ``n`` is 1, when they work on fewer than
-    LANE_MIN ``entries`` in all, when the process may use one CPU only, or
-    when the worker is already busy (a piece that calls lanes, or a second
-    calling thread).
+    the worker is pinned to the process's CPUs other than the one the
+    caller runs on (:class:`_Worker`), since unpinned it often woke on the
+    caller's CPU. Which lane or CPU runs a piece changes none of its
+    bytes. Every piece runs, and the exception of the lowest failing index
+    is raised here. The pieces run inline, on lane 0, when ``n`` is 1, when
+    they work on fewer than LANE_MIN ``entries`` in all, when the process
+    may use one CPU only, or when the worker is already busy (a piece that
+    calls lanes, or a second calling thread).
     """
     if _two_lanes(n, entries):
         worker = _second_lane()
@@ -400,15 +407,27 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-def _thread_cpu():
-    """The CPU the calling thread last ran on (field 39 of
-    /proc/thread-self/stat), or None where it cannot be read."""
+def _cpu_reader():
+    """libc's sched_getcpu through ctypes, or None where it cannot be
+    loaded. PyDLL keeps the interpreter lock over the call: releasing it
+    would let the worker take it in the middle of a hand-off."""
     try:
-        with open("/proc/thread-self/stat", "rb") as f:
-            stat = f.read()
-        return int(stat[stat.rindex(b")") + 2:].split()[36])
-    except (OSError, ValueError, IndexError):
+        import ctypes
+
+        read = ctypes.PyDLL(None).sched_getcpu
+    except (ImportError, OSError, AttributeError):
         return None
+    read.restype, read.argtypes = ctypes.c_int, ()
+    return read
+
+
+_sched_getcpu = _cpu_reader()
+
+
+def _thread_cpu():
+    """The CPU the calling thread runs on, or None where it cannot be read."""
+    cpu = _sched_getcpu() if _sched_getcpu is not None else -1
+    return cpu if cpu >= 0 else None
 
 
 class _Worker:
@@ -417,32 +436,31 @@ class _Worker:
     and ``done`` hand the job over and back.
 
     A thread woken by a lock release tends to wake on the CPU of the thread
-    that released it: unpinned, the worker woke on the caller's CPU in every
-    hand-off of some runs on a 2-vCPU host. The worker therefore restricts
-    itself, once, to the CPUs the process may use minus the one its creating
-    thread ran on; ``cpus`` is that sorted list, or None while it runs
+    that released it, so unpinned, the worker often woke on the caller's CPU
+    and both lanes shared one core. The first hand-off therefore reads the
+    caller's CPU (a sub-microsecond libc call) and restricts the idle worker
+    to the CPUs the process may use minus that one. A caller that then
+    comes onto the worker's CPU can stay there for good, so every hand-off
+    reads the caller's CPU again, and when SHARED_CPU_MOVE of them in a row
+    find it on the worker's CPU, the worker moves off it the same way.
+    ``cpus`` is the worker's sorted CPU list, or None while it runs
     unpinned: when the process may use fewer than two CPUs, when the CPU
-    cannot be read, or when the affinity call fails. The caller's own
-    affinity never changes."""
+    cannot be read, or when an affinity call fails; after either failure no
+    hand-off tries again. The caller's own affinity never changes."""
 
     def __init__(self):
         self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
         self.go.acquire()
         self.done.acquire()
-        self.job, self.cpus = None, None
-        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-        cpu = _thread_cpu() if len(allowed) > 1 else None
-        pin = sorted(allowed - {cpu}) if cpu in allowed else None
-        threading.Thread(target=self._serve, args=(pin,), name="dialoglm-lane",
-                         daemon=True).start()
+        self.job, self.cpus, self.shared = None, None, 0
+        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+        # the CPUs to pin within, while pinning works
+        self.allowed = frozenset(allowed) if len(allowed) > 1 else None
+        thread = threading.Thread(target=self._serve, name="dialoglm-lane", daemon=True)
+        thread.start()
+        self.tid = thread.native_id
 
-    def _serve(self, pin):
-        if pin is not None:
-            try:
-                os.sched_setaffinity(0, pin)  # 0: this thread only
-                self.cpus = pin
-            except OSError:
-                pass
+    def _serve(self):
         while True:
             self.go.acquire()
             job, self.job = self.job, None
@@ -452,9 +470,30 @@ class _Worker:
             del job
             self.done.release()
 
+    def _keep_off(self, cpu):
+        """Pin the idle worker to the allowed CPUs other than ``cpu``, the
+        caller's: at the first hand-off, and at the last of SHARED_CPU_MOVE
+        in a row that find ``cpu`` among the worker's CPUs."""
+        if cpu is None:  # the CPU cannot be read: pin no more
+            self.allowed = None
+            return
+        if self.cpus is not None:
+            self.shared = self.shared + 1 if cpu in self.cpus else 0
+            if self.shared < SHARED_CPU_MOVE:
+                return
+        self.shared = 0
+        pin = sorted(self.allowed - {cpu})
+        try:
+            os.sched_setaffinity(self.tid, pin)
+            self.cpus = pin
+        except OSError:
+            self.allowed = None
+
     def share(self, fn, n):
         """Run ``fn``'s pieces on both lanes; the caller holds ``busy``."""
         counter, results, failed = itertools.count(), [None] * n, []
+        if self.allowed is not None:
+            self._keep_off(_thread_cpu())
         self.job = (fn, n, counter, results, failed)
         self.go.release()
         try:

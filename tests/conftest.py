@@ -259,7 +259,7 @@ def fresh_worker(monkeypatch):
     """numeric's lane worker forgotten for the test, so that the next
     hand-off starts a new one (the test's worker stays idle after it); the
     fixture's value is a list that gains (CPU, native thread id) for each read
-    of the creating thread's CPU."""
+    of a calling thread's CPU: one per hand-off, while the worker is pinned."""
     reads, thread_cpu = [], numeric._thread_cpu
 
     def read():

@@ -669,14 +669,43 @@ class TestLanes:
         return affinity[0], affinity[1]
 
     @needs_two_cpus
-    def test_the_worker_keeps_off_its_creators_cpu(self, fresh_worker):
+    def test_the_worker_keeps_off_its_callers_cpu(self, fresh_worker):
         caller, worker = self._placement()
-        [(cpu, creator)] = fresh_worker
-        assert creator == threading.get_native_id() and cpu in ALLOWED_CPUS
+        [(cpu, reader)] = fresh_worker  # one read per hand-off, by the caller
+        assert reader == threading.get_native_id() and cpu in ALLOWED_CPUS
         assert worker == ALLOWED_CPUS - {cpu}
         assert caller == ALLOWED_CPUS
         assert numeric.lane_cpus() == sorted(worker)
-        assert self._placement() == (caller, worker)  # pinned once, for good
+
+    @needs_two_cpus
+    def test_the_worker_moves_off_a_caller_that_stays_on_its_cpu(
+            self, fresh_worker, two_cpus, monkeypatch):
+        # the test moves its own thread onto the worker's CPU: the worker
+        # moves off it at the SHARED_CPU_MOVE-th hand-off in a row there, and
+        # a hand-off from another CPU starts the count again
+        monkeypatch.setattr(numeric, "SHARED_CPU_MOVE", 3)
+        pins, pin = [], os.sched_setaffinity
+
+        def counted(pid, cpus):
+            pins.append(pid)
+            pin(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", counted)
+        self._placement()
+        tid, own = numeric._worker.tid, os.sched_getaffinity(0)
+        try:
+            for _ in range(2):
+                stay = set(numeric.lane_cpus())
+                cpu, moves = min(stay), pins.count(tid)
+                for caller in ({cpu}, {cpu}, own - stay, {cpu}, {cpu}):
+                    pin(0, caller)
+                    assert self._placement()[1] == stay
+                assert pins.count(tid) == moves
+                _, worker = self._placement()
+                assert fresh_worker[-1][0] == cpu and pins.count(tid) == moves + 1
+                assert worker == ALLOWED_CPUS - {cpu} == set(numeric.lane_cpus())
+        finally:
+            pin(0, own)
 
     @needs_two_cpus
     def test_the_callers_affinity_is_unchanged(self, fresh_worker):
@@ -705,15 +734,26 @@ class TestLanes:
 
         monkeypatch.setattr(os, "sched_setaffinity", fail)
         x = np.random.default_rng(0).normal(size=(8, 5))
-        held, ran = self._both_lanes(lambda i, lane: (lane, os.sched_getaffinity(0),
-                                                      softmax(x[i]).tobytes()))
-        got = lanes(held, 8)
-        assert sorted(set(ran.values())) == [0, 1]
-        assert [p[2] for p in got] == [softmax(x[i]).tobytes() for i in range(8)]
-        assert all(p[1] == ALLOWED_CPUS for p in got)
+        for _ in range(2):  # the second hand-off tries no pin
+            held, ran = self._both_lanes(lambda i, lane: (lane, os.sched_getaffinity(0),
+                                                          softmax(x[i]).tobytes()))
+            got = lanes(held, 8)
+            assert sorted(set(ran.values())) == [0, 1]
+            assert [p[2] for p in got] == [softmax(x[i]).tobytes() for i in range(8)]
+            assert all(p[1] == ALLOWED_CPUS for p in got)
         [(cpu, _)] = fresh_worker
-        assert tried == [(0, sorted(ALLOWED_CPUS - {cpu}))]
+        assert tried == [(numeric._worker.tid, sorted(ALLOWED_CPUS - {cpu}))]
         assert numeric.lane_cpus() is None
+
+    @needs_two_cpus
+    def test_an_unreadable_cpu_leaves_the_worker_unpinned(self, fresh_worker, monkeypatch):
+        tried = []
+        monkeypatch.setattr(numeric, "_sched_getcpu", None)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: tried.append(cpus))
+        for _ in range(2):  # the second hand-off reads no CPU
+            assert self._placement() == (ALLOWED_CPUS, ALLOWED_CPUS)
+        assert fresh_worker == [(None, threading.get_native_id())]
+        assert tried == [] and numeric.lane_cpus() is None
 
 
 class _OneLaneOutputs:
