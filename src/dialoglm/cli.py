@@ -331,24 +331,27 @@ def cmd_tune(args):
         if args.checkpoint is None:
             raise DataError("the recall objective needs --checkpoint to score references")
         model = _load_model(args, vocab, stop_ids)
-    items = []
-    for i, path in _iter_candidate_files(args.candidates_dir, len(dev)):
-        history = dev[i].history()
-        cands = _parse_candidate_file(path, vocab)
-        reference = list(dev[i].last_utterance())
-        truth_index = None
-        if args.objective == "recall":
-            seq = reference + [corpus.EOU_ID]
-            lp = generator.continuation_log_likelihood(model, history, seq)
-            cands = cands + [
-                generator.Candidate(tokens=reference, loglik=lp,
-                                    norm_score=generator.norm_score(lp, len(seq), args.len_norm))
-            ]
-            truth_index = len(cands) - 1
-        items.append(
-            topics.RerankItem(history=history, candidates=cands,
-                              reference=reference, truth_index=truth_index)
-        )
+    cand_lists = [_parse_candidate_file(path, vocab)
+                  for _, path in _iter_candidate_files(args.candidates_dir, len(dev))]
+    histories = [d.history() for d in dev]
+    references = [list(d.last_utterance()) for d in dev]
+    truth_indices = [None] * len(dev)
+    if args.objective == "recall":
+        # the reference joins its history's candidates as the true one; the
+        # references are scored LOCKSTEP histories at a time, as recall@N
+        # scores candidate sets
+        for j in range(0, len(dev), generator.LOCKSTEP):
+            group = range(j, min(j + generator.LOCKSTEP, len(dev)))
+            seqs = [references[i] + [corpus.EOU_ID] for i in group]
+            logps = generator.continuation_logp_from(
+                model, [model.start(histories[i]) for i in group], [[seq] for seq in seqs])
+            for i, seq, [lp] in zip(group, seqs, logps):
+                cand_lists[i].append(generator.Candidate(
+                    tokens=references[i], loglik=lp,
+                    norm_score=generator.norm_score(lp, len(seq), args.len_norm)))
+                truth_indices[i] = len(cand_lists[i]) - 1
+    items = [topics.RerankItem(history=h, candidates=c, reference=r, truth_index=t)
+             for h, c, r, t in zip(histories, cand_lists, references, truth_indices)]
     best_k, best_lam, table = topics.tune_rerank(
         items, topic_models, lambdas=lambdas, objective=args.objective,
         recall_n=args.recall_n, metric=args.metric, stopword_ids=stop_ids,

@@ -10,7 +10,6 @@ its log-likelihood always equals an independent teacher-forced rescoring
 of exactly those tokens after the history prefix.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -182,32 +181,49 @@ class _Beam:
 
 def continuation_log_likelihood(model, history, tokens):
     """Teacher-forced conditional log-likelihood of ``tokens`` given the history."""
-    return continuation_logp_from(model, model.start(history), [tokens])[0]
+    return continuation_logp_from(model, [model.start(history)], [[tokens]])[0][0]
 
 
-def continuation_logp_from(model, state, sequences):
-    """Sum of per-token log-probs of each of ``sequences``, continued from
-    the one-hypothesis decode state ``state`` and scored as one batch.
+def continuation_logp_from(model, states, sequences):
+    """For each one-hypothesis decode state ``states[k]``, the sum of
+    per-token log-probs of each sequence of ``sequences[k]`` continued from
+    it: one list of sums per state.
 
-    Consumes ``state``. A sequence leaves the batch after its last token.
+    Each state scores its sequences as one batch, and the states step in
+    lockstep (``Model.step_dist`` and ``Model.advance`` over the list), as
+    in :func:`generate`; each sum is bitwise what its state gets alone.
+    Consumes the states. A sequence leaves its batch after its last token,
+    and a state leaves the group when none of its sequences is left.
     DataError, before any step, when a token lies outside the vocabulary.
     """
-    for seq in sequences:
-        check_tokens(seq, model.V)
-    totals = [0.0] * len(sequences)
-    live = [i for i, seq in enumerate(sequences) if seq]  # sequences still scoring
-    rows = [0] * len(live)  # the state row each live sequence continues
-    for j in itertools.count():
-        [(probs, _)] = model.step_dist([state])
-        for i, r in zip(live, rows):
-            p = float(probs[r, sequences[i][j]])
-            totals[i] += math.log(p) if p > 0.0 else -math.inf
-        rows = [r for i, r in zip(live, rows) if len(sequences[i]) > j + 1]
-        live = [i for i in live if len(sequences[i]) > j + 1]
-        if not live:
-            return totals
-        [state] = model.advance([state], [[sequences[i][j] for i in live]], [rows])
-        rows = range(len(live))
+    for seqs in sequences:
+        for seq in seqs:
+            check_tokens(seq, model.V)
+    totals = [[0.0] * len(seqs) for seqs in sequences]
+    # per state, the sequences still scoring and the state row each continues
+    live = [[i for i, seq in enumerate(seqs) if seq] for seqs in sequences]
+    rows = [[0] * len(ids) for ids in live]
+    group = [k for k in range(len(states)) if live[k]]  # the states still scoring
+    states = [states[k] for k in group]
+    j = 0
+    while group:
+        for k, (probs, _) in zip(group, model.step_dist(states)):
+            seqs = sequences[k]
+            for i, r in zip(live[k], rows[k]):
+                p = float(probs[r, seqs[i][j]])
+                totals[k][i] += math.log(p) if p > 0.0 else -math.inf
+            rows[k] = [r for i, r in zip(live[k], rows[k]) if len(seqs[i]) > j + 1]
+            live[k] = [i for i in live[k] if len(seqs[i]) > j + 1]
+        kept = [m for m, k in enumerate(group) if live[k]]
+        group = [group[m] for m in kept]
+        if group:
+            states = model.advance([states[m] for m in kept],
+                                   [[sequences[k][i][j] for i in live[k]] for k in group],
+                                   [rows[k] for k in group])
+            for k in group:
+                rows[k] = range(len(live[k]))
+        j += 1
+    return totals
 
 
 def trace_attention(model, history, continuation, vocab):

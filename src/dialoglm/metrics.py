@@ -15,7 +15,8 @@ import numpy as np
 
 from . import corpus
 from .errors import DataError
-from .generator import continuation_logp_from, norm_score
+from .generator import LOCKSTEP, continuation_logp_from, norm_score
+from .numeric import lanes, two_lanes
 
 
 @dataclass
@@ -44,11 +45,11 @@ class Tally:
     tokens: int = 0
     errors: int = 0
 
-    def add(self, per_token, argmax, refs):
-        """Count scored positions and those whose ``argmax`` misses ``refs``."""
-        self.logp += float(per_token.sum())
-        self.tokens += len(per_token)
-        self.errors += int(np.sum(argmax != refs))
+    def add(self, logp, tokens, errors):
+        """Add one example's totals (:func:`_totals`)."""
+        self.logp += logp
+        self.tokens += tokens
+        self.errors += errors
 
     def rates(self):
         """(perplexity, word error rate): exp(-sum log P / tokens), errors / tokens."""
@@ -57,15 +58,42 @@ class Tally:
         return float(np.exp(-self.logp / self.tokens)), self.errors / self.tokens
 
 
+def _totals(score, refs, span):
+    """(sum of log P, scored positions, positions whose argmax misses the
+    reference) of the SequenceScore ``score`` over the positions ``span``."""
+    per_token = score.per_token[span]
+    return float(per_token.sum()), len(per_token), int(np.sum(score.argmax[span] != refs[span]))
+
+
 def tallies(model, examples):
     """(full, last-utterance) tallies from one scoring pass over ``examples``
     (``model.make_example`` of each dialogue): over each whole target, and
-    over its ``last`` span."""
+    over its ``last`` span.
+
+    Each example is a piece of ``numeric.lanes``, gated, like the output
+    layer's gradient products, on the V d entries of the output matrix:
+    below LANE_MIN of them a score is mostly Python bookkeeping that holds
+    the interpreter lock, and two lanes gained nothing (criterion 6's size,
+    d 24 and V 39, scored slower). Before a hand-off the calling thread
+    grows both lanes' buffers to the longest example. A piece on lane 0
+    scores through ``example_score``, one on lane 1 through the private
+    ``_score``, so that no public model method runs on the worker. A piece
+    returns its six totals, and they are added here in example order, so
+    every sum has the bits of a one-lane pass."""
+    entries = model.V * model.d
+    if two_lanes(len(examples), entries):
+        model._reserve(examples)
+
+    def piece(i, lane):
+        ex = examples[i]
+        score = model._score(ex, lane) if lane else model.example_score(ex)
+        refs = np.asarray(ex.target)
+        return _totals(score, refs, slice(None)), _totals(score, refs, ex.last)
+
     full, last = Tally(), Tally()
-    for ex in examples:
-        s, refs = model.example_score(ex), np.asarray(ex.target)
-        full.add(s.per_token, s.argmax, refs)
-        last.add(s.per_token[ex.last], s.argmax[ex.last], refs[ex.last])
+    for whole, span in lanes(piece, len(examples), entries):
+        full.add(*whole)
+        last.add(*span)
     return full, last
 
 
@@ -86,19 +114,23 @@ def recall_at_n(model, candidate_sets, n, len_norm=1.0):
 
     Candidates are scored as teacher-forced continuations (with a closing
     </u>) of the history, one batch per set, normalized by length**len_norm.
+    The sets go through ``continuation_logp_from`` LOCKSTEP at a time, as the
+    CLI's generate decodes histories.
     """
     if not candidate_sets:
         raise DataError("no candidate sets")
     if not (1 <= n <= 10):
         raise DataError("recall@N needs 1 <= N <= 10")
     hits = 0
-    for cs in candidate_sets:
-        seqs = [list(cand) + [corpus.EOU_ID] for cand in cs.candidates]
-        logps = continuation_logp_from(model, model.start(cs.history), seqs)
-        scores = [norm_score(lp, len(seq), len_norm) for lp, seq in zip(logps, seqs)]
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-        if order.index(cs.truth_index) < n:
-            hits += 1
+    for j in range(0, len(candidate_sets), LOCKSTEP):
+        group = candidate_sets[j:j + LOCKSTEP]
+        seqs = [[list(cand) + [corpus.EOU_ID] for cand in cs.candidates] for cs in group]
+        logps = continuation_logp_from(model, [model.start(cs.history) for cs in group], seqs)
+        for cs, set_seqs, set_logps in zip(group, seqs, logps):
+            scores = [norm_score(lp, len(seq), len_norm) for lp, seq in zip(set_logps, set_seqs)]
+            order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+            if order.index(cs.truth_index) < n:
+                hits += 1
     return hits / len(candidate_sets)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (INIT_HALF_WIDTH, Arena, attention, columns, halves, lanes, log_softmax,
-                       matvecs, nll_backward, readout_backward, recur, softmax)
+from ..numeric import (ATTENTION_BLOCK, INIT_HALF_WIDTH, Arena, attention, columns, halves, lanes,
+                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax)
 
 
 @dataclass
@@ -116,17 +116,31 @@ class Model:
     (``decoder``), what a state attends with and over (``_scope``), and how
     a growing scope takes in a consumed token (``_extend_scope``).
 
-    A teacher-forced pass keeps its (n, V) output rows, and a training step
-    its (d, V) output-matrix gradient product, in buffers the model reuses
-    (the rows grow to the longest sequence seen). They hold only until the
-    next pass, so nothing a model returns may alias them.
+    Each lane of ``numeric.lanes`` has buffers of its own that the model
+    reuses: (2, n, V) output rows, the log-probabilities and their exp
+    scratch, and for an attending kind a flat scratch that holds one
+    (ATTENTION_BLOCK, n, d) block of attention pre-activations; both grow to
+    the longest sequence seen. A training step uses lane 0's rows, keeps its
+    attention tape, and forms its (d, V) output-matrix gradient product in a
+    buffer of its own. A scoring pass, ``_score(ex, lane)`` (``example_score``
+    is lane 0's), uses its lane's rows and scratch and keeps no tape. The
+    buffers hold only until the next pass on their lane, so nothing a model
+    returns may alias them.
 
-    Because of those buffers, one model must not score or train from two
-    threads at once: two concurrent teacher-forced passes of one instance
-    write the same rows. Decoding writes only its states' own buffers, so
-    distinct states may step at once, and distinct models share nothing.
-    ``numeric.lanes`` inside one pass is safe: its pieces write disjoint
-    parts of the buffers.
+    Two passes of one model may run at once only as scoring passes on
+    different lanes: ``metrics.tallies`` scores each example as a piece of
+    ``numeric.lanes``, on lane 0 through ``example_score`` and on lane 1
+    through ``_score(ex, 1)``, once the calling thread has grown both lanes'
+    buffers (``_reserve``). A ``lanes`` or ``halves`` call nested inside a
+    piece runs inline and reports lane 0, even on the worker, so a pass
+    takes the buffers of the outer lane it was given, never those of an
+    inner lane number. A piece on the worker calls private methods only
+    (``_score``, ``_step_dist``): the public ones stay on the calling
+    thread, where the traced benchmark wraps them. Training, ``begin`` and
+    ``advance`` run on the calling thread alone. Decoding writes only its
+    states' own buffers, so distinct states may step at once, and distinct
+    models share nothing. ``numeric.lanes`` inside one pass is safe: its
+    pieces write disjoint parts of the buffers.
     """
 
     attends = False
@@ -142,20 +156,51 @@ class Model:
         if flat is None:
             self.params.flat[:] = np.random.default_rng(seed).uniform(
                 -INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=self.params.flat.size)
-        self._rows = np.empty((2, 0, self.V))  # log-probabilities, exp scratch
+        # per lane of numeric.lanes: (2, n, V) log-probabilities and exp
+        # scratch, and a scoring pass's flat attention scratch
+        self._rows = [np.empty((2, 0, self.V)) for _ in range(2)]
+        self._pre = [np.empty(0) for _ in range(2)]
         self._dV = None
 
     def dims(self):
         return {"d": self.d, "d_e": self.d_e, "V": self.V}
 
-    def _log_probs(self, X, Om):
+    def _grow(self, lane, n, width=0):
+        """Grow ``lane``'s output rows to ``n`` and, for an attending kind, its
+        attention scratch to blocks over ``width`` rows."""
+        if self._rows[lane].shape[1] < n:
+            self._rows[lane] = np.empty((2, n, self.V))
+        if self.attends and self._pre[lane].size < ATTENTION_BLOCK * width * self.d:
+            self._pre[lane] = np.empty(ATTENTION_BLOCK * width * self.d)
+
+    def _reserve(self, examples):
+        """Grow both lanes' buffers to the longest of ``examples``, on the
+        calling thread: grown by the worker, they would come from its own
+        malloc arena and raise the process's peak."""
+        n = max(len(ex.target) for ex in examples)
+        width = max(len(ex.source or ex.target) for ex in examples)
+        for lane in (0, 1):
+            self._grow(lane, n, width)
+
+    def _scratch(self, lane, width):
+        """The attention scratch that a scoring pass on ``lane`` hands to
+        ``readout``, one buffer per lane its attention blocks may run on. A
+        nested ``numeric.lanes`` call inside a piece runs inline and reports
+        lane 0, so a pass on lane 1 gets its own buffer alone; a pass on lane
+        0 may run inline and hand blocks to the worker, so it gets lane 1's
+        buffer too."""
+        own = (1,) if lane else (0, 1)
+        for k in own:
+            self._grow(k, 0, width)
+        return [self._pre[k] for k in own]
+
+    def _log_probs(self, X, Om, lane=0):
         """log_softmax(X @ Om), one row per teacher-forced position, in the
-        reused rows: the logits as one gemm (split by rows or by columns, it
-        would round differently), their log_softmax on two halves of the rows
-        (``numeric.halves``)."""
-        if self._rows.shape[1] < len(X):
-            self._rows = np.empty((2, len(X), self.V))
-        logps, scratch = self._rows[:, :len(X)]
+        reused rows of ``lane``: the logits as one gemm (split by rows or by
+        columns, it would round differently), their log_softmax on two halves
+        of the rows (``numeric.halves``)."""
+        self._grow(lane, len(X))
+        logps, scratch = self._rows[lane][:, :len(X)]
         np.matmul(X, Om, out=logps)
 
         def normalize(rows):
@@ -166,8 +211,9 @@ class Model:
         return logps
 
     def _nll_backward(self, logps, targets):
-        """nll_backward of :meth:`_log_probs` rows, dlogits in their exp scratch."""
-        loss, dlogits = nll_backward(logps, targets, out=self._rows[1, :len(targets)])
+        """nll_backward of :meth:`_log_probs` rows of a training pass (lane
+        0), dlogits in their exp scratch."""
+        loss, dlogits = nll_backward(logps, targets, out=self._rows[0][1, :len(targets)])
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss in backward pass")
         return loss, dlogits
@@ -276,7 +322,11 @@ class Model:
 
     def example_score(self, ex):
         """The :class:`SequenceScore` of ``ex.target``, position by position."""
-        fw = self._forward(*self._operands(ex))
+        return self._score(ex, 0)
+
+    def _score(self, ex, lane):
+        """:meth:`example_score` in the buffers of ``lane``, keeping no tape."""
+        fw = self._forward(*self._operands(ex), lane=lane)
         logps = fw["logps"]
         return SequenceScore(logps[np.arange(len(ex.target)), ex.target],
                              logps.argmax(axis=1), fw.get("A"))

@@ -53,10 +53,12 @@ class RnnLm(Model):
         p = self.params
         return unroll(p["H"], p["P"], p["E"], tokens[:-1], np.zeros(self.d))
 
-    def _forward(self, tokens, theta=None):
+    def _forward(self, tokens, theta=None, lane=None):
+        """The teacher-forced pass: a training pass for ``lane`` None, else a
+        scoring pass in the buffers of ``lane`` (see Model)."""
         states = self._states(tokens)
         return {"states": states, "outs": states,
-                "logps": self._log_probs(states, self.params["O"])}
+                "logps": self._log_probs(states, self.params["O"], lane or 0)}
 
     # ------------------------------------------------------------------
     # backward
@@ -137,17 +139,19 @@ class AttentionRnnLm(RnnLm):
     # ------------------------------------------------------------------
     # forward
 
-    def _forward(self, tokens, theta=None):
+    def _forward(self, tokens, theta=None, lane=None):
         p = self.params
         n = len(tokens)
         states = self._states(tokens)
         # rep[i] pairs token i's embedding with the state that consumed it
         R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
+        scratch = None if lane is None else self._scratch(lane, len(R))
         # position t >= 1 queries with states[t-1] over R[:t]; position 0 attends to nothing
-        outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n))
+        outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n),
+                                scratch)
         outs = self._add_topic(outs, theta)
         return {"states": states, "tape": tape, "outs": outs, "A": A, "theta": theta,
-                "logps": self._log_probs(outs, p["O"])}
+                "logps": self._log_probs(outs, p["O"], lane or 0)}
 
     # ------------------------------------------------------------------
     # stepwise decoding

@@ -69,7 +69,9 @@ class Seq2Seq(Model):
         p = self.params
         return unroll(p["He"], p["Pe"], p["Ee"], source, np.zeros(self.d))
 
-    def _forward(self, source, target):
+    def _forward(self, source, target, lane=None):
+        """The teacher-forced pass: a training pass for ``lane`` None, else a
+        scoring pass in the buffers of ``lane`` (see Model)."""
         if not source or not target:
             raise DataError("seq2seq needs a non-empty source and target")
         enc0 = self._encode(source)
@@ -81,9 +83,11 @@ class Seq2Seq(Model):
         if self.use_attention:
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
-            outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)))
+            scratch = None if lane is None else self._scratch(lane, len(enc))
+            outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)),
+                                    scratch)
             fw.update({"tape": tape, "A": A, "outs": outs})
-        fw["logps"] = self._log_probs(fw["outs"], p["Od"])
+        fw["logps"] = self._log_probs(fw["outs"], p["Od"], lane or 0)
         return fw
 
     # ------------------------------------------------------------------

@@ -9,9 +9,10 @@ teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
 glibc hands freed blocks of that size back to the kernel, so fresh ones
 would be faulted in again on every step. :func:`lanes` shares independent
 pieces of one teacher-forced pass or training step between the calling
-thread and one worker thread, and the next-token distributions of two
-decode states. The worker is kept off the calling thread's CPU, so that
-the two lanes run on two CPUs; where they run changes no byte.
+thread and one worker thread, and so do the examples of a scoring pass
+and the next-token distributions of two decode states. The worker is
+kept off the calling thread's CPU, so that the two lanes run on two
+CPUs; where they run changes no byte.
 """
 
 import itertools
@@ -173,7 +174,7 @@ def attention(wq, b, R, UR, out=None):
     return pre, alpha, np.matmul(alpha[..., None, :], R)[..., 0, :]
 
 
-def scoped_attention(WQ, b, R, UR, scope):
+def scoped_attention(WQ, b, R, UR, scope, scratch=None):
     """:func:`attention` of each query WQ[j] over R[:scope[j]] (scope >= 1),
     as one (k, T, d) tanh per block of k = ATTENTION_BLOCK queries over its
     widest scope T, the scores masked past each query's own scope. Returns
@@ -182,16 +183,24 @@ def scoped_attention(WQ, b, R, UR, scope):
 
     The blocks are independent pieces of :func:`lanes`, taken last first:
     the widest first, as no caller's scopes shrink from query to query. Each
-    writes its own slot of the tape and its own rows of the weights. The
-    calling thread allocates every block before the hand-off."""
+    writes its own rows of the weights and, for the tape, its own slot of
+    it, every block allocated by the calling thread before the hand-off.
+    Given ``scratch``, one flat buffer of at least ATTENTION_BLOCK len(R) d
+    entries per lane that the blocks may run on, a block forms its
+    pre-activations at the start of its lane's buffer and keeps none of
+    them: the returned pre-activations are None (a scoring pass, which runs
+    no backward)."""
     starts = range(0, len(WQ), ATTENTION_BLOCK)
-    pres = [np.empty((min(ATTENTION_BLOCK, len(WQ) - j), scope[j:j + ATTENTION_BLOCK].max(),
-                      len(b))) for j in starts]
+    shapes = [(min(ATTENTION_BLOCK, len(WQ) - j), scope[j:j + ATTENTION_BLOCK].max(), len(b))
+              for j in starts]
+    pres = None if scratch is not None else [np.empty(shape) for shape in shapes]
     A = np.zeros((len(WQ), len(R)))
 
     def block(i, lane):
-        j, pre = starts[-1 - i], pres[-1 - i]
-        blk, T = slice(j, j + ATTENTION_BLOCK), pre.shape[1]
+        i = len(shapes) - 1 - i
+        (k, T, d), j = shapes[i], starts[i]
+        pre = pres[i] if pres is not None else scratch[lane][:k * T * d].reshape(k, T, d)
+        blk = slice(j, j + ATTENTION_BLOCK)
         np.tanh(np.add(WQ[blk, None, :], UR[:T], out=pre), out=pre)
         s = pre @ b
         if not np.isfinite(s).all():
@@ -199,7 +208,7 @@ def scoped_attention(WQ, b, R, UR, scope):
         s[np.arange(T) >= scope[blk, None]] = -np.inf
         A[blk, :T] = _normalize(s - s.max(axis=1, keepdims=True))
 
-    lanes(block, len(pres), sum(pre.size for pre in pres))
+    lanes(block, len(shapes), sum(math.prod(shape) for shape in shapes))
     return pres, A, A @ R
 
 
@@ -230,18 +239,19 @@ def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
     return dWQ, A.T @ dZ + S @ Um
 
 
-def readout(p, H, rows, q, R, scope):
+def readout(p, H, rows, q, R, scope, scratch=None):
     """Teacher-forced output-layer inputs Oh h (+ Oz z) of an attention decoder.
 
     Every row h of ``H`` gets Oh h. The rows ``rows`` also get Oz z, where
     the j-th of them attends with the query W H[q][j] over R[:scope[j]]
-    (:func:`scoped_attention`). Returns the inputs, the (len(scope), len(R))
-    attention weights and the tape that :func:`readout_backward` takes.
+    (:func:`scoped_attention`, on ``scratch`` when it is given). Returns the
+    inputs, the (len(scope), len(R)) attention weights and the tape that
+    :func:`readout_backward` takes, None when ``scratch`` is given.
     """
-    pres, A, Z = scoped_attention(H[q] @ p["W"].T, p["b"], R, R @ p["U"].T, scope)
+    pres, A, Z = scoped_attention(H[q] @ p["W"].T, p["b"], R, R @ p["U"].T, scope, scratch)
     outs = H @ p["Oh"].T
     outs[rows] += Z @ p["Oz"].T
-    return outs, A, (H, rows, q, R, pres, A, Z)
+    return outs, A, None if scratch is not None else (H, rows, q, R, pres, A, Z)
 
 
 def readout_backward(p, tape, douts, dH, grads):
@@ -375,7 +385,7 @@ def lanes(fn, n, entries=math.inf):
     may use one CPU only, or when the worker is already busy (a piece that
     calls lanes, or a second calling thread).
     """
-    if _two_lanes(n, entries):
+    if two_lanes(n, entries):
         worker = _second_lane()
         if worker.busy.acquire(blocking=False):
             return worker.share(fn, n)
@@ -388,15 +398,16 @@ def halves(fn, n, entries):
     call over the whole range where lanes would run inline for want of
     entries or CPUs, or for n = 1. An elementwise or row-wise ``fn`` forms
     the same bits either way."""
-    if _two_lanes(n, entries):
+    if two_lanes(n, entries):
         parts = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
         lanes(lambda i, lane: fn(parts[i]), 2, entries)
     else:
         fn(slice(0, n))
 
 
-def _two_lanes(n, entries):
-    """The hand-off policy of :func:`lanes` and :func:`halves`."""
+def two_lanes(n, entries):
+    """The hand-off policy of :func:`lanes` and :func:`halves`: whether ``n``
+    pieces over ``entries`` in all go to both lanes while the worker is free."""
     return n > 1 and entries >= LANE_MIN and _cpus() > 1
 
 

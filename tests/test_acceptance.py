@@ -299,8 +299,11 @@ def test_criterion_08_metric_oracles():
 
     # WER of the oracle and adversarial predictors
     class _Stub:
+        d = 1  # with V, the size of the scoring work
+
         def __init__(self, shift):
             self.shift = shift
+            self.V = V
 
         def make_example(self, dialogue):
             return Example(corpus.flatten(dialogue),

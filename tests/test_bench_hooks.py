@@ -120,8 +120,8 @@ def test_traced_calls_stay_on_the_calling_thread(tmp_path, monkeypatch, two_cpus
     # worker of numeric.lanes (say step_dist from a decode piece) would
     # interleave its spans with the calling thread's
     monkeypatch.setattr(numeric, "LANE_MIN", 0)
-    opened, pieces, caller = [], [], threading.current_thread()
-    real_open, real_step = spans.Tracer.open, Model._step_dist
+    opened, pieces, scores, caller = [], [], [], threading.current_thread()
+    real_open, real_step, real_score = spans.Tracer.open, Model._step_dist, Model._score
 
     def open_(self, name):
         opened.append((name, threading.current_thread()))
@@ -133,13 +133,21 @@ def test_traced_calls_stay_on_the_calling_thread(tmp_path, monkeypatch, two_cpus
             time.sleep(0.002)
         return real_step(self, *operands)
 
+    def score(self, ex, lane):  # an eval or dev piece, and example_score inside
+        scores.append(threading.current_thread())
+        if scores[-1] is caller:
+            time.sleep(0.002)
+        return real_score(self, ex, lane)
+
     monkeypatch.setattr(spans.Tracer, "open", open_)
     monkeypatch.setattr(Model, "_step_dist", step)
+    monkeypatch.setattr(Model, "_score", score)
     _traced_run(tmp_path, spans.Tracer())
-    assert "models.arnn.step_dist" in {name for name, _ in opened}
+    assert {"models.arnn.step_dist", "models.arnn.example_score"} <= {name for name, _ in opened}
     assert [(name, t.name) for name, t in opened if t is not caller] == []
     assert two_cpus, "numeric.lanes never handed off"
     assert any(t is not caller for t in pieces), "no decode piece ran on the worker"
+    assert any(t is not caller for t in scores), "no scoring piece ran on the worker"
 
 
 def test_every_traced_layer_is_called(traced_pipeline):

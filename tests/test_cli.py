@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from conftest import ALLOWED_CPUS, misstate_layout, needs_two_cpus
 
-from dialoglm import corpus, numeric, synthetic, topics
+from dialoglm import corpus, fileio, numeric, synthetic, topics
 from dialoglm.cli import (KIND_FLAGS, _parse_candidate_file, build_parser, main,
                           render_heatmap_pgm)
 from dialoglm.errors import DataError
-from dialoglm.generator import AttentionTrace, continuation_log_likelihood
+from dialoglm.generator import AttentionTrace, Candidate, continuation_log_likelihood
 from dialoglm.models import RnnLm, load_checkpoint, make_model, save_checkpoint
 
 
@@ -1039,6 +1039,42 @@ def test_tune_recall_scores_truth_with_provider_theta(workspace, generated, lda_
         truth = item.candidates[item.truth_index]
         assert truth.norm_score == lp / len(seq)
         assert lp != continuation_log_likelihood(uniform, history, seq)  # not uniform
+
+
+def test_tune_recall_pairs_write_the_per_history_bytes(workspace, generated, lda_model,
+                                                       tmp_path, monkeypatch, two_cpus):
+    # tune scores its references two histories at a time; on two lanes its
+    # grid.tsv and best.json are byte for byte what one reference scored per
+    # history gives; five histories leave the last one without a partner
+    monkeypatch.setattr(numeric, "LANE_MIN", 0)
+    vocab_path = workspace["vocab"]
+    lines = (workspace["prep"] / "test.txt").read_text(encoding="utf-8").splitlines(True)
+    histories = tmp_path / "hist.txt"
+    histories.write_text("".join(lines[:5]), encoding="utf-8")
+    out = tmp_path / "tune"
+    assert main(["tune", "--histories", str(histories), "--candidates-dir", str(generated),
+                 "--topic-models", str(lda_model), "--vocab", str(vocab_path),
+                 "--out", str(out), "--objective", "recall", "--recall-n", "2",
+                 "--checkpoint", str(workspace["ckpt"]), "--lambdas", "0.0:1.0:0.5"]) == 0
+    assert two_cpus, "numeric.lanes never handed off"
+    vocab = corpus.Vocabulary.load(vocab_path)
+    model = load_checkpoint(workspace["ckpt"])
+    items = []
+    for i, dlg in enumerate(corpus.load_corpus(histories, vocab, min_turns=2)):
+        cands = _parse_candidate_file(generated / f"candidates_{i:04d}.txt", vocab)
+        reference = list(dlg.last_utterance())
+        seq = reference + [corpus.EOU_ID]
+        lp = continuation_log_likelihood(model, dlg.history(), seq)
+        cands.append(Candidate(tokens=reference, loglik=lp, norm_score=lp / len(seq)))
+        items.append(topics.RerankItem(history=dlg.history(), candidates=cands,
+                                       reference=reference, truth_index=len(cands) - 1))
+    assert len(items) == 5
+    best_k, best_lam, table = topics.tune_rerank(
+        items, {2: topics.TopicModel.load(lda_model)}, lambdas=[0.0, 0.5, 1.0],
+        objective="recall", recall_n=2)
+    assert (out / "grid.tsv").read_text(encoding="utf-8") == topics.format_grid(table)
+    fileio.write_json_atomic(tmp_path / "best.json", {"K": best_k, "lambda": best_lam})
+    assert (out / "best.json").read_bytes() == (tmp_path / "best.json").read_bytes()
 
 
 def run_pipeline(root, n_dialogues=40, d=6, epochs=2, sweeps=5, seed=7):

@@ -208,7 +208,7 @@ class TestTopicFeature:
 
     def _under_theta(self, m, tokens):
         state = m.begin(corpus.continuation_prefix(HISTORY), self.THETA)
-        return continuation_logp_from(m, state, [tokens])[0]
+        return continuation_logp_from(m, [state], [[tokens]])[0][0]
 
     def test_continuation_log_likelihood(self):
         calls = []
@@ -385,7 +385,7 @@ class TestBatchedDecodeMatchesReference:
                 sets.append(corpus.CandidateSet(history=history, candidates=cands,
                                                 truth_index=int(rng.integers(0, 10))))
                 seqs = [list(c) + [corpus.EOU_ID] for c in cands] + [[], [6]]
-                got = continuation_logp_from(m, m.start(history), seqs)
+                [got] = continuation_logp_from(m, [m.start(history)], [seqs])
                 want = [_reference_continuation_logp_from(m, m.start(history), seq)
                         for seq in seqs]
                 assert [_bytes(x) for x in got] == [_bytes(x) for x in want], (kind, scale)
@@ -464,6 +464,49 @@ class TestLockstepGenerate:
         assert two_cpus == []
 
 
+class TestPairedContinuations:
+    """recall@N sends its candidate sets through continuation_logp_from two
+    at a time, their states stepped in lockstep; forced onto two lanes, each
+    sum has the bits of the one-state reference."""
+
+    @pytest.fixture
+    def forced(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(numeric, "LANE_MIN", 0)
+        return two_cpus
+
+    HISTORIES = TestLockstepGenerate.HISTORIES
+
+    def test_recall_over_an_odd_number_of_sets(self, forced):
+        rng = np.random.default_rng(47)
+        for kind, scale, m in _decode_models():
+            sets = [corpus.CandidateSet(
+                        history=self.HISTORIES[i % 3],
+                        candidates=tuple(tuple(int(t) for t in rng.integers(
+                            0, V, int(rng.integers(0, 7)))) for _ in range(10)),
+                        truth_index=int(rng.integers(0, 10)))
+                    for i in range(5)]
+            seqs = [[list(c) + [corpus.EOU_ID] for c in cs.candidates] for cs in sets]
+            got = continuation_logp_from(m, [m.start(cs.history) for cs in sets[:2]], seqs[:2])
+            want = [[_reference_continuation_logp_from(m, m.start(cs.history), seq)
+                     for seq in set_seqs] for cs, set_seqs in zip(sets, seqs[:2])]
+            assert [[_bytes(x) for x in lp] for lp in got] == \
+                [[_bytes(x) for x in lp] for lp in want], (kind, scale)
+            for n in (1, 3, 10):
+                assert recall_at_n(m, sets, n) == _reference_recall_at_n(m, sets, n)
+        assert forced, "numeric.lanes never handed off"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_token_in_second_set_raises_before_any_step(self, forced, kind, monkeypatch):
+        m = make_model(kind, 5, 4, V, n_topics=3, seed=41)
+        steps, real = [], m.step_dist
+        monkeypatch.setattr(m, "step_dist", lambda states: steps.append(1) or real(states))
+        good = corpus.CandidateSet(HISTORY, ((6, 7),) * 10, 0)
+        bad = corpus.CandidateSet(LONG_HISTORY, ((6,),) * 9 + ((8, V + 2),), 0)
+        with pytest.raises(DataError, match="out of range"):
+            recall_at_n(m, [good, bad], 1)
+        assert steps == []
+
+
 class TestContinuationTokens:
     """Continuation scoring checks every token before it steps, the last
     one of a sequence included."""
@@ -476,4 +519,4 @@ class TestContinuationTokens:
                 with pytest.raises(DataError, match="out of range"):
                     continuation_log_likelihood(m, HISTORY, seq)
             with pytest.raises(DataError, match="out of range"):
-                continuation_logp_from(m, m.start(HISTORY), [[6, 7], [], [8, bad]])
+                continuation_logp_from(m, [m.start(HISTORY)], [[[6, 7], [], [8, bad]]])

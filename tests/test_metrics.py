@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,13 +9,14 @@ from conftest import bleu_oracle, forced_score
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dialoglm import corpus
+from dialoglm import corpus, numeric
 from dialoglm.corpus import Dialogue, sample_candidates
-from dialoglm.errors import DataError
+from dialoglm.errors import DataError, NumericalError
 from dialoglm.generator import continuation_log_likelihood
 from dialoglm import metrics
 from dialoglm.metrics import corpus_bleu, distinct_1, evaluate, recall_at_n
-from dialoglm.models import AttentionRnnLm, Example, RnnLm, SequenceScore
+from dialoglm.models import MODEL_KINDS, AttentionRnnLm, Example, RnnLm, SequenceScore, make_model
+from dialoglm.models.base import Model
 
 V = 20
 
@@ -40,6 +43,7 @@ class _FixedDistModel:
     def __init__(self, dist, argmax_of=None):
         self.dist = np.asarray(dist, dtype=np.float64)
         self.argmax_of = argmax_of  # optional per-reference argmax rule
+        self.V, self.d = len(self.dist), 1  # the size of the scoring work
 
     def make_example(self, dialogue):
         return Example(corpus.flatten(dialogue), slice(*corpus.last_utterance_span(dialogue)))
@@ -333,3 +337,64 @@ class TestJointEvaluation:
         blob = json.loads(report.to_json())
         assert blob["values"] == report.values
         assert blob["counts"] == report.counts
+
+
+class TestTwoLaneScoring:
+    """tallies scores each example as a piece of numeric.lanes, in the
+    buffers of its lane; forced onto two lanes, every total has the bits of
+    the inline pass."""
+
+    @pytest.fixture
+    def lanes_seen(self, two_cpus, monkeypatch):
+        """Every lane a scoring piece ran on, with two lanes forced. Until
+        the worker has scored an example, a piece on the calling thread
+        waits a little first: the small models' pieces are short enough
+        for the caller to take them all before the worker wakes."""
+        seen, real = [], Model._score
+
+        def score(self, ex, lane):
+            if lane == 0 and 1 not in seen:
+                time.sleep(0.001)
+            seen.append(lane)
+            return real(self, ex, lane)
+
+        monkeypatch.setattr(Model, "_score", score)
+        monkeypatch.setattr(numeric, "LANE_MIN", 0)
+        return seen
+
+    @staticmethod
+    def _examples(model, seed):
+        """Examples of 2 to 5 turns of 1 to 9 tokens: rows of every length
+        within the lanes' buffers."""
+        rng = np.random.default_rng(seed)
+        dialogues = [Dialogue(tuple((i % 2, tuple(int(t) for t in rng.integers(
+                         6, V, size=int(rng.integers(1, 10)))))
+                         for i in range(int(rng.integers(2, 6)))))
+                     for _ in range(9)]
+        return [model.make_example(d) for d in dialogues]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_inline_pass(self, kind, lanes_seen, one_lane):
+        m = make_model(kind, 6, 4, V, n_topics=3, seed=5)
+        examples = self._examples(m, 6)
+        want = one_lane(lambda: [repr(t) for t in metrics.tallies(m, examples)])
+        assert set(lanes_seen) == {0}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the lanes' Python code interleaves more finely
+        try:
+            for _ in range(20):  # a buffer the lanes shared would show as a race
+                assert [repr(t) for t in metrics.tallies(m, examples)] == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 in lanes_seen, "no example was scored on the worker"
+
+    def test_non_finite_score_raises_as_inline(self, lanes_seen, one_lane):
+        m = make_model("arnn", 6, 4, V, seed=5)
+        examples = self._examples(m, 7)
+        m.params["E"][:, examples[4].target[1]] = np.nan  # spoils example 4 at least
+        with pytest.raises(NumericalError) as inline:
+            one_lane(metrics.tallies, m, examples)
+        with pytest.raises(NumericalError) as two:
+            metrics.tallies(m, examples)
+        assert str(two.value) == str(inline.value)
+        assert 1 in lanes_seen
