@@ -16,8 +16,9 @@ import numpy as np
 
 from .. import corpus
 from ..errors import DataError, NumericalError
-from ..numeric import (ATTENTION_BLOCK, INIT_HALF_WIDTH, Arena, attention, columns, halves, lanes,
-                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax)
+from ..numeric import (ATTENTION_BLOCK, INIT_HALF_WIDTH, Arena, attention, columns, lanes,
+                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax,
+                       two_lanes)
 
 
 @dataclass
@@ -131,10 +132,10 @@ class Model:
     different lanes: ``metrics.tallies`` scores each example as a piece of
     ``numeric.lanes``, on lane 0 through ``example_score`` and on lane 1
     through ``_score(ex, 1)``, once the calling thread has grown both lanes'
-    buffers (``_reserve``). A ``lanes`` or ``halves`` call nested inside a
-    piece runs inline and reports lane 0, even on the worker, so a pass
-    takes the buffers of the outer lane it was given, never those of an
-    inner lane number. A piece on the worker calls private methods only
+    buffers (``_reserve``). A ``lanes`` call nested inside a piece runs
+    inline and reports lane 0, even on the worker, so a pass takes the
+    buffers of the outer lane it was given, never those of an inner lane
+    number. A piece on the worker calls private methods only
     (``_score``, ``_step_dist``): the public ones stay on the calling
     thread, where the traced benchmark wraps them. Training, ``begin`` and
     ``advance`` run on the calling thread alone. Decoding writes only its
@@ -194,26 +195,36 @@ class Model:
             self._grow(k, 0, width)
         return [self._pre[k] for k in own]
 
-    def _log_probs(self, X, Om, lane=0):
+    def _log_probs(self, X, Om, lane):
         """log_softmax(X @ Om), one row per teacher-forced position, in the
-        reused rows of ``lane``: the logits as one gemm (split by rows or by
-        columns, it would round differently), their log_softmax on two halves
-        of the rows (``numeric.halves``)."""
-        self._grow(lane, len(X))
-        logps, scratch = self._rows[lane][:, :len(X)]
+        reused rows of ``lane``; a training pass (``lane`` None) uses lane
+        0's and also writes the rows' exp into their exp scratch, for
+        :meth:`_nll_backward`. The logits are one gemm (split by rows or by
+        columns, it would round differently); each half of the rows is then
+        one piece of ``numeric.lanes``, or all of them one piece where two
+        lanes would run inline."""
+        train, lane = lane is None, lane or 0
+        n = len(X)
+        self._grow(lane, n)
+        logps, scratch = self._rows[lane][:, :n]
         np.matmul(X, Om, out=logps)
+        parts = ((slice(0, (n + 1) // 2), slice((n + 1) // 2, n)) if two_lanes(n, logps.size)
+                 else (slice(0, n),))
 
-        def normalize(rows):
+        def normalize(i, _):
+            rows = parts[i]
             part = logps[rows]
             log_softmax(part, out=part, scratch=scratch[rows])
+            if train:
+                np.exp(part, out=scratch[rows])
 
-        halves(normalize, len(X), logps.size)
+        lanes(normalize, len(parts), logps.size)
         return logps
 
     def _nll_backward(self, logps, targets):
-        """nll_backward of :meth:`_log_probs` rows of a training pass (lane
-        0), dlogits in their exp scratch."""
-        loss, dlogits = nll_backward(logps, targets, out=self._rows[0][1, :len(targets)])
+        """nll_backward of the :meth:`_log_probs` rows of a training pass,
+        dlogits in their exp rows."""
+        loss, dlogits = nll_backward(logps, targets, self._rows[0][1, :len(targets)])
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss in backward pass")
         return loss, dlogits

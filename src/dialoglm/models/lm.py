@@ -58,7 +58,7 @@ class RnnLm(Model):
         scoring pass in the buffers of ``lane`` (see Model)."""
         states = self._states(tokens)
         return {"states": states, "outs": states,
-                "logps": self._log_probs(states, self.params["O"], lane or 0)}
+                "logps": self._log_probs(states, self.params["O"], lane)}
 
     # ------------------------------------------------------------------
     # backward
@@ -151,7 +151,7 @@ class AttentionRnnLm(RnnLm):
                                 scratch)
         outs = self._add_topic(outs, theta)
         return {"states": states, "tape": tape, "outs": outs, "A": A, "theta": theta,
-                "logps": self._log_probs(outs, p["O"], lane or 0)}
+                "logps": self._log_probs(outs, p["O"], lane)}
 
     # ------------------------------------------------------------------
     # stepwise decoding

@@ -87,7 +87,7 @@ class Seq2Seq(Model):
             outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)),
                                     scratch)
             fw.update({"tape": tape, "A": A, "outs": outs})
-        fw["logps"] = self._log_probs(fw["outs"], p["Od"], lane or 0)
+        fw["logps"] = self._log_probs(fw["outs"], p["Od"], lane)
         return fw
 
     # ------------------------------------------------------------------

@@ -272,19 +272,17 @@ def readout_backward(p, tape, douts, dH, grads):
     return dR
 
 
-def nll_backward(logps, targets, out=None):
+def nll_backward(logps, targets, probs):
     """Summed negative log-likelihood of ``targets`` under per-position
     log-distributions (the rows of ``logps``), and its gradient wrt the
-    logits, one row per position (into ``out`` when given); the exp runs
-    on two halves of the rows (:func:`halves`)."""
+    logits, one row per position, formed in place in ``probs``, which holds
+    exp(logps) on entry."""
     rows = np.arange(len(targets))
     loss = 0.0
     for lp in logps[rows, targets].tolist():
         loss -= lp
-    dlogits = np.empty_like(logps) if out is None else out
-    halves(lambda part: np.exp(logps[part], out=dlogits[part]), len(logps), logps.size)
-    dlogits[rows, targets] -= 1.0
-    return loss, dlogits
+    probs[rows, targets] -= 1.0
+    return loss, probs
 
 
 class Arena(dict):
@@ -330,17 +328,18 @@ def zero_grads(params, grads=None):
 
 
 def clip_global_norm(grads, max_norm, scratch=None):
-    """Scale the arena ``grads`` in place so the global norm is at most ``max_norm``.
+    """(norm, scale): the global norm of the arena ``grads`` and the factor
+    that brings it to at most ``max_norm``, None when it is within it. The
+    direction is preserved; ``grads`` is not written, as the caller applies
+    the scale where it next reads them (``trainer.adam_update``).
 
-    Only the magnitude changes; the direction is preserved. Returns the
-    pre-clip norm, summed array by array in arena order: one sum over
+    The norm is summed array by array in arena order: one sum over
     ``grads.flat`` would round differently. Each array's sum of squares is
     a piece of :func:`lanes`, largest array first, and each lane squares
     into its own half of ``scratch``, a vector at least twice as long as
-    the largest array (a new one when it is not given); the scale runs on
-    two halves of ``grads.flat``. A non-finite entry is a NumericalError
-    naming its array; a norm that overflows from finite entries scales them
-    to zero.
+    the largest array (a new one when it is not given). A non-finite entry
+    is a NumericalError naming its array; a norm that overflows from finite
+    entries gives the scale 0.0.
     """
     arrays = list(grads.values())
     if scratch is None:
@@ -363,10 +362,7 @@ def clip_global_norm(grads, max_norm, scratch=None):
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter '{name}'")
-    if norm > max_norm and norm > 0.0:
-        flat, scale = grads.flat, max_norm / norm
-        halves(lambda part: np.multiply(flat[part], scale, out=flat[part]), flat.size, flat.size)
-    return norm
+    return norm, (max_norm / norm if norm > max_norm and norm > 0.0 else None)
 
 
 def lanes(fn, n, entries=math.inf):
@@ -392,22 +388,9 @@ def lanes(fn, n, entries=math.inf):
     return [fn(i, 0) for i in range(n)]
 
 
-def halves(fn, n, entries):
-    """fn(part) for the slices ``part`` of the first and the second half of
-    range(n), as two pieces of :func:`lanes` over ``entries`` in all; one
-    call over the whole range where lanes would run inline for want of
-    entries or CPUs, or for n = 1. An elementwise or row-wise ``fn`` forms
-    the same bits either way."""
-    if two_lanes(n, entries):
-        parts = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
-        lanes(lambda i, lane: fn(parts[i]), 2, entries)
-    else:
-        fn(slice(0, n))
-
-
 def two_lanes(n, entries):
-    """The hand-off policy of :func:`lanes` and :func:`halves`: whether ``n``
-    pieces over ``entries`` in all go to both lanes while the worker is free."""
+    """The hand-off policy of :func:`lanes`: whether ``n`` pieces over
+    ``entries`` in all go to both lanes while the worker is free."""
     return n > 1 and entries >= LANE_MIN and _cpus() > 1
 
 

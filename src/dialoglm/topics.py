@@ -440,7 +440,7 @@ def _scores(model, item_bows, candidate_lists, metric):
             for h_theta, candidates in zip(h_thetas, candidate_lists)]
 
 
-def rerank(history, candidates, model, lam, metric="cosine", stopword_ids=frozenset()):
+def rerank(histories, cand_lists, model, lam, metric="cosine", stopword_ids=frozenset()):
     """Reorder generated candidates by the weighted topic/likelihood score.
 
     Candidates carry their length-normalized conditional log-likelihoods
@@ -451,15 +451,13 @@ def rerank(history, candidates, model, lam, metric="cosine", stopword_ids=frozen
     one reranked list per history, each what that history gets alone; the
     candidates of all of them share one ``infer_thetas`` call.
     """
-    if not isinstance(history, list):
-        return rerank([history], [candidates], model, lam, metric, stopword_ids)[0]
     check_lambdas([lam], "lambda")
-    if not all(candidates):
+    if not all(cand_lists):
         raise DataError("empty candidate list")
-    item_bows = [_content_bows(h, cands, stopword_ids) for h, cands in zip(history, candidates)]
+    item_bows = [_content_bows(h, cands, stopword_ids) for h, cands in zip(histories, cand_lists)]
     _warn_empty([bow for bows in item_bows for bow in bows])
     ranked = []
-    for cands, (sims, llz) in zip(candidates, _scores(model, item_bows, candidates, metric)):
+    for cands, (sims, llz) in zip(cand_lists, _scores(model, item_bows, cand_lists, metric)):
         combined, order = _combine(sims, llz, lam)
         ranked.append([
             RerankedCandidate(

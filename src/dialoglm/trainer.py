@@ -56,7 +56,7 @@ class AdamState:
         self.rows = self.scratch[:4 * block].reshape(2, 2, block)
 
 
-def adam_update(state, params, grads):
+def adam_update(state, params, grads, scale):
     """One bias-corrected Adam step over the arena ``params``, in place.
 
     The moments round like m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
@@ -66,7 +66,9 @@ def adam_update(state, params, grads):
     one divide and one sqrt per entry. Every operation is elementwise, so
     running them block by block over the flat vectors, the blocks shared
     between two lanes, changes no bit.
-    ``grads`` must be finite, as ``clip_global_norm`` leaves them.
+    ``grads`` must be finite, as ``clip_global_norm`` finds them; a block
+    first multiplies its gradients in place by the clip's ``scale`` (None
+    for no clipping), the bytes that a pass of its own over ``grads`` forms.
     """
     state.t += 1
     root = math.sqrt(1.0 - BETA2 ** state.t)
@@ -76,6 +78,8 @@ def adam_update(state, params, grads):
         blk = slice(i * ADAM_BLOCK, (i + 1) * ADAM_BLOCK)
         p, g, m, v = params.flat[blk], grads.flat[blk], state.m.flat[blk], state.v.flat[blk]
         step, denom = state.rows[lane, :, :p.size]
+        if scale is not None:
+            g *= scale
         m *= BETA1
         m += np.multiply(g, 1.0 - BETA1, out=step)
         v *= BETA2
@@ -139,8 +143,8 @@ def train(model, train_dialogues, dev_dialogues, config, log_lines=None):
         for idx in order:
             try:
                 loss, _ = model.example_loss_and_grads(train_examples[idx], grads)
-                clip_global_norm(grads, config.clip, adam.scratch)
-                adam_update(adam, model.params, grads)
+                _, scale = clip_global_norm(grads, config.clip, adam.scratch)
+                adam_update(adam, model.params, grads, scale)
             except NumericalError as e:
                 raise NumericalError(
                     f"epoch {epoch}, train sequence {idx}: {e}"

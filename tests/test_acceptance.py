@@ -368,12 +368,12 @@ def test_criterion_10_reranker_degeneracy():
                                  norm_score=float(-rng.uniform(0.2, 1.5)))
              for i in range(1, 9)]
 
-    ranked0 = topics.rerank(history, cands, model, 0.0)
+    ranked0 = topics.rerank([history], [cands], model, 0.0)[0]
     likelihood_top = max(range(len(cands)),
                          key=lambda i: (cands[i].norm_score, -i))
     assert ranked0[0].original_index == likelihood_top
 
-    ranked1 = topics.rerank(history, cands, model, 1.0)
+    ranked1 = topics.rerank([history], [cands], model, 1.0)[0]
     h_theta = topics.infer_theta(model, topics.dialogue_bow(history))
     sims = [topics.topic_similarity(h_theta, topics.infer_theta(model, c.tokens))
             for c in cands]
@@ -395,7 +395,7 @@ def test_criterion_10_reranker_degeneracy():
     for k, lam, value in table:
         tops = []
         for item in items:
-            rr = topics.rerank(item.history, item.candidates, model, lam)
+            rr = topics.rerank([item.history], [item.candidates], model, lam)[0]
             tops.append(rr[0].original_index)
         hyps = [corpus.strip_reserved(items[i].candidates[t].tokens)
                 for i, t in enumerate(tops)]

@@ -19,6 +19,7 @@ from dialoglm.numeric import (ATTENTION_BLOCK, Arena, attention, clip_global_nor
                               lanes, log_softmax, matvecs, nll_backward, readout_backward,
                               recur, scoped_attention, scoped_attention_backward, softmax,
                               unroll, zero_grads)
+from dialoglm.trainer import AdamState, adam_update
 
 
 class TestSoftmax:
@@ -139,21 +140,46 @@ def _norm(grads):
 
 class TestClipping:
     def test_direction_preserved(self):
+        # the scale brings the norm to the bound; the clip writes nothing
         rng = np.random.default_rng(6)
         for _ in range(20):
             grads = arena(a=rng.normal(size=(3, 3)) * 10, b=rng.normal(size=4) * 10)
-            before = {k: v.copy() for k, v in grads.items()}
+            before = grads.flat.copy()
             norm0 = _norm(grads)
-            assert clip_global_norm(grads, 1.0) == norm0
+            norm, scale = clip_global_norm(grads, 1.0)
+            assert norm == norm0 and grads.flat.tobytes() == before.tobytes()
+            grads.flat *= scale
             assert _norm(grads) <= 1.0 + 1e-12
-            for k in grads:
-                np.testing.assert_allclose(grads[k] * norm0, before[k] * 1.0, rtol=1e-9)
+            np.testing.assert_allclose(grads.flat * norm0, before * 1.0, rtol=1e-9)
 
     def test_no_op_below_threshold(self):
         grads = arena(a=np.array([0.1, 0.1]))
         before = grads["a"].copy()
-        clip_global_norm(grads, 5.0)
+        assert clip_global_norm(grads, 5.0) == (_norm(grads), None)
         np.testing.assert_array_equal(grads["a"], before)
+
+
+def _frozen_nll_backward(logps, targets):
+    """The loss and the dlogits bytes of nll_backward as it was when it formed
+    exp(logps) itself (on two halves of the rows, which changes no bit)."""
+    rows = np.arange(len(targets))
+    loss = 0.0
+    for lp in logps[rows, targets].tolist():
+        loss -= lp
+    dlogits = np.exp(logps)
+    dlogits[rows, targets] -= 1.0
+    return loss, dlogits.tobytes()
+
+
+@pytest.mark.parametrize("n, n_vocab", [(1, 5), (30, 20), (78, 2000)])
+def test_nll_backward_given_the_exp_rows_equals_the_old_form(n, n_vocab):
+    rng = np.random.default_rng(n)
+    logps = log_softmax(3.0 * rng.normal(size=(n, n_vocab)))
+    targets = rng.integers(0, n_vocab, n)
+    probs = np.exp(logps)
+    loss, dlogits = nll_backward(logps, targets, probs)
+    assert dlogits is probs
+    assert (loss, dlogits.tobytes()) == _frozen_nll_backward(logps, targets)
 
 
 def test_zero_grads_shapes():
@@ -407,6 +433,10 @@ class TestScopedAttention:
             _assert_close(a, r, f"row {t}")
 
 
+def _nll(logps, targets):
+    return nll_backward(logps, targets, np.exp(logps))
+
+
 class _RowsRnnLm(RnnLm):
     def loss_and_grads(self, tokens, theta=None):
         tokens = list(tokens)
@@ -414,7 +444,7 @@ class _RowsRnnLm(RnnLm):
         p = self.params
         grads = zero_grads(p)
         dstates = np.zeros((len(tokens), self.d))
-        loss, dlogits = nll_backward(fw["logps"], tokens)
+        loss, dlogits = _nll(fw["logps"], tokens)
         self._backward_outputs(tokens, fw, dlogits, grads, dstates, theta)
         _bptt_rows(p["H"], p["P"], p["E"], tokens[:-1], fw["states"], dstates,
                    grads["H"], grads["P"], grads["E"])
@@ -487,7 +517,7 @@ class _RowsSeq2Seq(Seq2Seq):
             att = [attention(wq, p["b"], enc, UE) for wq in WQ]
             Z = np.array([z for _, _, z in att])
             outs = _rows(p["Oh"], dec) + _rows(p["Oz"], Z)
-            loss, dlogits = nll_backward(log_softmax(outs @ p["Od"]), target)
+            loss, dlogits = _nll(log_softmax(outs @ p["Od"]), target)
             douts = _rows(p["Od"], dlogits)
             ddec += _rows(p["Oh"].T, douts)
             dzs = _rows(p["Oz"].T, douts)
@@ -502,7 +532,7 @@ class _RowsSeq2Seq(Seq2Seq):
             _outers(grads["Oh"], douts, dec)
             _outers(grads["Oz"], douts, Z)
         else:
-            loss, dlogits = nll_backward(log_softmax(dec @ p["Od"]), target)
+            loss, dlogits = _nll(log_softmax(dec @ p["Od"]), target)
             ddec += _rows(p["Od"], dlogits)
             _outers(grads["Od"], dec, dlogits)
         _bptt_rows(p["Hd"], p["Pd"], p["Ed"], target[:-1], dec, ddec,
@@ -807,12 +837,17 @@ TWO_LANE_SIZES = [(64, 2000, 78, None), (64, 2000, 321, None), (D, V, 30, 0)]
 
 
 def _step(model, tokens, source, theta):
-    """The bytes of one training step's loss, clipped gradients and norm,
-    and of a score of the same tokens."""
+    """The bytes of one training step's loss, norm, scale, clipped gradients
+    and Adam step (taken on a copy of the parameters), and of a score of the
+    same tokens."""
     loss, grads = _loss_and_grads(model, tokens, source, theta)
-    norm = clip_global_norm(grads, 1.0)
+    norm, scale = clip_global_norm(grads, 1.0)
+    params = Arena({name: p.shape for name, p in model.params.items()}, model.params.flat)
+    adam = AdamState(params)
+    adam_update(adam, params, grads, scale)
     s = forced_score(model, tokens, source, theta if model.kind == "tarnn" else None)
-    return loss, norm, grads.flat.tobytes(), s.per_token.tobytes(), s.argmax.tobytes()
+    return (loss, norm, scale, grads.flat.tobytes(), params.flat.tobytes(),
+            adam.v.flat.tobytes(), s.per_token.tobytes(), s.argmax.tobytes())
 
 
 @pytest.mark.parametrize("d, n_vocab, n, lane_min", TWO_LANE_SIZES)
@@ -844,40 +879,52 @@ class TestTwoLanePass:
 
     def test_log_probs_and_nll_backward(self, d, n_vocab, n, lane_min, monkeypatch, two_cpus,
                                         one_lane):
+        # a scoring pass, and a training pass whose row pieces also form the
+        # exp rows that nll_backward turns into dlogits
         if lane_min is not None:
             monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
         rng = np.random.default_rng(n)
         model = make_model("rnn", d, DE, n_vocab, seed=3)
         X, targets = rng.normal(size=(n, d)), rng.integers(0, n_vocab, n)
-        ref = self._reference(one_lane, two_cpus, model._log_probs, X, model.params["O"]).copy()
-        logps = model._log_probs(X, model.params["O"]).copy()
-        assert logps.tobytes() == ref.tobytes()
-        ref_loss, ref_dlogits = self._reference(one_lane, two_cpus, nll_backward, logps, targets)
-        loss, dlogits = nll_backward(logps, targets)
-        assert loss == ref_loss and dlogits.tobytes() == ref_dlogits.tobytes()
+
+        def rows(lane):
+            logps = model._log_probs(X, model.params["O"], lane)
+            return logps.tobytes(), model._rows[lane or 0][1, :n].copy()
+
+        for lane in (0, None):
+            ref, ref_exps = self._reference(one_lane, two_cpus, rows, lane)
+            logps, exps = rows(lane)
+            assert logps == ref
+            if lane is None:
+                assert exps.tobytes() == ref_exps.tobytes()
+                logps = np.frombuffer(logps).reshape(n, n_vocab)
+                assert exps.tobytes() == np.exp(logps).tobytes()
+                loss, dlogits = model._nll_backward(logps, targets)
+                assert (loss, dlogits.tobytes()) == _frozen_nll_backward(logps, targets)
         assert two_cpus
 
     @pytest.mark.parametrize("scale, max_norm", [(1.0, 1e9), (1.0, 1.0), (1e200, 1.0)])
     def test_clip(self, d, n_vocab, n, lane_min, scale, max_norm, monkeypatch, two_cpus,
                   one_lane):
         # no scaling, scaling, and a norm that overflows from finite entries,
-        # which scales the arena to zero
+        # which scales the arena to zero; the clip writes no gradient
         if lane_min is not None:
             monkeypatch.setattr(numeric, "LANE_MIN", lane_min)
         grads = zero_grads(make_model("arnn", d, DE, n_vocab, seed=3).params)
         grads.flat[:] = scale * np.random.default_rng(n).normal(size=grads.flat.size)
-        ref_grads = zero_grads(grads)
-        ref_grads.flat[:] = grads.flat
+        before = grads.flat.tobytes()
         total = 0.0
         with np.errstate(over="ignore"):
             for g in grads.values():
                 total += float(np.sum(g * g))
-        ref_norm = self._reference(one_lane, two_cpus, clip_global_norm, ref_grads, max_norm)
-        norm = clip_global_norm(grads, max_norm)
-        assert norm == ref_norm == math.sqrt(total)
-        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+        ref = self._reference(one_lane, two_cpus, clip_global_norm, grads, max_norm)
+        norm, factor = clip_global_norm(grads, max_norm)
+        assert (norm, factor) == ref and norm == math.sqrt(total)
+        assert grads.flat.tobytes() == before
         if scale > 1.0:
-            assert norm == np.inf and not grads.flat.any()
+            assert norm == np.inf and factor == 0.0
+        else:
+            assert factor == (max_norm / norm if norm > max_norm else None)
         assert two_cpus
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -370,7 +370,7 @@ class TestRerank:
         _, _, docs, model, _ = separable
         history = Dialogue(((0, tuple(docs[0][:5])), (1, tuple(docs[0][5:8]))))
         cands = self._candidates([-1.0, -3.0, -0.5, -2.0])
-        ranked = rerank(history, cands, model, 0.0)
+        ranked = rerank([history], [cands], model, 0.0)[0]
         assert [r.original_index for r in ranked] == [2, 0, 3, 1]
 
     def test_lambda_one_keeps_similarity_order(self, separable):
@@ -381,7 +381,7 @@ class TestRerank:
             Candidate(tokens=list(docs[1][:6]) if td.topic_of[1] != td.topic_of[0]
                       else list(docs[2][:6]), loglik=-1.0, norm_score=-1.0),
         ]
-        ranked = rerank(history, cands, model, 1.0)
+        ranked = rerank([history], [cands], model, 1.0)[0]
         h_theta = infer_theta(model, dialogue_bow(history))
         sims = [topic_similarity(h_theta, infer_theta(model, c.tokens))
                 for c in cands]
@@ -423,7 +423,7 @@ class TestRerank:
             ranked = rerank(histories, cand_lists, model, lam)
             assert len(ranked) == len(histories)
             for got, h, cands in zip(ranked, histories, cand_lists):
-                alone = rerank(h, cands, model, lam)
+                alone = rerank([h], [cands], model, lam)[0]
                 assert [vars(r) for r in got] == [vars(r) for r in alone]
         with pytest.raises(DataError, match="empty candidate list"):
             rerank(histories, cand_lists[:3] + [[]], model, 0.5)
@@ -435,7 +435,7 @@ class TestRerank:
                  Candidate(tokens=list(docs[1][:3]), loglik=-2.0, norm_score=-2.0),
                  Candidate(tokens=[], loglik=-3.0, norm_score=-3.0)]
         with caplog.at_level(logging.DEBUG, logger="dialoglm.topics"):
-            rerank(history, cands, model, 0.5)
+            rerank([history], [cands], model, 0.5)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno >= logging.WARNING]
         assert len(warnings) == 1 and warnings[0].startswith("2 document(s) ")
@@ -444,7 +444,7 @@ class TestRerank:
         _, _, docs, model, _ = separable
         history = Dialogue(((0, tuple(docs[0][:4])),))
         with pytest.raises(DataError):
-            rerank(history, [], model, 0.5)
+            rerank([history], [[]], model, 0.5)
 
     def test_lambda_bounds(self, separable):
         _, _, docs, model, _ = separable
@@ -452,9 +452,9 @@ class TestRerank:
         cands = self._candidates([-1.0, -2.0])
         for lam in (1.5, -0.1, float("nan")):
             with pytest.raises(DataError, match="lambda"):
-                rerank(history, cands, model, lam)
+                rerank([history], [cands], model, lam)
         # the operating point used in the experiments is a valid weight
-        assert len(rerank(history, cands, model, 0.45)) == 2
+        assert len(rerank([history], [cands], model, 0.45)[0]) == 2
 
 
 class TestTuneRerank:
@@ -495,7 +495,7 @@ class TestTuneRerank:
         for k, lam, value in table:
             tops = []
             for item in items:
-                ranked = rerank(item.history, item.candidates, model, lam)
+                ranked = rerank([item.history], [item.candidates], model, lam)[0]
                 tops.append(ranked[0].original_index)
             hyps = [corpus.strip_reserved(items[i].candidates[t].tokens)
                     for i, t in enumerate(tops)]
@@ -552,8 +552,8 @@ class TestTuneRerank:
         want = []
         for k in sorted(two_models):
             for lam in lambdas:
-                tops = [rerank(item.history, item.candidates, two_models[k], lam)[0].original_index
-                        for item in items]
+                tops = [rerank([item.history], [item.candidates], two_models[k], lam)[0][0]
+                        .original_index for item in items]
                 if objective == "bleu":
                     value = corpus_bleu(
                         [corpus.strip_reserved(item.candidates[t].tokens)

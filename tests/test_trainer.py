@@ -44,13 +44,13 @@ class TestAdam:
         params = arena(w=rng.normal(size=(3, 3)))
         before = params["w"].copy()
         state = self._state(params)
-        adam_update(state, params, arena(w=np.zeros((3, 3))))
+        adam_update(state, params, arena(w=np.zeros((3, 3))), None)
         np.testing.assert_array_equal(params["w"], before)
         # after a real step, zero gradients decay the moments toward zero
-        adam_update(state, params, arena(w=np.ones((3, 3))))
+        adam_update(state, params, arena(w=np.ones((3, 3))), None)
         m1 = np.abs(state.m["w"]).max()
         v1 = state.v["w"].max()
-        adam_update(state, params, arena(w=np.zeros((3, 3))))
+        adam_update(state, params, arena(w=np.zeros((3, 3))), None)
         assert np.abs(state.m["w"]).max() < m1
         assert state.v["w"].max() < v1
 
@@ -59,7 +59,7 @@ class TestAdam:
         params = arena(w=np.array([1.0, -2.0]))
         g = np.array([0.3, -0.7])
         state = AdamState(params, lr=0.01)
-        adam_update(state, params, arena(w=g))
+        adam_update(state, params, arena(w=g), None)
         # first step: m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
@@ -71,7 +71,7 @@ class TestAdam:
         prev = params["w"].copy()
         for _ in range(300):
             prev = params["w"].copy()
-            adam_update(state, params, arena(w=np.array([3.7])))
+            adam_update(state, params, arena(w=np.array([3.7])), None)
         assert abs(abs(params["w"][0] - prev[0]) - 0.05) < 1e-4
 
     def test_non_finite_gradient_rejected(self):
@@ -85,8 +85,10 @@ class TestAdam:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_norm_of_finite_gradients_clips_to_zero(self):
         grads = arena(v=np.array([1e200, 1e200]), w=np.array([1.0]))
-        assert clip_global_norm(grads, 5.0) == np.inf
-        assert not grads.flat.any()
+        params = arena(v=np.ones(2), w=np.ones(1))
+        assert clip_global_norm(grads, 5.0) == (np.inf, 0.0)
+        adam_update(AdamState(params), params, grads, 0.0)
+        assert not grads.flat.any() and (params.flat == 1.0).all()
 
     @staticmethod
     def _assert_matches_reference(kind, d=6, n_vocab=17):
@@ -108,7 +110,7 @@ class TestAdam:
         state, ref_state = AdamState(model.params, lr=0.01), AdamState(ref, lr=0.01)
         for _ in range(5):
             _, grads = _loss_and_grads(model, kind, rng)
-            adam_update(state, model.params, grads)
+            adam_update(state, model.params, grads, None)
             reference(ref_state, ref, grads)
             for name in ref:
                 assert model.params[name].tobytes() == ref[name].tobytes()
@@ -145,7 +147,7 @@ class TestAdam:
             v = BETA2 * v + (1.0 - BETA2) * (g * g)
             m_hat, v_hat = m / (1.0 - BETA1 ** t), v / (1.0 - BETA2 ** t)
             step = zero_grads(model.params)  # 0 - step is exact: the arena ends as -step
-            adam_update(state, step, grads)
+            adam_update(state, step, grads, None)
             np.testing.assert_allclose(-step.flat, 0.01 * m_hat / (np.sqrt(v_hat) + EPS),
                                        rtol=1e-12, atol=0)
             model.params.flat += step.flat
@@ -162,7 +164,7 @@ class TestAdam:
             _, grads = models[0].loss_and_grads([int(t) for t in rng.integers(0, 17, size=9)])
             for block, model, state in zip((10**9, 7), models, states):
                 monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
-                adam_update(state, model.params, grads)
+                adam_update(state, model.params, grads, None)
         assert models[0].params.flat.tobytes() == models[1].params.flat.tobytes()
         assert states[0].v.flat.tobytes() == states[1].v.flat.tobytes()
 
@@ -170,11 +172,80 @@ class TestAdam:
         params = arena(w=np.zeros(2))
         state = AdamState(params)
         for i in range(1, 4):
-            adam_update(state, params, arena(w=np.ones(2)))
+            adam_update(state, params, arena(w=np.ones(2)), None)
             assert state.t == i
 
 
+def _frozen_clip_then_adam(state, params, grads, max_norm):
+    """The clip and the Adam step as two passes, as they were before the
+    clip's scale moved into Adam's blocks: the clip scaled ``grads`` in
+    place, and Adam then read them."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if norm > max_norm and norm > 0.0:
+        np.multiply(grads.flat, max_norm / norm, out=grads.flat)
+    state.t += 1
+    root = math.sqrt(1.0 - BETA2 ** state.t)
+    lr_t, eps_t = state.lr * root / (1.0 - BETA1 ** state.t), EPS * root
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    step, denom = np.empty(p.size), np.empty(p.size)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=step)
+    v *= BETA2
+    np.multiply(g, g, out=step)
+    step *= 1.0 - BETA2
+    v += step
+    np.sqrt(v, out=denom)
+    denom += eps_t
+    np.multiply(m, lr_t, out=step)
+    step /= denom
+    p -= step
+
+
+class TestClipScaleInAdam:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, n_vocab", [(8, 20), (64, 2000)])
+    @pytest.mark.parametrize("max_norm, spread, scaled", [(1e9, 1.0, None), (0.01, 1.0, "finite"),
+                                                          (1.0, 1e200, 0.0)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_equals_clip_then_adam(self, kind, d, n_vocab, max_norm, spread, scaled, two_cpus):
+        # no clipping, a finite scale, and the scale 0.0 of a norm that
+        # overflows from finite entries; at d 64, V 2,000 the clip's sums and
+        # Adam's blocks run on two lanes
+        model = make_model(kind, d, 8, n_vocab, n_topics=3, seed=4)
+        ref = zero_grads(model.params)
+        ref.flat[:] = model.params.flat
+        state, ref_state = AdamState(model.params, lr=0.01), AdamState(ref, lr=0.01)
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            _, grads = _loss_and_grads(model, kind, rng)
+            grads.flat *= spread
+            ref_grads = zero_grads(grads)
+            ref_grads.flat[:] = grads.flat
+            _, scale = clip_global_norm(grads, max_norm, state.scratch)
+            adam_update(state, model.params, grads, scale)
+            _frozen_clip_then_adam(ref_state, ref, ref_grads, max_norm)
+            assert scale == scaled if scaled != "finite" else 0.0 < scale < 1.0
+            for got, want in ((model.params, ref), (state.m, ref_state.m),
+                              (state.v, ref_state.v), (grads, ref_grads)):
+                assert got.flat.tobytes() == want.flat.tobytes()
+        assert (len(two_cpus) > 0) == (d == 64)
+
+
 class TestTwoLanes:
+    def test_a_clipped_arnn_step_makes_five_hand_offs(self, two_cpus):
+        # at the benchmark's size: the attention blocks, the log-softmax and
+        # exp rows, the output products, the clip's sums and Adam's blocks
+        model = make_model("arnn", 64, 64, 2000, seed=1)
+        tokens = [int(t) for t in np.random.default_rng(0).integers(0, 2000, 78)]
+        grads, adam = zero_grads(model.params), AdamState(model.params)
+        model.loss_and_grads(tokens, grads=grads)
+        _, scale = clip_global_norm(grads, 1.0, adam.scratch)
+        adam_update(adam, model.params, grads, scale)
+        assert scale is not None and len(two_cpus) == 5
+
     def test_the_worker_keeps_no_model_or_state_alive(self, monkeypatch, two_cpus):
         # a worker that kept its last job's arguments kept a finished run's
         # AdamState and arenas (8 MB at the benchmark's size) until the next job
@@ -183,10 +254,10 @@ class TestTwoLanes:
         model = make_model("arnn", 6, 5, 17, seed=4)
         state = AdamState(model.params, lr=0.01)
         _, grads = model.loss_and_grads([1, 2, 3, 4, 5])
-        adam_update(state, model.params, grads)
-        # the log-softmax rows, the exp rows, the output products, then
-        # Adam's blocks (the four queries form one attention block)
-        assert len(two_cpus) == 4
+        adam_update(state, model.params, grads, None)
+        # the log-softmax and exp rows, the output products, then Adam's
+        # blocks (the four queries form one attention block)
+        assert len(two_cpus) == 3
         refs = [weakref.ref(model), weakref.ref(state), weakref.ref(grads)]
         del model, state, grads
         gc.collect()
@@ -199,12 +270,12 @@ class TestTwoLanes:
         model = make_model("arnn", 6, 5, 17, seed=4)
         state = AdamState(model.params, lr=0.01)
         _, grads = model.loss_and_grads([1, 2, 3, 4, 5])
-        adam_update(state, model.params, grads)  # the parent's worker is running
+        adam_update(state, model.params, grads, None)  # the parent's worker is running
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
 
         def child():
-            adam_update(state, model.params, grads)
+            adam_update(state, model.params, grads, None)
             [worker] = [t for t in threading.enumerate() if t.name == "dialoglm-lane"]
             pinned = numeric.lane_cpus()
             send.send((fresh_worker, threading.get_native_id(), pinned,
@@ -222,7 +293,7 @@ class TestTwoLanes:
             if proc.is_alive():
                 proc.kill()
         assert proc.exitcode == 0
-        adam_update(state, model.params, grads)
+        adam_update(state, model.params, grads, None)
         assert got == model.params.flat.tobytes()
         if len(ALLOWED_CPUS) < 2:  # no worker is pinned
             assert reads == [] and pinned is None
@@ -268,8 +339,8 @@ class TestStepAllocations:
 
         def step():
             model.loss_and_grads(*args, grads=grads)
-            clip_global_norm(grads, 5.0, scratch)
-            adam_update(adam, model.params, grads)
+            _, scale = clip_global_norm(grads, 5.0, scratch)
+            adam_update(adam, model.params, grads, scale)
 
         step()
         tracemalloc.start()
@@ -292,11 +363,11 @@ class TestStepAllocations:
         expected = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         tracemalloc.start()
         try:
-            norm = clip_global_norm(grads, 1e9, scratch)
+            norm, scale = clip_global_norm(grads, 1e9, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert norm == expected
+        assert norm == expected and scale is None
         assert peak < 4096
 
 
