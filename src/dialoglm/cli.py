@@ -258,12 +258,16 @@ def cmd_lda(args):
 # rerank
 
 
-def _iter_candidate_files(cand_dir, n):
+def _read_candidate_dumps(cand_dir, n, vocab):
+    """The candidate lists of dumps 0..n-1 in ``cand_dir``, every one read
+    before the caller writes anything."""
+    cand_lists = []
     for i in range(n):
         path = os.path.join(cand_dir, f"candidates_{i:04d}.txt")
         if not os.path.exists(path):
             raise DataError(f"missing candidate dump {path}")
-        yield i, path
+        cand_lists.append(_parse_candidate_file(path, vocab))
+    return cand_lists
 
 
 def cmd_rerank(args):
@@ -272,8 +276,7 @@ def cmd_rerank(args):
     tm = _load_topics(args.topic_model, vocab)
     histories = corpus.load_corpus(args.histories, vocab, min_turns=1)
     # every dump is read and every bag inferred before the first file is written
-    cand_lists = [_parse_candidate_file(path, vocab)
-                  for _, path in _iter_candidate_files(args.candidates_dir, len(histories))]
+    cand_lists = _read_candidate_dumps(args.candidates_dir, len(histories), vocab)
     top_lines = []
     for i, ranked in enumerate(topics.rerank(histories, cand_lists, tm, args.lam, args.metric,
                                              stop_ids)):
@@ -331,8 +334,7 @@ def cmd_tune(args):
         if args.checkpoint is None:
             raise DataError("the recall objective needs --checkpoint to score references")
         model = _load_model(args, vocab, stop_ids)
-    cand_lists = [_parse_candidate_file(path, vocab)
-                  for _, path in _iter_candidate_files(args.candidates_dir, len(dev))]
+    cand_lists = _read_candidate_dumps(args.candidates_dir, len(dev), vocab)
     histories = [d.history() for d in dev]
     references = [list(d.last_utterance()) for d in dev]
     truth_indices = [None] * len(dev)

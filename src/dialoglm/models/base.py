@@ -17,8 +17,7 @@ import numpy as np
 from .. import corpus
 from ..errors import DataError, NumericalError
 from ..numeric import (ATTENTION_BLOCK, INIT_HALF_WIDTH, Arena, attention, columns, lanes,
-                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax,
-                       two_lanes)
+                       log_softmax, matvecs, nll_backward, readout_backward, recur, softmax)
 
 
 @dataclass
@@ -140,8 +139,10 @@ class Model:
     thread, where the traced benchmark wraps them. Training, ``begin`` and
     ``advance`` run on the calling thread alone. Decoding writes only its
     states' own buffers, so distinct states may step at once, and distinct
-    models share nothing. ``numeric.lanes`` inside one pass is safe: its
-    pieces write disjoint parts of the buffers.
+    models share nothing. Inside one pass, ``numeric.lanes`` runs only the
+    attention blocks and a training pass's two output-layer products, whose
+    pieces write disjoint buffers; the log-probability rows are formed on
+    the pass's own thread.
     """
 
     attends = False
@@ -200,25 +201,16 @@ class Model:
         reused rows of ``lane``; a training pass (``lane`` None) uses lane
         0's and also writes the rows' exp into their exp scratch, for
         :meth:`_nll_backward`. The logits are one gemm (split by rows or by
-        columns, it would round differently); each half of the rows is then
-        one piece of ``numeric.lanes``, or all of them one piece where two
-        lanes would run inline."""
+        columns, it would round differently), and the rows are normalized
+        on the calling thread."""
         train, lane = lane is None, lane or 0
         n = len(X)
         self._grow(lane, n)
         logps, scratch = self._rows[lane][:, :n]
         np.matmul(X, Om, out=logps)
-        parts = ((slice(0, (n + 1) // 2), slice((n + 1) // 2, n)) if two_lanes(n, logps.size)
-                 else (slice(0, n),))
-
-        def normalize(i, _):
-            rows = parts[i]
-            part = logps[rows]
-            log_softmax(part, out=part, scratch=scratch[rows])
-            if train:
-                np.exp(part, out=scratch[rows])
-
-        lanes(normalize, len(parts), logps.size)
+        log_softmax(logps, out=logps, scratch=scratch)
+        if train:
+            np.exp(logps, out=scratch)
         return logps
 
     def _nll_backward(self, logps, targets):

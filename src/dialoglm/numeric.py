@@ -8,7 +8,7 @@ step (:func:`zero_grads`) instead of allocating a new one, and a model's
 teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
 glibc hands freed blocks of that size back to the kernel, so fresh ones
 would be faulted in again on every step. :func:`lanes` shares independent
-pieces of one teacher-forced pass or training step between the calling
+pieces of one teacher-forced pass or Adam step between the calling
 thread and one worker thread, and so do the examples of a scoring pass
 and the next-token distributions of two decode states. The worker is
 kept off the calling thread's CPU, so that the two lanes run on two
@@ -334,29 +334,17 @@ def clip_global_norm(grads, max_norm, scratch=None):
     the scale where it next reads them (``trainer.adam_update``).
 
     The norm is summed array by array in arena order: one sum over
-    ``grads.flat`` would round differently. Each array's sum of squares is
-    a piece of :func:`lanes`, largest array first, and each lane squares
-    into its own half of ``scratch``, a vector at least twice as long as
-    the largest array (a new one when it is not given). A non-finite entry
-    is a NumericalError naming its array; a norm that overflows from finite
+    ``grads.flat`` would round differently. Each array is squared into
+    ``scratch``, a vector at least as long as the largest array (a new one
+    when it is not given), on the calling thread. A non-finite entry is a
+    NumericalError naming its array; a norm that overflows from finite
     entries gives the scale 0.0.
     """
-    arrays = list(grads.values())
     if scratch is None:
-        scratch = np.empty(2 * max(g.size for g in arrays))
-    rows = scratch[:scratch.size // 2 * 2].reshape(2, -1)
-    largest = sorted(range(len(arrays)), key=lambda i: -arrays[i].size)
-    sums = [0.0] * len(arrays)
-
-    def sum_squares(i, lane):
-        k = largest[i]
-        g = arrays[k]
-        sums[k] = float(np.sum(np.multiply(g, g, out=rows[lane, :g.size].reshape(g.shape))))
-
-    lanes(sum_squares, len(arrays), grads.flat.size)
+        scratch = np.empty(max(g.size for g in grads.values()))
     total = 0.0
-    for sq in sums:
-        total += sq
+    for g in grads.values():
+        total += float(np.sum(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))))
     norm = np.sqrt(total)
     if not np.isfinite(norm):
         for name, g in grads.items():

@@ -45,14 +45,14 @@ class AdamState:
     counter, and a scratch vector, so that a step allocates no arrays: its
     ``rows`` are two rows of one block per lane (``numeric.lanes``), and the
     whole vector is long enough to be ``clip_global_norm``'s scratch, one
-    row of the largest array per lane."""
+    row as long as the largest array."""
 
     def __init__(self, params, lr=1e-3):
         self.lr = lr
         self.t = 0
         self.m, self.v = zero_grads(params), zero_grads(params)
         block = min(ADAM_BLOCK, self.m.flat.size)
-        self.scratch = np.empty(max([4 * block] + [2 * p.size for p in params.values()]))
+        self.scratch = np.empty(max([4 * block] + [p.size for p in params.values()]))
         self.rows = self.scratch[:4 * block].reshape(2, 2, block)
 
 

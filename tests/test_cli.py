@@ -492,11 +492,15 @@ class TestBadInput:
         dump.write_text("1 -inf -inf\thello\n", encoding="utf-8")
         assert _parse_candidate_file(str(dump), vocab)[0].loglik == -np.inf
 
-    @pytest.mark.parametrize("damage", ["malformed", "missing"])
+    @pytest.mark.parametrize("command, damage",
+                             [("rerank", "malformed"), ("rerank", "missing"),
+                              ("tune", "malformed"), ("tune", "missing")],
+                             ids=["malformed", "missing", "tune-malformed", "tune-missing"])
     def test_bad_last_dump_writes_no_reranked_file(self, workspace, generated, lda_model,
-                                                   tmp_path, capsys, damage):
+                                                   tmp_path, capsys, command, damage):
         # rerank reads every dump and infers every bag before it writes the
-        # first reranked_NNNN.txt, so a bad last dump leaves no output behind
+        # first reranked_NNNN.txt, so a bad last dump leaves no output behind;
+        # tune reads every dump before it writes grid.tsv
         dumps = tmp_path / "cands"
         dumps.mkdir()
         names = sorted(p.name for p in generated.glob("candidates_*.txt"))
@@ -508,13 +512,15 @@ class TestBadInput:
         else:
             (dumps / names[-1]).unlink()
         out = tmp_path / "rr"
-        assert main(["rerank", "--histories", str(workspace["prep"] / "test.txt"),
-                     "--candidates-dir", str(dumps), "--topic-model", str(lda_model),
+        topic_model = "--topic-model" if command == "rerank" else "--topic-models"
+        assert main([command, "--histories", str(workspace["prep"] / "test.txt"),
+                     "--candidates-dir", str(dumps), topic_model, str(lda_model),
                      "--vocab", str(workspace["vocab"]), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert names[-1] in err
-        assert not out.exists() or not list(out.glob("reranked_*.txt"))
+        written = "reranked_*.txt" if command == "rerank" else "*"
+        assert not out.exists() or not list(out.glob(written))
 
     @pytest.mark.parametrize("edit", ["duplicate", "swap", "rename"])
     def test_checkpoint_layout_exit_code(self, workspace, tmp_path, capsys, edit):
