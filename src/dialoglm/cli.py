@@ -240,9 +240,8 @@ def cmd_lda(args):
     vocab, stop_ids = _load_vocab(args)
     dialogues = corpus.load_corpus(args.corpus, vocab, min_turns=1)
     docs = [topics.dialogue_bow(d, stop_ids) for d in dialogues]
-    xi = None if args.xi is None else [args.xi] * args.topics_k
     tm = topics.lda_train(
-        docs, args.topics_k, vocab.size, eta=args.eta, xi=xi,
+        docs, args.topics_k, vocab.size, eta=args.eta, xi=args.xi,
         sweeps=args.sweeps, seed=args.seed, infer_sweeps=args.infer_sweeps,
     )
     path = os.path.join(args.out, "topics.bin")

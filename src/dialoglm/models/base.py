@@ -117,32 +117,30 @@ class Model:
     a growing scope takes in a consumed token (``_extend_scope``).
 
     Each lane of ``numeric.lanes`` has buffers of its own that the model
-    reuses: (2, n, V) output rows, the log-probabilities and their exp
-    scratch, and for an attending kind a flat scratch that holds one
-    (ATTENTION_BLOCK, n, d) block of attention pre-activations; both grow to
-    the longest sequence seen. A training step uses lane 0's rows, keeps its
-    attention tape, and forms its (d, V) output-matrix gradient product in a
-    buffer of its own. A scoring pass, ``_score(ex, lane)`` (``example_score``
-    is lane 0's), uses its lane's rows and scratch and keeps no tape. The
-    buffers hold only until the next pass on their lane, so nothing a model
-    returns may alias them.
+    reuses, grown on the calling thread to the longest pass seen: (2, n, V)
+    output rows, the log-probabilities and their exp scratch, and for an
+    attending kind one flat attention buffer. A training step uses lane 0's:
+    its attention tape lies block after block in lane 0's attention buffer,
+    and it forms its (d, V) output-matrix gradient product in a buffer of
+    its own. A scoring pass, ``_score(ex, lane)`` (``example_score`` is lane
+    0's), uses its lane's rows and forms its attention blocks one after
+    another at the start of its lane's attention buffer, keeping no tape. A
+    pass writes only its own lane's buffers, and they hold only until the
+    next pass on that lane, so nothing a model returns may alias them.
 
     Two passes of one model may run at once only as scoring passes on
     different lanes: ``metrics.tallies`` scores each example as a piece of
     ``numeric.lanes``, on lane 0 through ``example_score`` and on lane 1
     through ``_score(ex, 1)``, once the calling thread has grown both lanes'
-    buffers (``_reserve``). A ``lanes`` call nested inside a piece runs
-    inline and reports lane 0, even on the worker, so a pass takes the
-    buffers of the outer lane it was given, never those of an inner lane
-    number. A piece on the worker calls private methods only
-    (``_score``, ``_step_dist``): the public ones stay on the calling
+    buffers (``_reserve``). A piece on the worker calls private methods
+    only (``_score``, ``_step_dist``): the public ones stay on the calling
     thread, where the traced benchmark wraps them. Training, ``begin`` and
     ``advance`` run on the calling thread alone. Decoding writes only its
     states' own buffers, so distinct states may step at once, and distinct
-    models share nothing. Inside one pass, ``numeric.lanes`` runs only the
-    attention blocks and a training pass's two output-layer products, whose
+    models share nothing. Only a training pass hands pieces of itself to the
+    worker: its attention blocks and its two output-layer products, whose
     pieces write disjoint buffers; the log-probability rows are formed on
-    the pass's own thread.
+    the pass's own thread, and a scoring pass runs whole on its own.
     """
 
     attends = False
@@ -159,7 +157,7 @@ class Model:
             self.params.flat[:] = np.random.default_rng(seed).uniform(
                 -INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=self.params.flat.size)
         # per lane of numeric.lanes: (2, n, V) log-probabilities and exp
-        # scratch, and a scoring pass's flat attention scratch
+        # scratch, and the flat attention buffer
         self._rows = [np.empty((2, 0, self.V)) for _ in range(2)]
         self._pre = [np.empty(0) for _ in range(2)]
         self._dV = None
@@ -167,34 +165,29 @@ class Model:
     def dims(self):
         return {"d": self.d, "d_e": self.d_e, "V": self.V}
 
-    def _grow(self, lane, n, width=0):
-        """Grow ``lane``'s output rows to ``n`` and, for an attending kind, its
-        attention scratch to blocks over ``width`` rows."""
+    def _grow(self, lane, n, entries=0):
+        """Grow ``lane``'s output rows to ``n`` and its attention buffer to
+        ``entries``; returns the attention buffer."""
         if self._rows[lane].shape[1] < n:
             self._rows[lane] = np.empty((2, n, self.V))
-        if self.attends and self._pre[lane].size < ATTENTION_BLOCK * width * self.d:
-            self._pre[lane] = np.empty(ATTENTION_BLOCK * width * self.d)
+        if self._pre[lane].size < entries:
+            self._pre[lane] = None  # freed first: held over the new one, it left a heap hole
+            self._pre[lane] = np.empty(entries)
+        return self._pre[lane]
 
     def _reserve(self, examples):
         """Grow both lanes' buffers to the longest of ``examples``, on the
         calling thread: grown by the worker, they would come from its own
         malloc arena and raise the process's peak."""
         n = max(len(ex.target) for ex in examples)
-        width = max(len(ex.source or ex.target) for ex in examples)
+        width = max(len(ex.source or ex.target) for ex in examples) if self.attends else 0
         for lane in (0, 1):
-            self._grow(lane, n, width)
+            self._grow(lane, n, ATTENTION_BLOCK * width * self.d)
 
-    def _scratch(self, lane, width):
-        """The attention scratch that a scoring pass on ``lane`` hands to
-        ``readout``, one buffer per lane its attention blocks may run on. A
-        nested ``numeric.lanes`` call inside a piece runs inline and reports
-        lane 0, so a pass on lane 1 gets its own buffer alone; a pass on lane
-        0 may run inline and hand blocks to the worker, so it gets lane 1's
-        buffer too."""
-        own = (1,) if lane else (0, 1)
-        for k in own:
-            self._grow(k, 0, width)
-        return [self._pre[k] for k in own]
+    def _buffer(self, lane):
+        """``numeric.readout``'s ``buffer`` for a pass on ``lane``: that lane's
+        attention buffer (lane 0's for training, ``lane`` None), grown as asked."""
+        return lambda entries: self._grow(lane or 0, 0, entries)
 
     def _log_probs(self, X, Om, lane):
         """log_softmax(X @ Om), one row per teacher-forced position, in the

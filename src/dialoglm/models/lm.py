@@ -145,10 +145,9 @@ class AttentionRnnLm(RnnLm):
         states = self._states(tokens)
         # rep[i] pairs token i's embedding with the state that consumed it
         R = np.concatenate([p["E"][:, tokens[:-1]].T, states[1:]], axis=1)
-        scratch = None if lane is None else self._scratch(lane, len(R))
         # position t >= 1 queries with states[t-1] over R[:t]; position 0 attends to nothing
         outs, A, tape = readout(p, states, slice(1, None), slice(None, -1), R, np.arange(1, n),
-                                scratch)
+                                self._buffer(lane), lane is None)
         outs = self._add_topic(outs, theta)
         return {"states": states, "tape": tape, "outs": outs, "A": A, "theta": theta,
                 "logps": self._log_probs(outs, p["O"], lane)}

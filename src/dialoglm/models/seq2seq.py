@@ -83,9 +83,8 @@ class Seq2Seq(Model):
         if self.use_attention:
             L = len(target)
             queries = np.maximum(np.arange(L) - 1, 0)  # position l queries with dec[max(l-1, 0)]
-            scratch = None if lane is None else self._scratch(lane, len(enc))
             outs, A, tape = readout(p, dec, slice(None), queries, enc, np.full(L, len(enc)),
-                                    scratch)
+                                    self._buffer(lane), lane is None)
             fw.update({"tape": tape, "A": A, "outs": outs})
         fw["logps"] = self._log_probs(fw["outs"], p["Od"], lane)
         return fw

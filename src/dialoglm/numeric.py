@@ -4,15 +4,15 @@ All arrays are float64 numpy arrays: matrices are 2-d row-major, vectors
 are 1-d. A model's parameters, and the gradients of a training step, live
 in an :class:`Arena`: one vector holding every array back to back, with a
 named view per array. A training run zero-fills one gradient arena per
-step (:func:`zero_grads`) instead of allocating a new one, and a model's
-teacher-forced output layer keeps its (n, V) rows in buffers it reuses:
-glibc hands freed blocks of that size back to the kernel, so fresh ones
-would be faulted in again on every step. :func:`lanes` shares independent
-pieces of one teacher-forced pass or Adam step between the calling
-thread and one worker thread, and so do the examples of a scoring pass
-and the next-token distributions of two decode states. The worker is
-kept off the calling thread's CPU, so that the two lanes run on two
-CPUs; where they run changes no byte.
+step (:func:`zero_grads`) instead of allocating a new one, and a model
+keeps its teacher-forced (n, V) output rows and attention pre-activations
+in buffers it reuses: glibc hands freed blocks of that size back to the
+kernel, so fresh ones would be faulted in again on every step.
+:func:`lanes` shares independent pieces of one training pass or Adam step
+between the calling thread and one worker thread, and so do the examples
+of a scoring pass and the next-token distributions of two decode states.
+The worker is kept off the calling thread's CPU, so that the two lanes
+run on two CPUs; where they run changes no byte.
 """
 
 import itertools
@@ -174,33 +174,36 @@ def attention(wq, b, R, UR, out=None):
     return pre, alpha, np.matmul(alpha[..., None, :], R)[..., 0, :]
 
 
-def scoped_attention(WQ, b, R, UR, scope, scratch=None):
+def scoped_attention(WQ, b, R, UR, scope, buffer, tape):
     """:func:`attention` of each query WQ[j] over R[:scope[j]] (scope >= 1),
     as one (k, T, d) tanh per block of k = ATTENTION_BLOCK queries over its
     widest scope T, the scores masked past each query's own scope. Returns
-    the blocks' pre-activations, the (n, len(R)) weights, zero past each
-    scope, and the (n, d_z) contexts.
+    the tape's pre-activations (None without ``tape``), the (n, len(R))
+    weights, zero past each scope, and the (n, d_z) contexts.
 
-    The blocks are independent pieces of :func:`lanes`, taken last first:
-    the widest first, as no caller's scopes shrink from query to query. Each
-    writes its own rows of the weights and, for the tape, its own slot of
-    it, every block allocated by the calling thread before the hand-off.
-    Given ``scratch``, one flat buffer of at least ATTENTION_BLOCK len(R) d
-    entries per lane that the blocks may run on, a block forms its
-    pre-activations at the start of its lane's buffer and keeps none of
-    them: the returned pre-activations are None (a scoring pass, which runs
-    no backward)."""
+    The blocks' pre-activations are formed in ``buffer(entries)``, a flat
+    buffer of at least ``entries`` entries, and nowhere else. With ``tape``
+    (a training pass) the blocks lie end to end in it, as the tape that
+    :func:`scoped_attention_backward` reads, and are independent pieces of
+    :func:`lanes`, taken last first: the widest first, as no caller's scopes
+    shrink from query to query. Each writes its own rows of the weights and
+    its own stretch of the buffer, which the calling thread gets before the
+    hand-off. Without ``tape`` (a scoring pass, which runs no backward) the
+    blocks run one after another on the calling thread, each at the start of
+    the buffer."""
     starts = range(0, len(WQ), ATTENTION_BLOCK)
     shapes = [(min(ATTENTION_BLOCK, len(WQ) - j), scope[j:j + ATTENTION_BLOCK].max(), len(b))
               for j in starts]
-    pres = None if scratch is not None else [np.empty(shape) for shape in shapes]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = buffer(sum(sizes) if tape else max(sizes, default=0))
+    offsets = itertools.accumulate(sizes, initial=0) if tape else itertools.repeat(0)
+    pres = [flat[o:o + size].reshape(shape) for o, size, shape in zip(offsets, sizes, shapes)]
     A = np.zeros((len(WQ), len(R)))
 
     def block(i, lane):
         i = len(shapes) - 1 - i
-        (k, T, d), j = shapes[i], starts[i]
-        pre = pres[i] if pres is not None else scratch[lane][:k * T * d].reshape(k, T, d)
-        blk = slice(j, j + ATTENTION_BLOCK)
+        pre, j = pres[i], starts[i]
+        blk, T = slice(j, j + ATTENTION_BLOCK), pre.shape[1]
         np.tanh(np.add(WQ[blk, None, :], UR[:T], out=pre), out=pre)
         s = pre @ b
         if not np.isfinite(s).all():
@@ -208,8 +211,12 @@ def scoped_attention(WQ, b, R, UR, scope, scratch=None):
         s[np.arange(T) >= scope[blk, None]] = -np.inf
         A[blk, :T] = _normalize(s - s.max(axis=1, keepdims=True))
 
-    lanes(block, len(shapes), sum(math.prod(shape) for shape in shapes))
-    return pres, A, A @ R
+    if tape:
+        lanes(block, len(shapes), sum(sizes))
+    else:
+        for i in range(len(shapes)):
+            block(i, 0)
+    return pres if tape else None, A, A @ R
 
 
 def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
@@ -239,19 +246,20 @@ def scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb):
     return dWQ, A.T @ dZ + S @ Um
 
 
-def readout(p, H, rows, q, R, scope, scratch=None):
+def readout(p, H, rows, q, R, scope, buffer, tape):
     """Teacher-forced output-layer inputs Oh h (+ Oz z) of an attention decoder.
 
     Every row h of ``H`` gets Oh h. The rows ``rows`` also get Oz z, where
     the j-th of them attends with the query W H[q][j] over R[:scope[j]]
-    (:func:`scoped_attention`, on ``scratch`` when it is given). Returns the
-    inputs, the (len(scope), len(R)) attention weights and the tape that
-    :func:`readout_backward` takes, None when ``scratch`` is given.
+    (:func:`scoped_attention`, in ``buffer``, keeping a ``tape`` or not).
+    Returns the inputs, the (len(scope), len(R)) attention weights and what
+    :func:`readout_backward` takes, whose pre-activations stay valid until
+    the next pass in the same buffer.
     """
-    pres, A, Z = scoped_attention(H[q] @ p["W"].T, p["b"], R, R @ p["U"].T, scope, scratch)
+    pres, A, Z = scoped_attention(H[q] @ p["W"].T, p["b"], R, R @ p["U"].T, scope, buffer, tape)
     outs = H @ p["Oh"].T
     outs[rows] += Z @ p["Oz"].T
-    return outs, A, None if scratch is not None else (H, rows, q, R, pres, A, Z)
+    return outs, A, (H, rows, q, R, pres, A, Z)
 
 
 def readout_backward(p, tape, douts, dH, grads):
@@ -285,6 +293,15 @@ def nll_backward(logps, targets, probs):
     return loss, probs
 
 
+def allocate(make, shape, what):
+    """make(shape), np.empty or np.zeros, which touch no page, or a DataError
+    saying that ``what`` does not fit in memory."""
+    try:
+        return make(shape)
+    except (MemoryError, ValueError) as e:  # ValueError: more than numpy can index
+        raise DataError(f"{what} do not fit in memory") from e
+
+
 class Arena(dict):
     """Named views, in the order of ``shapes`` (name -> shape), into one
     float64 vector ``flat`` that starts on a 64-byte boundary and holds a copy
@@ -295,10 +312,7 @@ class Arena(dict):
         n = sum(math.prod(shape) for shape in shapes.values())
         if flat is not None and flat.size != n:
             raise DataError(f"{flat.size} parameters, expected {n}")
-        try:
-            buf = np.zeros(n + 8)
-        except (MemoryError, ValueError) as e:  # ValueError: more than numpy can index
-            raise DataError(f"{n} parameters do not fit in memory") from e
+        buf = allocate(np.zeros, n + 8, f"{n} parameters")
         start = -buf.ctypes.data % 64 // 8
         self.flat = buf[start:start + n]
         if flat is not None:

@@ -24,6 +24,7 @@ from . import corpus
 from .errors import DataError
 from .fileio import check_fields, float64s, is_int, is_positive, read_binary, write_binary
 from .metrics import bleu_of_stats, bleu_stats, ngram_counts
+from .numeric import allocate
 
 log = logging.getLogger(__name__)
 
@@ -131,24 +132,26 @@ def lda_train(docs, n_topics, vocab_size, eta=0.01, xi=None, sweeps=100, seed=0,
     stopwords already removed). Empty documents are skipped with a counted
     warning. Deterministic under ``seed``. The per-sweep corpus
     log-likelihood under the current phi/theta estimates is recorded in
-    ``ll_history``.
+    ``ll_history``. The topic prior ``xi`` is one value per topic or one for
+    all of them (50/K by default). A K V phi that cannot be allocated is
+    refused before any sweep.
     """
     if n_topics < 1:
         raise DataError("need at least one topic")
     if not docs:
         raise DataError("empty corpus for LDA")
     K, V = n_topics, vocab_size
-    if xi is None:
-        xi = np.full(K, 50.0 / K)
-    else:
-        xi = np.asarray(xi, dtype=np.float64)
-        if xi.shape != (K,):
-            raise DataError(f"xi must have length K={K}")
+    allocate(np.empty, (K, V), f"{K} topics over {V} words")  # phi's size, before any sweep
+    xi = np.asarray(50.0 / K if xi is None else xi, dtype=np.float64)
+    xi = np.full(K, xi) if xi.ndim == 0 else xi
+    if xi.shape != (K,):
+        raise DataError(f"xi must have length K={K}")
     if not (0 < eta < np.inf and np.all((0 < xi) & (xi < np.inf))):
         raise DataError("Dirichlet hyperparameters must be finite and positive")
     if sweeps < 0 or infer_sweeps < 0:
         raise DataError("sweep counts must not be negative")
-    _uniforms(infer_sweeps, 1)  # refuse a count that no inference chain can allocate
+    # refuse a count that no inference chain can allocate
+    allocate(np.empty, infer_sweeps, f"{infer_sweeps} inference sweeps over 1 token")
 
     kept = []
     skipped = 0
@@ -337,17 +340,9 @@ def _chain_start(seed, K, n, sweeps):
     rng = np.random.default_rng([seed, 0x7EA])
     z = rng.integers(0, K, size=n)
     mk = np.bincount(z, minlength=K).astype(np.float64)
-    return tuple(z.tolist()), tuple(mk.tolist()), rng.random(out=_uniforms(sweeps, n)).tobytes()
-
-
-def _uniforms(sweeps, n):
-    """An unfilled vector for the uniforms of ``sweeps`` inference sweeps over
-    n tokens; np.empty touches no page, so a count that fits costs nothing."""
-    try:
-        return np.empty(sweeps * n)
-    except (MemoryError, ValueError) as e:  # ValueError: more than numpy can index
-        raise DataError(f"{sweeps} inference sweeps over {n} token{'s' * (n != 1)} "
-                        "do not fit in memory") from e
+    us = allocate(np.empty, sweeps * n, f"{sweeps} inference sweeps over {n} token"
+                  + "s" * (n != 1))
+    return tuple(z.tolist()), tuple(mk.tolist()), rng.random(out=us).tobytes()
 
 
 def dialogue_bow(dialogue, stopword_ids=frozenset()):

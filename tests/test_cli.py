@@ -714,6 +714,21 @@ class TestBadInput:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "do not fit in memory" in err
 
+    @pytest.mark.parametrize("xi", [None, "0.5"], ids=["default_xi", "given_xi"])
+    def test_topics_too_many_to_allocate(self, workspace, tmp_path, capsys, xi):
+        # 10^11 topics: phi's K V entries are one allocation, which fails at
+        # once, and lda refuses the count before any sweep, whether the prior
+        # is its default or one --xi for every topic
+        out = tmp_path / "lda"
+        args = ["lda", "--corpus", str(workspace["prep"] / "train.txt"),
+                "--vocab", str(workspace["vocab"]), "--out", str(out),
+                "--topics-k", str(10 ** 11), "--sweeps", "1"]
+        assert main(args + ([] if xi is None else ["--xi", xi])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert f"{10 ** 11} topics over" in err and "do not fit in memory" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_infer_sweeps_check_fills_nothing(self, workspace, tmp_path):
         # 10^8 sweeps are 800 MB of uniforms per token: lda's check must not
         # draw or fill them (it exits 0 where the allocation fits, else 2)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from dialoglm import numeric
 from dialoglm.errors import DataError, NumericalError
-from dialoglm.models import AttentionRnnLm, RnnLm, Seq2Seq, TopicAttentionRnnLm, make_model
+from dialoglm.models import (AttentionRnnLm, Example, RnnLm, Seq2Seq, TopicAttentionRnnLm,
+                             make_model)
 from dialoglm.numeric import (ATTENTION_BLOCK, Arena, attention, clip_global_norm, columns,
                               lanes, log_softmax, matvecs, nll_backward, readout_backward,
                               recur, scoped_attention, scoped_attention_backward, softmax,
@@ -356,24 +357,32 @@ class TestScopedAttention:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("growing", [True, False], ids=["growing", "fixed"])
     def test_matches_per_query_loop(self, n, growing):
+        # both forms: a training pass's tape (np.empty gives each call a
+        # fresh buffer) and the backward, and a scoring pass
         WQ, b, R, UR, scope, Um, dZ = self._inputs(n, growing)
-        pres, A, Z = scoped_attention(WQ, b, R, UR, scope)
-        gU, gb = np.zeros_like(Um), np.zeros_like(b)
-        dWQ, dR = scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb)
-        ref_gU, ref_gb, ref_dR = np.zeros_like(Um), np.zeros_like(b), np.zeros_like(R)
-        assert A.shape == (n, len(R)) and Z.shape == (n, R.shape[1])
-        for j, t in enumerate(scope):
-            pre, alpha, z = attention(WQ[j], b, R[:t], UR[:t])
-            _assert_close(Z[j], z, f"Z[{j}]")
-            _assert_close(A[j, :t], alpha, f"alpha[{j}]")
-            assert not A[j, t:].any()
-            assert abs(A[j].sum() - 1.0) < 1e-12
-            dwq, dRj = attention_backward(Um, b, R[:t], pre, alpha, dZ[j], ref_gU, ref_gb)
-            _assert_close(dWQ[j], dwq, f"dWQ[{j}]")
-            ref_dR[:t] += dRj
-        _assert_close(dR, ref_dR, "dR")
-        _assert_close(gU, ref_gU, "gU")
-        _assert_close(gb, ref_gb, "gb")
+        for tape in (True, False):
+            pres, A, Z = scoped_attention(WQ, b, R, UR, scope, np.empty, tape)
+            assert (pres is None) is not tape
+            gU, gb = np.zeros_like(Um), np.zeros_like(b)
+            if tape:
+                dWQ, dR = scoped_attention_backward(Um, b, R, pres, A, dZ, gU, gb)
+            ref_gU, ref_gb, ref_dR = np.zeros_like(Um), np.zeros_like(b), np.zeros_like(R)
+            assert A.shape == (n, len(R)) and Z.shape == (n, R.shape[1])
+            for j, t in enumerate(scope):
+                pre, alpha, z = attention(WQ[j], b, R[:t], UR[:t])
+                _assert_close(Z[j], z, f"Z[{j}]")
+                _assert_close(A[j, :t], alpha, f"alpha[{j}]")
+                assert not A[j, t:].any()
+                assert abs(A[j].sum() - 1.0) < 1e-12
+                if tape:
+                    dwq, dRj = attention_backward(Um, b, R[:t], pre, alpha, dZ[j], ref_gU,
+                                                  ref_gb)
+                    _assert_close(dWQ[j], dwq, f"dWQ[{j}]")
+                    ref_dR[:t] += dRj
+            if tape:
+                _assert_close(dR, ref_dR, "dR")
+                _assert_close(gU, ref_gU, "gU")
+                _assert_close(gb, ref_gb, "gb")
 
     @pytest.mark.parametrize("spoil", ["nan_UR", "nan_WQ", "inf_b"])
     def test_non_finite_score_raises(self, spoil):
@@ -384,8 +393,9 @@ class TestScopedAttention:
             WQ[-1, 1] = np.nan
         else:
             b[2] = np.inf
-        with pytest.raises(NumericalError):
-            scoped_attention(WQ, b, R, UR, scope)
+        for tape in (True, False):
+            with pytest.raises(NumericalError):
+                scoped_attention(WQ, b, R, UR, scope, np.empty, tape)
 
     def test_readout_backward_by_slice_equals_add_at(self):
         # arnn's queries, a slice of distinct rows, add into dH by slice with
@@ -853,9 +863,9 @@ def _step(model, tokens, source, theta):
 @pytest.mark.parametrize("d, n_vocab, n, lane_min", TWO_LANE_SIZES)
 class TestTwoLanePass:
     """Every two-lane piece of a teacher-forced pass forms the bytes that one
-    lane forms; the reference runs with ``one_lane``. The log-softmax rows and
-    the clip run on the calling thread and hand nothing off, whatever
-    ``numeric.LANE_MIN`` is."""
+    lane forms; the reference runs with ``one_lane``. The log-softmax rows,
+    the clip and a scoring pass's attention blocks run on the calling thread
+    and hand nothing off, whatever ``numeric.LANE_MIN`` is."""
 
     @staticmethod
     def _reference(one_lane, two_cpus, fn, *args):
@@ -871,13 +881,19 @@ class TestTwoLanePass:
         R, U = rng.normal(size=(n, 2 * d)), 0.1 * rng.normal(size=(d, 2 * d))
         WQ, b = rng.normal(size=(n, d)), rng.normal(size=d)
         for scope in (np.arange(1, n + 1), np.full(n, n)):  # growing, fixed
-            args = (WQ, b, R, R @ U.T, scope)
-            ref = self._reference(one_lane, two_cpus, scoped_attention, *args)
-            got = scoped_attention(*args)
+            args = (WQ, b, R, R @ U.T, scope, np.empty)
+            ref = self._reference(one_lane, two_cpus, scoped_attention, *args, True)
+            before = len(two_cpus)
+            got = scoped_attention(*args, True)
+            assert len(two_cpus) > before  # a training pass hands blocks off
             assert [p.tobytes() for p in got[0]] == [p.tobytes() for p in ref[0]]
             assert got[1].tobytes() == ref[1].tobytes()
             assert got[2].tobytes() == ref[2].tobytes()
-        assert two_cpus
+            # a scoring pass runs every block on this thread, with the same bytes
+            before = len(two_cpus)
+            pres, A, Z = scoped_attention(*args, False)
+            assert len(two_cpus) == before and pres is None
+            assert A.tobytes() == got[1].tobytes() and Z.tobytes() == got[2].tobytes()
 
     def test_log_probs_and_nll_backward(self, d, n_vocab, n, lane_min, monkeypatch, two_cpus,
                                         one_lane):
@@ -960,3 +976,28 @@ class TestTwoLanePass:
                                match="^log_softmax input contains non-finite entries$"):
                 call(model, tokens)
         assert two_cpus
+
+
+@pytest.mark.parametrize("kind", ["arnn", "seq2seq_attn"])
+def test_scoring_pass_stays_on_its_lane(kind, monkeypatch, two_cpus):
+    # with no hand-off threshold, a scoring pass of 40 target tokens (three
+    # blocks of attention queries) hands nothing to the worker and leaves the
+    # other lane's attention buffer as it was, on either lane; its score has
+    # the bytes of a pass with the threshold in place
+    rng = np.random.default_rng(6)
+    model = make_model(kind, D, DE, V, seed=3)
+    target = [int(t) for t in rng.integers(0, V, 40)]
+    source = [int(t) for t in rng.integers(0, V, 20)] if kind == "seq2seq_attn" else None
+    ex = Example(target, slice(0, len(target)), source)
+    ref = model.example_score(ex)
+    monkeypatch.setattr(numeric, "LANE_MIN", 0)
+    model._reserve([ex])
+    for lane in (0, 1):
+        other = model._pre[1 - lane]
+        other[:] = rng.normal(size=other.size)
+        before = other.tobytes()
+        score = model.example_score(ex) if lane == 0 else model._score(ex, 1)
+        assert not two_cpus
+        assert model._pre[1 - lane].tobytes() == before
+        assert score.per_token.tobytes() == ref.per_token.tobytes()
+        assert score.A.tobytes() == ref.A.tobytes()

@@ -132,6 +132,16 @@ def test_sampler_matches_reference_with_inexact_priors(monkeypatch, K, seed):
     _check_sampler_against_reference(monkeypatch, K, seed, 0.03, np.full(K, 0.1))
 
 
+def test_one_xi_value_serves_every_topic():
+    # lda --xi passes one value, which lda_train spreads over the K topics
+    rng = np.random.default_rng(3)
+    docs = [list(rng.integers(0, 40, size=int(n))) for n in rng.integers(2, 30, size=10)]
+    one, per_topic = (lda_train(docs, 3, 40, xi=xi, sweeps=2, seed=5, infer_sweeps=2)
+                      for xi in (0.1, [0.1] * 3))
+    assert one.xi.tobytes() == per_topic.xi.tobytes() == np.full(3, 0.1).tobytes()
+    assert one.phi.tobytes() == per_topic.phi.tobytes()
+
+
 def _random_model(K, V, seed, infer_sweeps, rng, xi=0.7):
     return TopicModel(n_topics=K, vocab_size=V, phi=rng.dirichlet(np.ones(V), size=K),
                       eta=0.01, xi=np.full(K, xi), seed=seed, train_sweeps=1,
